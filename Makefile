@@ -152,6 +152,7 @@ fuzz-short:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPartitionBudgetInvariants -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzServerSolve -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/router -run '^$$' -fuzz FuzzDecodeSolve -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -run '^$$' -fuzz FuzzSessionDeltas -fuzztime $(FUZZTIME)
 
 # ci is the single gate: static checks, the full suite, and the race
@@ -159,10 +160,15 @@ fuzz-short:
 # queue, drain path, and concurrent engine dispatch — cancellation
 # threads contexts through every solver's hot loop, so data races can
 # hide anywhere a deadline fires mid-search (`race-fast` is the quick
-# narrow subset).
+# narrow subset). The serving benchmark under perfbench/ is a module of
+# its own (a `replace` points it at this checkout, so it builds offline);
+# vetting and testing it here makes an API change that breaks the
+# benchmark's build fail CI.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 	$(MAKE) lint-metrics
 	$(GO) test ./...
 	$(GO) test -race ./...

@@ -365,18 +365,18 @@ func main() {
 	fmt.Printf("elapsed:    %v (%.1f req/s)\n", elapsed.Round(time.Millisecond),
 		float64(issued)/elapsed.Seconds())
 	if issued > 0 {
-		fmt.Printf("latency:    p50=%v p90=%v p99=%v max=%v\n",
+		fmt.Printf("latency:    p50=%v p90=%v p99=%v max=%v%s\n",
 			time.Duration(lat.Quantile(0.50)).Round(time.Microsecond),
 			time.Duration(lat.Quantile(0.90)).Round(time.Microsecond),
 			time.Duration(lat.Quantile(0.99)).Round(time.Microsecond),
-			time.Duration(lat.Max()).Round(time.Microsecond))
+			time.Duration(lat.Max()).Round(time.Microsecond), estimated(lat))
 	}
 	if queueLat.Count() > 0 {
 		phase := func(name string, h *obs.Histogram) {
-			fmt.Printf("  %-9s p50=%v p90=%v p99=%v\n", name+":",
+			fmt.Printf("  %-9s p50=%v p90=%v p99=%v%s\n", name+":",
 				time.Duration(h.Quantile(0.50)).Round(time.Microsecond),
 				time.Duration(h.Quantile(0.90)).Round(time.Microsecond),
-				time.Duration(h.Quantile(0.99)).Round(time.Microsecond))
+				time.Duration(h.Quantile(0.99)).Round(time.Microsecond), estimated(h))
 		}
 		fmt.Printf("phases (server-side, from response timing):\n")
 		phase("queue", queueLat)
@@ -420,6 +420,16 @@ func main() {
 // the run from the daemon's runtime gauges (docs/metrics.md): heap
 // objects allocated per second of wall clock and the stop-the-world
 // pause total accumulated while the load ran.
+// estimated marks a histogram's quantiles as reservoir estimates once
+// it has observed more samples than its reservoir retains; the empty
+// string while they are exact nearest-rank values.
+func estimated(h *obs.Histogram) string {
+	if retained, count := h.Retained(), h.Count(); retained < count {
+		return fmt.Sprintf(" (reservoir estimate over %d/%d samples)", retained, count)
+	}
+	return ""
+}
+
 func printRuntimeDelta(before, after map[string]int64, elapsed time.Duration) {
 	mallocs, ok1 := delta(before, after, "runtime_mallocs")
 	pause, ok2 := delta(before, after, "runtime_gc_pause_total_ns")

@@ -245,18 +245,18 @@ func runSessions(ctx context.Context, cl *client.Client, opts sessionOpts) {
 	fmt.Printf("elapsed:    %v (%.1f deltas/s)\n", elapsed.Round(time.Millisecond),
 		float64(stats.ok)/elapsed.Seconds())
 	if deltaLat.Count() > 0 {
-		fmt.Printf("delta:      p50=%v p90=%v p99=%v max=%v\n",
+		fmt.Printf("delta:      p50=%v p90=%v p99=%v max=%v%s\n",
 			time.Duration(deltaLat.Quantile(0.50)).Round(time.Microsecond),
 			time.Duration(deltaLat.Quantile(0.90)).Round(time.Microsecond),
 			time.Duration(deltaLat.Quantile(0.99)).Round(time.Microsecond),
-			time.Duration(deltaLat.Max()).Round(time.Microsecond))
+			time.Duration(deltaLat.Max()).Round(time.Microsecond), estimated(deltaLat))
 	}
 	if coldLat.Count() > 0 {
-		fmt.Printf("cold solve: p50=%v p90=%v p99=%v (sampled every %d deltas, n=%d)\n",
+		fmt.Printf("cold solve: p50=%v p90=%v p99=%v (sampled every %d deltas, n=%d)%s\n",
 			time.Duration(coldLat.Quantile(0.50)).Round(time.Microsecond),
 			time.Duration(coldLat.Quantile(0.90)).Round(time.Microsecond),
 			time.Duration(coldLat.Quantile(0.99)).Round(time.Microsecond),
-			opts.coldEvery, stats.colds)
+			opts.coldEvery, stats.colds, estimated(coldLat))
 		if d := deltaLat.Quantile(0.50); d > 0 {
 			fmt.Printf("speedup:    %.2fx at p50, %.2fx at p99 (cold round trip / warm delta round trip)\n",
 				float64(coldLat.Quantile(0.50))/float64(d),

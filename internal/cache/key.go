@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -92,47 +93,56 @@ func canonicalOrder(ext *instance.Extended) []int {
 	for j := range order {
 		order[j] = j
 	}
-	s := jobOrderSorter{order: order, in: in}
-	sort.Stable(&s)
+	sortCanonical(order, in)
 	return order
 }
 
-// jobLess is the canonical job order: (size, cost, initial processor),
-// stable on full ties.
-func jobLess(in *instance.Instance, a, b int) bool {
-	ja, jb := in.Jobs[a], in.Jobs[b]
-	if ja.Size != jb.Size {
-		return ja.Size < jb.Size
+// sortCanonical sorts a job-index permutation into canonical order.
+// The comparison is a total order, so the unstable sort yields exactly
+// the order a stable sort by (size, cost, initial processor) would,
+// without sort.Stable's insertion-and-merge passes or sort.Interface's
+// dynamic calls.
+func sortCanonical(order []int, in *instance.Instance) {
+	slices.SortFunc(order, canonicalCmp(in))
+}
+
+// canonicalCmp returns the canonical job order over in's job indices:
+// (size, cost, initial processor), ties broken by index. The comparison
+// is written out in the closure, not with cmp.Compare or a helper, so
+// the sort's per-comparison call does no further calls.
+func canonicalCmp(in *instance.Instance) func(a, b int) int {
+	jobs, assign := in.Jobs, in.Assign
+	return func(a, b int) int {
+		ja, jb := &jobs[a], &jobs[b]
+		switch {
+		case ja.Size < jb.Size:
+			return -1
+		case ja.Size > jb.Size:
+			return 1
+		case ja.Cost < jb.Cost:
+			return -1
+		case ja.Cost > jb.Cost:
+			return 1
+		case assign[a] < assign[b]:
+			return -1
+		case assign[a] > assign[b]:
+			return 1
+		}
+		return a - b
 	}
-	if ja.Cost != jb.Cost {
-		return ja.Cost < jb.Cost
-	}
-	return in.Assign[a] < in.Assign[b]
 }
 
 // jobsCanonicallySorted reports whether the request's own job order is
 // already canonical, in which case no permutation is needed.
 func jobsCanonicallySorted(in *instance.Instance) bool {
+	cmp := canonicalCmp(in)
 	for j := 1; j < in.N(); j++ {
-		if jobLess(in, j, j-1) {
+		if cmp(j-1, j) > 0 {
 			return false
 		}
 	}
 	return true
 }
-
-// jobOrderSorter stably sorts a job-index permutation into canonical
-// order. It is a concrete sort.Interface so callers holding it in
-// heap-resident scratch can sort without the closure and reflection
-// allocations of sort.SliceStable.
-type jobOrderSorter struct {
-	order []int
-	in    *instance.Instance
-}
-
-func (s *jobOrderSorter) Len() int           { return len(s.order) }
-func (s *jobOrderSorter) Less(a, b int) bool { return jobLess(s.in, s.order[a], s.order[b]) }
-func (s *jobOrderSorter) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
 // appendCanonical appends the canonical encoding of the request to dst.
 // order is the canonical job order (nil = identity). The encoding is

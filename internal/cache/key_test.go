@@ -1,11 +1,15 @@
 package cache
 
 import (
+	"crypto/sha256"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/instance"
+	"repro/internal/workload"
 )
 
 func extOf(in *instance.Instance) *instance.Extended {
@@ -202,4 +206,57 @@ func randomAssign(in *instance.Instance, rng *rand.Rand) []int {
 		a[j] = rng.Intn(in.M)
 	}
 	return a
+}
+
+// TestCanonicalOrderMatchesStableSort pins the canonical job order, and
+// with it every cache key, to a stable sort by (size, cost, initial
+// processor) in request order. The instances are tie-heavy (sizes and
+// costs drawn from [1, 50], up to 2000 jobs on few processors), so the
+// index tie-break decides most positions.
+func TestCanonicalOrderMatchesStableSort(t *testing.T) {
+	spec, _ := engine.Lookup("mpartition")
+	p := engine.Params{K: 7}
+	var sc CanonScratch
+	for trial := 0; trial < 48; trial++ {
+		in := workload.Generate(workload.Config{
+			N:         1 + trial*2000/47,
+			M:         1 + trial%6,
+			MaxSize:   50,
+			Sizes:     workload.SizeDist(trial % 4),
+			Placement: workload.Placement(trial % 4),
+			Costs:     workload.CostModel(trial % 4),
+			Seed:      uint64(trial),
+		})
+		want := make([]int, in.N())
+		for j := range want {
+			want[j] = j
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			ja, jb := in.Jobs[want[a]], in.Jobs[want[b]]
+			if ja.Size != jb.Size {
+				return ja.Size < jb.Size
+			}
+			if ja.Cost != jb.Cost {
+				return ja.Cost < jb.Cost
+			}
+			return in.Assign[want[a]] < in.Assign[want[b]]
+		})
+		got := canonicalOrder(extOf(in))
+		if got == nil {
+			got = make([]int, in.N()) // already canonical: the identity
+			for j := range got {
+				got[j] = j
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): canonical order differs from the stable-sort reference", trial, in.N())
+		}
+		wantKey := Key(sha256.Sum256(appendCanonical(nil, "mpartition", spec.Caps, extOf(in), p, want)))
+		if k := Canonicalize("mpartition", spec.Caps, extOf(in), p).Key; k != wantKey {
+			t.Fatalf("trial %d: Canonicalize key differs from the stable-sort reference", trial)
+		}
+		if k := sc.Canonicalize("mpartition", spec.Caps, extOf(in), p).Key; k != wantKey {
+			t.Fatalf("trial %d: CanonScratch key differs from the stable-sort reference", trial)
+		}
+	}
 }

@@ -2,16 +2,15 @@ package cache
 
 import (
 	"crypto/sha256"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/instance"
 )
 
 // CanonScratch holds the reusable buffers behind a zero-allocation
-// Canonicalize: the canonical encoding, the job order, the inverse
-// permutation, and the concrete sorter. One scratch serves one request
-// at a time; the server's fast path pools them.
+// Canonicalize: the canonical encoding, the job order, and the inverse
+// permutation. One scratch serves one request at a time; the server's
+// fast path and the router's keying pool them.
 //
 // Retention rules: the Canonical returned by CanonScratch.Canonicalize
 // aliases the scratch's perm buffer, so it is only valid until the next
@@ -20,10 +19,9 @@ import (
 // initiation stores one per in-flight solve) must use the allocating
 // Canonicalize instead.
 type CanonScratch struct {
-	enc    []byte
-	order  []int
-	perm   []int
-	sorter jobOrderSorter
+	enc   []byte
+	order []int
+	perm  []int
 }
 
 // Canonicalize is the scratch-reusing equivalent of the package-level
@@ -45,9 +43,7 @@ func (sc *CanonScratch) Canonicalize(solver string, caps engine.Caps, ext *insta
 }
 
 // canonicalOrder mirrors the package-level canonicalOrder on the
-// scratch's buffers. The sorter briefly retains the request instance;
-// it is cleared before returning so a pooled scratch does not pin
-// request memory between uses.
+// scratch's buffers.
 func (sc *CanonScratch) canonicalOrder(ext *instance.Extended) []int {
 	if len(ext.Allowed) > 0 || len(ext.Conflicts) > 0 {
 		return nil
@@ -60,8 +56,6 @@ func (sc *CanonScratch) canonicalOrder(ext *instance.Extended) []int {
 	for j := range sc.order {
 		sc.order[j] = j
 	}
-	sc.sorter.order, sc.sorter.in = sc.order, in
-	sort.Stable(&sc.sorter)
-	sc.sorter.order, sc.sorter.in = nil, nil
+	sortCanonical(sc.order, in)
 	return sc.order
 }

@@ -39,11 +39,22 @@ func (s *Solver) AcceptsParams(k int, budget int64, eps float64) bool {
 	return (k == 0 || caps.K) && (budget == 0 || caps.Budget) && (eps == 0 || caps.Eps)
 }
 
-// LookupSolver resolves a solver by the raw name bytes of a decoded
-// request without allocating. Nil for names absent from the table
+// LookupSolver resolves a decoded request's solver name against the
+// serving table without allocating. Nil for names absent from the table
 // (including solvers registered after New, which take the slow path).
-func (c *Core) LookupSolver(name []byte) *Solver {
-	return c.solvers[string(name)]
+func (c *Core) LookupSolver(name string) *Solver {
+	return c.solvers[name]
+}
+
+// SolverName converts raw solver-name bytes from a request body into a
+// string, returning the registry's own copy for a registered solver so
+// that a decoder filling Request.Solver from a pooled buffer neither
+// allocates nor retains the buffer. Unregistered names are copied.
+func SolverName(name []byte) string {
+	if spec, ok := engine.Lookup(string(name)); ok {
+		return spec.Name
+	}
+	return string(name)
 }
 
 // FastPathEnabled reports whether the cache-hit fast path can run at

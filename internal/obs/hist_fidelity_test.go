@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestHistogramRetainedFidelity(t *testing.T) {
 	if err := snap.WriteSummary(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "quantiles over 65536/70536 retained") {
+	if want := fmt.Sprintf("quantiles over %d/%d retained", histogramLimit, total); !strings.Contains(b.String(), want) {
 		t.Errorf("summary does not flag downsampled quantiles:\n%s", b.String())
 	}
 	// Exposition _count must be the true count, never the retained count.
@@ -39,7 +40,7 @@ func TestHistogramRetainedFidelity(t *testing.T) {
 	if err := snap.WritePrometheus(&p); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(p.String(), "x_lat_count 70536") {
+	if want := fmt.Sprintf("x_lat_count %d", total); !strings.Contains(p.String(), want) {
 		t.Errorf("exposition _count is not the true observation count:\n%s", p.String())
 	}
 }

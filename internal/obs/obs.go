@@ -54,8 +54,12 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histogramLimit caps the retained samples per histogram; beyond it a
 // deterministic reservoir keeps a uniform subsample, so quantiles become
-// estimates while count/sum/min/max stay exact.
-const histogramLimit = 1 << 16
+// estimates while count/sum/min/max stay exact. The cap is small (32 KiB
+// per histogram) so a long-running process's heap stops growing once
+// the reservoirs fill, rather than following its request count; the
+// price is that quantiles of a busy histogram are estimates over 4096
+// uniform samples.
+const histogramLimit = 1 << 12
 
 // Histogram records int64 samples (latencies, sizes, counts) and reports
 // exact count/sum/min/max plus nearest-rank quantiles over the retained
@@ -109,6 +113,10 @@ func (h *Histogram) Min() int64 { h.mu.Lock(); defer h.mu.Unlock(); return h.min
 
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() int64 { h.mu.Lock(); defer h.mu.Unlock(); return h.max }
+
+// Retained returns the number of samples the reservoir holds; below
+// Count once the histogram downsampled, making Quantile an estimate.
+func (h *Histogram) Retained() int64 { h.mu.Lock(); defer h.mu.Unlock(); return int64(len(h.samples)) }
 
 // Mean returns the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {

@@ -310,18 +310,46 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// routeScratch is routePoint's pooled decode and keying memory.
+type routeScratch struct {
+	req server.SolveRequest
+	can cache.CanonScratch
+}
+
+var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
+
 // routePoint places one solve body on the ring's key circle. A
 // decodable solution-kind request routes by its canonical cache key —
 // the same bytes the shard's cache hashes, so permuted duplicates land
 // together and the ring agrees with the caches. Sweeps, unknown
 // solvers, and undecodable bodies route by a content hash: still
 // deterministic, and the owning shard produces the proper error.
-func routePoint(body []byte) uint64 {
-	var req server.SolveRequest
-	if err := json.Unmarshal(body, &req); err == nil && req.Instance.Validate() == nil {
+//
+// The body is decoded once, by the strict decoder into pooled memory,
+// so keying a strict body allocates nothing. A body the strict decoder
+// rejects falls back to json.Unmarshal (counted in
+// router.decode_fallbacks); unlike the shard's stream decoder it
+// rejects trailing data, so such a body keeps its content-hash point.
+func (rt *Router) routePoint(body []byte) uint64 {
+	sc := routeScratchPool.Get().(*routeScratch)
+	defer routeScratchPool.Put(sc)
+	return rt.keyPoint(sc, body)
+}
+
+// keyPoint is routePoint on the caller's scratch.
+func (rt *Router) keyPoint(sc *routeScratch, body []byte) uint64 {
+	req := &sc.req
+	if !server.DecodeSolveStrict(body, req) {
+		rt.cfg.Obs.Count("router.decode_fallbacks", 1)
+		*req = server.SolveRequest{}
+		if json.Unmarshal(body, req) != nil {
+			return ring.Hash(body)
+		}
+	}
+	if req.Instance.Validate() == nil {
 		if spec, ok := engine.Lookup(req.Solver); ok && spec.Kind == engine.KindSolution {
 			p := engine.Params{K: req.K, Budget: req.Budget, Eps: req.Eps}
-			return cache.Canonicalize(req.Solver, spec.Caps, &req.Instance, p).Key.Point()
+			return sc.can.Canonicalize(req.Solver, spec.Caps, &req.Instance, p).Key.Point()
 		}
 	}
 	return ring.Hash(body)
@@ -364,7 +392,7 @@ func (rt *Router) forward(ctx context.Context, path string, body []byte, rid str
 		rt.cfg.Obs.Count("router.no_healthy_shard", 1)
 		return http.StatusServiceUnavailable, nil, errorBody("no healthy shards"), nil
 	}
-	point := routePoint(body)
+	point := rt.routePoint(body)
 	succ := rg.Successors(point, rg.Len())
 	var lastErr error
 	drained := "" // last shard that answered 503: alive, draining — the peer to fill from

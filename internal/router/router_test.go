@@ -247,7 +247,7 @@ func TestRouterReroutesAroundDrainingShard(t *testing.T) {
 		}
 		req = testReq(i)
 		body, _ := json.Marshal(req)
-		if owner, _ := rg.Owner(routePoint(body)); owner == draining.URL {
+		if owner, _ := rg.Owner(rt.routePoint(body)); owner == draining.URL {
 			break
 		}
 	}
@@ -297,7 +297,7 @@ func TestRouterPeerFillOnJoin(t *testing.T) {
 		}
 		req = testReq(i)
 		body, _ := json.Marshal(req)
-		if owner, _ := full.Owner(routePoint(body)); owner == joinURL {
+		if owner, _ := full.Owner(rt.routePoint(body)); owner == joinURL {
 			break
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/instance"
+	"repro/internal/workload"
 )
 
 // benchKey makes cache keys unique across iterations and benchmark
@@ -117,3 +118,38 @@ func BenchmarkServerLoadMix(b *testing.B) {
 }
 
 func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
+
+// BenchmarkDecodeSolve times one decode of a body shaped like the
+// serving benchmark's cold-solve traffic (mpartition, k=50, n=2000 on
+// m=16, about 63 KiB): the strict decoder into a warm request, which
+// every strict body now takes once, against encoding/json's stream
+// decoder into a fresh one, which a miss used to pay on top of the
+// strict attempt.
+func BenchmarkDecodeSolve(b *testing.B) {
+	in := workload.Generate(workload.Config{
+		N: 2000, M: 16, Sizes: workload.SizeZipf, Placement: workload.PlaceSkewed, Seed: 3,
+	})
+	req := solveRequest("mpartition", in)
+	req.K = 50
+	body := benchBody(b, req)
+	b.Run("strict", func(b *testing.B) {
+		var req SolveRequest
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !DecodeSolveStrict(body, &req) {
+				b.Fatal("strict decoder rejected the body")
+			}
+		}
+	})
+	b.Run("encoding_json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var req SolveRequest
+			if err := decodeSolveJSON(body, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -1,21 +1,63 @@
 package server
 
-import "repro/internal/instance"
+import (
+	"bytes"
+	"encoding/json"
+	"unicode/utf8"
+
+	"repro/internal/dispatch"
+	"repro/internal/instance"
+)
+
+// DecodeSolve decodes a POST /v1/solve or /v1/peek body into req,
+// overwriting every field. The strict decoder runs first; only a body
+// it rejects goes to encoding/json's stream decoder, which keeps that
+// decoder's error text and its tolerance of data after the top-level
+// value. Either way req ends up as encoding/json would leave a fresh
+// request, except that an empty or absent job or assignment array may
+// come back as an empty non-nil slice.
+func DecodeSolve(body []byte, req *SolveRequest) error {
+	if DecodeSolveStrict(body, req) {
+		return nil
+	}
+	return decodeSolveJSON(body, req)
+}
+
+// DecodeSolveStrict decodes body with the strict decoder alone,
+// reusing req's job and assignment capacity, and reports whether it
+// accepted. On false req is unspecified and the caller applies its own
+// fallback (DecodeSolve's, or json.Unmarshal where trailing data must
+// be an error). A registered solver's name is the registry's copy, so
+// a warm req decodes a strict body without allocating.
+func DecodeSolveStrict(body []byte, req *SolveRequest) bool {
+	solver, ok := fastDecodeSolve(body, req)
+	if ok {
+		req.Solver = dispatch.SolverName(solver)
+	}
+	return ok
+}
+
+// decodeSolveJSON is the encoding/json fallback. It decodes into a
+// zeroed req: encoding/json leaves absent fields and reused slice
+// elements as it finds them, so reused memory must not carry over.
+func decodeSolveJSON(body []byte, req *SolveRequest) error {
+	*req = SolveRequest{}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
+}
 
 // fastDecodeSolve parses the common shape of a POST /v1/solve body into
 // req without allocating, reusing req's job and assignment slices. It
 // accepts only the strict core of the wire format — an object with the
 // known keys, strings without escapes, integer numbers (a short plain
 // decimal for eps), no extension fields, each key at most once — and
-// reports false on ANY deviation, in which case the caller re-decodes
-// with encoding/json. For every body it does accept, the resulting
+// reports false on ANY deviation, in which case DecodeSolve hands the
+// body to encoding/json. For every body it does accept, the resulting
 // request is exactly what encoding/json would have produced, so the
 // fallback is a pure slow path, never a semantic fork.
 //
 // The solver name is returned as a sub-slice of data rather than stored
-// in req.Solver: converting it to a string would allocate, so the
-// caller interns it against the solver table and fills req.Solver with
-// the interned copy.
+// in req.Solver; DecodeSolveStrict fills req.Solver with the
+// registry's copy of the name.
 func fastDecodeSolve(data []byte, req *SolveRequest) (solver []byte, ok bool) {
 	// Reset the request, keeping the slice capacity for reuse.
 	jobs, assign := req.Instance.Jobs[:0], req.Instance.Assign[:0]
@@ -163,22 +205,27 @@ func (p *fastParser) eat(c byte) bool {
 	return false
 }
 
-// str scans a string literal with no escapes and no control bytes,
+// str scans a string literal with no escapes, no control bytes and no
+// invalid UTF-8 (which encoding/json would replace with U+FFFD),
 // returning its contents.
 func (p *fastParser) str() ([]byte, bool) {
 	if !p.eat('"') {
 		return nil, false
 	}
 	start := p.pos
+	ascii := true
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
 		if c == '"' {
 			s := p.data[start:p.pos]
 			p.pos++
-			return s, true
+			return s, ascii || utf8.Valid(s)
 		}
 		if c == '\\' || c < 0x20 {
 			return nil, false
+		}
+		if c >= utf8.RuneSelf {
+			ascii = false
 		}
 		p.pos++
 	}

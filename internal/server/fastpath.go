@@ -1,14 +1,16 @@
 // The zero-allocation serving path for POST /v1/solve cache hits.
 //
-// The handler reads the body into pooled scratch and attempts the whole
-// request lifecycle — strict decode, validation, canonicalization, LRU
-// probe, response encode — on reused buffers. Anything outside the
-// strict common case (extension fields, unusual JSON, unknown solver,
-// invalid parameters, a cache miss, tracing enabled) falls back to the
-// original encoding/json path, which re-decodes from the buffered body
-// into a fresh heap request: the worker/flight machinery may retain a
-// request beyond the handler's lifetime, so pooled memory is only ever
-// served on a pure hit, where nothing escapes.
+// The handler reads the body into pooled scratch and decodes it once,
+// into the scratch's request (DecodeSolve: the strict decoder, with
+// encoding/json only for bodies it rejects). A strict body then gets
+// the allocation-free hit probe — validation, pooled canonicalization,
+// LRU probe, response encode — on reused buffers, unless the request is
+// traced or its request ID or the shard ID would need JSON escaping.
+// Every other disposition (a miss, a fallback-decoded body, an unknown
+// solver, invalid parameters, tracing) takes the queued path on a heap
+// copy of the already-decoded request: the worker/flight machinery may
+// retain a request beyond the handler's lifetime, so pooled memory is
+// only ever served on a pure hit, where nothing escapes.
 //
 // The cache-facing halves (solver table lookup, canonical probe, hit
 // accounting) live on the dispatch core; this file owns only the byte-
@@ -17,6 +19,7 @@ package server
 
 import (
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -25,8 +28,9 @@ import (
 	"repro/internal/instance"
 )
 
-// solveScratch carries one request's reusable buffers through the fast
-// path. Pooled; nothing in it may escape the handler.
+// solveScratch carries one request's reusable buffers through the
+// handler. Pooled; nothing in it may escape the handler — detach hands
+// the queued path its own copy of the request.
 type solveScratch struct {
 	body  []byte
 	req   SolveRequest
@@ -36,6 +40,19 @@ type solveScratch struct {
 }
 
 var solveScratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
+
+// detach returns a heap copy of the decoded request that shares no
+// reused memory with the scratch: the job and assignment arrays, the
+// only slices the strict decoder reuses, are copied (not re-parsed).
+// The extension and sweep slices only ever come from the encoding/json
+// fallback, which decodes into fresh memory, so the copy may share them.
+func (sc *solveScratch) detach() *SolveRequest {
+	req := new(SolveRequest)
+	*req = sc.req
+	req.Instance.Jobs = slices.Clone(sc.req.Instance.Jobs)
+	req.Instance.Assign = slices.Clone(sc.req.Instance.Assign)
+	return req
+}
 
 // readBody reads r into dst's capacity, growing as needed. Identical
 // error surface to draining the reader through encoding/json: an
@@ -64,7 +81,7 @@ type fastOutcome int
 
 const (
 	// fastFallback: the request is outside the fast path (or a cache
-	// miss); the caller re-decodes and runs the original path.
+	// miss); the caller detaches the decoded request and queues it.
 	fastFallback fastOutcome = iota
 	// fastHit: sc.out holds the complete 200 response body.
 	fastHit
@@ -73,26 +90,22 @@ const (
 	fastCachedError
 )
 
-// fastSolve attempts the allocation-free hit path. On fastHit the
-// response body is in sc.out; on fastCachedError the returned error is
-// the cached one. It performs the same counter accounting a worker-path
-// hit would (request/latency/phase metrics, cache.hits), so a served
-// hit is indistinguishable from the slow path in /metrics.
+// fastSolve attempts the allocation-free hit probe on sc.req, which
+// the strict decoder has filled. On fastHit the response body is in
+// sc.out; on fastCachedError the returned error is the cached one. It
+// performs the same counter accounting a worker-path hit would
+// (request/latency/phase metrics, cache.hits), so a served hit is
+// indistinguishable from the slow path in /metrics.
 func (s *Server) fastSolve(sc *solveScratch, rid string) (fastOutcome, error) {
 	if !s.core.FastPathEnabled() || s.cfg.Trace != nil || !s.shardSafe || !plainJSONSafe(rid) {
 		return fastFallback, nil
 	}
 	start := time.Now()
 	req := &sc.req
-	solverBytes, ok := fastDecodeSolve(sc.body, req)
-	if !ok {
-		return fastFallback, nil
-	}
-	ent := s.core.LookupSolver(solverBytes)
+	ent := s.core.LookupSolver(req.Solver)
 	if ent == nil || !ent.Solution() {
 		return fastFallback, nil
 	}
-	req.Solver = ent.Name()
 	in := &req.Instance.Instance
 	if in.Validate() != nil {
 		return fastFallback, nil

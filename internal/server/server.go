@@ -47,7 +47,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -290,9 +289,10 @@ func (s *Server) buildResponse(req *SolveRequest, res dispatch.Result, rid strin
 
 // handleSolve is POST /v1/solve: decode and validate, mint or adopt the
 // request ID, then dispatch through the core (or answer 429/503). The
-// body is buffered into pooled scratch first so the allocation-free hit
-// path can run; anything it cannot serve re-decodes from the buffer and
-// takes the queued path.
+// body is buffered into pooled scratch and decoded there once; a strict
+// body may be answered by the allocation-free hit path, and anything it
+// cannot serve takes the queued path on a heap copy of the decoded
+// request.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	w.Header().Set("X-Request-ID", rid)
@@ -302,37 +302,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := solveScratchPool.Get().(*solveScratch)
 	defer solveScratchPool.Put(sc)
-	var err error
-	sc.body, err = readBody(sc.body[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.cfg.Obs.Count("server.bad_requests", 1)
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	strict, ok := s.readSolve(w, r, sc)
+	if !ok {
 		return
 	}
-	fstart := time.Now()
-	switch out, ferr := s.fastSolve(sc, rid); out {
-	case fastHit:
-		s.noteSlow(rid, sc.req.Solver, dispatch.Result{Cache: "hit"}, time.Since(fstart), http.StatusOK)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(sc.out)
-		return
-	case fastCachedError:
-		s.noteSlow(rid, sc.req.Solver, dispatch.Result{Cache: "hit"}, time.Since(fstart), statusFor(ferr))
-		writeError(w, statusFor(ferr), "%v", ferr)
-		return
+	if strict {
+		fstart := time.Now()
+		switch out, ferr := s.fastSolve(sc, rid); out {
+		case fastHit:
+			s.noteSlow(rid, sc.req.Solver, dispatch.Result{Cache: "hit"}, time.Since(fstart), http.StatusOK)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(sc.out)
+			return
+		case fastCachedError:
+			s.noteSlow(rid, sc.req.Solver, dispatch.Result{Cache: "hit"}, time.Since(fstart), statusFor(ferr))
+			writeError(w, statusFor(ferr), "%v", ferr)
+			return
+		}
 	}
 
-	// Slow path. Decode into a fresh heap request — the worker/flight
-	// machinery may retain it beyond this handler, so pooled scratch
-	// cannot carry it. The stream decoder over the buffered body keeps
-	// the original error surface (io.EOF text, trailing-data tolerance).
-	req := new(SolveRequest)
-	if err := json.NewDecoder(bytes.NewReader(sc.body)).Decode(req); err != nil {
-		s.cfg.Obs.Count("server.bad_requests", 1)
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
+	// Queued path. The worker/flight machinery may retain the request
+	// beyond this handler, so it gets a heap copy of the decoded one.
+	req := sc.detach()
 	if err := s.core.Validate(req); err != nil {
 		writeError(w, statusFor(err), "%s", err.Error())
 		return
@@ -457,19 +449,20 @@ func (s *Server) batchItem(parent context.Context, req *SolveRequest, rid string
 func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	w.Header().Set("X-Request-ID", rid)
-	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.cfg.Obs.Count("server.bad_requests", 1)
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	// Nothing outlives the handler here (the probe canonicalizes on its
+	// own memory), so the decoded request stays in pooled scratch.
+	sc := solveScratchPool.Get().(*solveScratch)
+	defer solveScratchPool.Put(sc)
+	if _, ok := s.readSolve(w, r, sc); !ok {
 		return
 	}
-	if err := s.core.Validate(&req); err != nil {
+	req := &sc.req
+	if err := s.core.Validate(req); err != nil {
 		writeError(w, statusFor(err), "%s", err.Error())
 		return
 	}
 	s.cfg.Obs.Count("server.peeks", 1)
-	sol, ok, err := s.core.Peek(&req)
+	sol, ok, err := s.core.Peek(req)
 	if !ok {
 		writeError(w, http.StatusNotFound, "cache miss")
 		return
@@ -479,7 +472,36 @@ func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := dispatch.Result{Sol: sol, Cache: "hit"}
-	writeJSON(w, http.StatusOK, s.buildResponse(&req, res, rid))
+	writeJSON(w, http.StatusOK, s.buildResponse(req, res, rid))
+}
+
+// readSolve buffers a solve or peek body into sc and decodes it into
+// sc.req, answering 400 itself when either step fails. strict is
+// decodeSolve's.
+func (s *Server) readSolve(w http.ResponseWriter, r *http.Request, sc *solveScratch) (strict, ok bool) {
+	var err error
+	sc.body, err = readBody(sc.body[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		strict, err = s.decodeSolve(sc.body, &sc.req)
+	}
+	if err != nil {
+		s.cfg.Obs.Count("server.bad_requests", 1)
+		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		return false, false
+	}
+	return strict, true
+}
+
+// decodeSolve is DecodeSolve for the handlers: it also reports whether
+// the strict decoder accepted the body (only such a body may take the
+// allocation-free hit path) and counts every body that fell back to
+// encoding/json in server.decode_fallbacks.
+func (s *Server) decodeSolve(body []byte, req *SolveRequest) (strict bool, err error) {
+	if DecodeSolveStrict(body, req) {
+		return true, nil
+	}
+	s.cfg.Obs.Count("server.decode_fallbacks", 1)
+	return false, decodeSolveJSON(body, req)
 }
 
 // handleSolvers is GET /v1/solvers.
