@@ -163,7 +163,11 @@ fuzz-short:
 # narrow subset). The serving benchmark under perfbench/ is a module of
 # its own (a `replace` points it at this checkout, so it builds offline);
 # vetting and testing it here makes an API change that breaks the
-# benchmark's build fail CI.
+# benchmark's build fail CI. The drain and admission tests then repeat
+# under the race detector: a race between joining the drain group and
+# Shutdown's wait shows up in only some runs, so one pass is not enough
+# to catch a regression.
+DRAIN_RACE_RE = Drain|Shutdown|QueueFull|Session.*E2E
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -172,6 +176,7 @@ ci:
 	$(MAKE) lint-metrics
 	$(GO) test ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run '$(DRAIN_RACE_RE)' ./internal/dispatch ./internal/server/...
 	$(MAKE) bench-diff
 	$(MAKE) hypotheses-check
 	$(MAKE) fuzz-short

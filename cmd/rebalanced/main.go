@@ -31,14 +31,14 @@
 // with single-flight coalescing (-cache entries; -cache -1 disables).
 // Hit/miss/coalesce counters appear under cache.* in expvar.
 //
-// Admission control: at most -queue requests wait while -pool workers
-// solve; beyond that the daemon answers 429 with Retry-After instead of
-// melting down. Every request runs under a deadline (its timeout_ms,
+// Admission control: at most -pool solves run at once, each on its
+// request's goroutine, and at most -queue more wait for a slot; beyond
+// that the daemon answers 429 with Retry-After instead of melting down. Every request runs under a deadline (its timeout_ms,
 // clamped to -max-timeout, else -timeout) that cancels the solver
 // mid-search on expiry (504).
 //
 // Shutdown: SIGINT/SIGTERM begins a graceful drain — the listener stops
-// accepting, readyz flips to 503, queued and in-flight solves finish,
+// accepting, readyz flips to 503, waiting and running solves finish,
 // and after -drain the stragglers are cancelled.
 package main
 
@@ -67,9 +67,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rebalanced: ")
 	addr := flag.String("addr", "localhost:8080", "serve the solve API on this address")
-	pool := flag.Int("pool", runtime.GOMAXPROCS(0), "solver pool size: concurrent solves (<=0: GOMAXPROCS)")
-	solverWorkers := flag.Int("solver-workers", 1, "internal parallelism per solve; the pool already parallelizes across requests")
-	queue := flag.Int("queue", server.DefaultQueueDepth, "admission queue depth; beyond it requests get 429")
+	pool := flag.Int("pool", runtime.GOMAXPROCS(0), "solve slots: concurrent solves (<=0: GOMAXPROCS)")
+	solverWorkers := flag.Int("solver-workers", 1, "internal parallelism per solve; the slots already parallelize across requests")
+	queue := flag.Int("queue", server.DefaultQueueDepth, "admission queue depth: solves waiting for a slot; beyond it requests get 429")
 	timeout := flag.Duration("timeout", server.DefaultTimeout, "default per-request deadline (queue wait + solve)")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout, "clamp on request-supplied timeout_ms")
 	cacheEntries := flag.Int("cache", server.DefaultCacheEntries, "solution cache LRU entries (0: default, negative: disable caching)")

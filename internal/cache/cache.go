@@ -88,9 +88,9 @@ type Config struct {
 	// evictions, size); nil disables instrumentation.
 	Obs *obs.Sink
 	// Fill is the peer cache-fill hook consulted by flights whose
-	// request names a peer (SolveTimedPeer): before running the engine,
-	// the flight asks the peer for the cached solution and only solves
-	// locally when the peer misses. Nil disables peer fill.
+	// request names a peer (Solve's peer argument): before running the
+	// engine, the flight asks the peer for the cached solution and only
+	// solves locally when the peer misses. Nil disables peer fill.
 	Fill FillFunc
 }
 
@@ -275,8 +275,8 @@ func (c *Cache) Len() int {
 // solution's Assign is that buffer, so the caller may keep it for the
 // next request. A cached infeasibility is a hit with its error. On a
 // miss nothing is counted — the caller is expected to fall back to
-// SolveTimed, which performs its own hit/miss accounting after
-// re-checking the LRU.
+// Solve, which performs its own hit/miss accounting after re-checking
+// the LRU.
 func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Solution, bool, error) {
 	c.mu.Lock()
 	e, ok := c.entries.get(can.Key)
@@ -295,7 +295,18 @@ func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Soluti
 // returns the stored result re-indexed onto this request's job order
 // with no engine call; a request identical to one already in flight
 // waits for that flight and shares its outcome; otherwise this call
-// becomes the flight, solves, and populates the cache.
+// becomes the flight, solves, and populates the cache. Stats reports
+// the outcome and the engine compute time behind the result, for
+// callers that split per-phase latency on the wire.
+//
+// Peer fill: when this call initiates a flight (a local miss) and both
+// peer and the configured Fill hook are present, the flight first asks
+// the peer for the solution and runs the engine only if the peer
+// misses. The routing tier names the peer — the shard that owned this
+// key before the current owner joined the ring — so a shard acquiring
+// keys after a membership change warms its cache from the previous
+// owner instead of recomputing. Stats.PeerFill reports the attempt's
+// outcome; an empty peer skips it.
 //
 // Cancellation semantics: a waiter whose ctx fires detaches and returns
 // ctx.Err() without killing the in-flight solve — remaining waiters
@@ -309,27 +320,7 @@ func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Soluti
 // flight open. Only successes and ErrInfeasible (a deterministic
 // property of the instance) are cached; contextual errors never poison
 // the cache.
-func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, Outcome, error) {
-	sol, st, err := c.SolveTimed(ctx, solver, ext, p)
-	return sol, st.Outcome, err
-}
-
-// SolveTimed is Solve returning the full Stats — the outcome plus the
-// engine compute time behind the result — for callers (the server) that
-// split per-phase latency on the wire.
-func (c *Cache) SolveTimed(ctx context.Context, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, Stats, error) {
-	return c.SolveTimedPeer(ctx, solver, ext, p, "")
-}
-
-// SolveTimedPeer is SolveTimed with a peer cache-fill target: when this
-// call initiates a flight (a local miss) and both peer and the
-// configured Fill hook are present, the flight first asks the peer for
-// the solution and runs the engine only if the peer misses. The routing
-// tier names the peer — the shard that owned this key before the
-// current owner joined the ring — so a shard acquiring keys after a
-// membership change warms its cache from the previous owner instead of
-// recomputing. Stats.PeerFill reports the attempt's outcome.
-func (c *Cache) SolveTimedPeer(ctx context.Context, solver string, ext *instance.Extended, p engine.Params, peer string) (instance.Solution, Stats, error) {
+func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended, p engine.Params, peer string) (instance.Solution, Stats, error) {
 	spec, ok := engine.Lookup(solver)
 	if !ok || spec.Kind != engine.KindSolution {
 		// Unknown names keep the engine's typed error; sweep-kind

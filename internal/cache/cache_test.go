@@ -50,6 +50,13 @@ func registerTestSolvers() {
 	})
 }
 
+// solveOutcome is Solve with no peer, reduced to the outcome the
+// single-flight assertions check.
+func solveOutcome(c *Cache, ctx context.Context, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, Outcome, error) {
+	sol, st, err := c.Solve(ctx, solver, ext, p, "")
+	return sol, st.Outcome, err
+}
+
 func testExt() *instance.Extended {
 	return extOf(instance.MustNew(3, []int64{7, 5, 4, 3, 3, 2}, nil, []int{0, 0, 0, 1, 1, 2}))
 }
@@ -90,11 +97,11 @@ func TestCachedVsFreshAllSolvers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fresh solve: %v", err)
 			}
-			miss, out, err := c.Solve(context.Background(), spec.Name, ext, p)
+			miss, out, err := solveOutcome(c, context.Background(), spec.Name, ext, p)
 			if err != nil || out != Miss {
 				t.Fatalf("first cache solve: outcome %v, err %v", out, err)
 			}
-			hit, out, err := c.Solve(context.Background(), spec.Name, ext, p)
+			hit, out, err := solveOutcome(c, context.Background(), spec.Name, ext, p)
 			if err != nil || out != Hit {
 				t.Fatalf("second cache solve: outcome %v, err %v", out, err)
 			}
@@ -122,11 +129,11 @@ func TestPermutedRequestHits(t *testing.T) {
 	c := New(Config{})
 	in := instance.MustNew(2, []int64{9, 6, 5, 3}, nil, []int{0, 0, 0, 1})
 	p := engine.Params{K: 2, Workers: 1}
-	if _, out, err := c.Solve(context.Background(), "greedy", extOf(in), p); err != nil || out != Miss {
+	if _, out, err := solveOutcome(c, context.Background(), "greedy", extOf(in), p); err != nil || out != Miss {
 		t.Fatalf("seed solve: outcome %v, err %v", out, err)
 	}
 	perm := instance.MustNew(2, []int64{3, 5, 9, 6}, nil, []int{1, 0, 0, 0})
-	sol, out, err := c.Solve(context.Background(), "greedy", extOf(perm), p)
+	sol, out, err := solveOutcome(c, context.Background(), "greedy", extOf(perm), p)
 	if err != nil || out != Hit {
 		t.Fatalf("permuted solve: outcome %v, err %v", out, err)
 	}
@@ -165,7 +172,7 @@ func TestSingleFlightCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sols[i], outcomes[i], errs[i] = c.Solve(context.Background(), "cachetest-gate", ext, p)
+			sols[i], outcomes[i], errs[i] = solveOutcome(c, context.Background(), "cachetest-gate", ext, p)
 		}(i)
 	}
 	<-gateStarted // one flight is running
@@ -208,7 +215,7 @@ func TestSingleFlightCoalesce(t *testing.T) {
 		t.Error("per-solver miss counter != 1")
 	}
 	// The flight's result landed in the LRU: one more call is a hit.
-	if _, out, err := c.Solve(context.Background(), "cachetest-gate", ext, p); err != nil || out != Hit {
+	if _, out, err := solveOutcome(c, context.Background(), "cachetest-gate", ext, p); err != nil || out != Hit {
 		t.Fatalf("post-flight solve: outcome %v, err %v", out, err)
 	}
 }
@@ -239,7 +246,7 @@ func TestWaiterCancelDoesNotPoisonFlight(t *testing.T) {
 
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Solve(context.Background(), "cachetest-waiter", ext, p)
+		_, _, err := solveOutcome(c, context.Background(), "cachetest-waiter", ext, p)
 		ownerDone <- err
 	}()
 	<-started
@@ -247,7 +254,7 @@ func TestWaiterCancelDoesNotPoisonFlight(t *testing.T) {
 	waiterCtx, cancelWaiter := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, out, err := c.Solve(waiterCtx, "cachetest-waiter", ext, p)
+		_, out, err := solveOutcome(c, waiterCtx, "cachetest-waiter", ext, p)
 		if out != Coalesced {
 			err = errors.New("waiter was not coalesced")
 		}
@@ -269,7 +276,7 @@ func TestWaiterCancelDoesNotPoisonFlight(t *testing.T) {
 	if err := <-ownerDone; err != nil {
 		t.Fatalf("owner: %v", err)
 	}
-	if _, out, err := c.Solve(context.Background(), "cachetest-waiter", ext, p); err != nil || out != Hit {
+	if _, out, err := solveOutcome(c, context.Background(), "cachetest-waiter", ext, p); err != nil || out != Hit {
 		t.Fatalf("flight result not cached: outcome %v, err %v", out, err)
 	}
 }
@@ -302,13 +309,13 @@ func TestPanicDoesNotPoisonFlight(t *testing.T) {
 
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Solve(context.Background(), "cachetest-panic", ext, p)
+		_, _, err := solveOutcome(c, context.Background(), "cachetest-panic", ext, p)
 		ownerDone <- err
 	}()
 	<-started
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, out, err := c.Solve(context.Background(), "cachetest-panic", ext, p)
+		_, out, err := solveOutcome(c, context.Background(), "cachetest-panic", ext, p)
 		if err == nil {
 			err = errors.New("waiter got a result from a panicked flight")
 		} else if out != Coalesced {
@@ -335,7 +342,7 @@ func TestPanicDoesNotPoisonFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, out, err := c.Solve(context.Background(), "cachetest-panic", ext, p); err != nil || out != Miss {
+		if _, out, err := solveOutcome(c, context.Background(), "cachetest-panic", ext, p); err != nil || out != Miss {
 			t.Errorf("post-panic solve: outcome %v, err %v; want fresh Miss", out, err)
 		}
 	}()
@@ -383,7 +390,7 @@ func TestWaiterOutlivesInitiatorDeadline(t *testing.T) {
 	defer cancelOwner()
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Solve(ownerCtx, "cachetest-outlive", ext, p)
+		_, _, err := solveOutcome(c, ownerCtx, "cachetest-outlive", ext, p)
 		ownerDone <- err
 	}()
 	<-started
@@ -395,7 +402,7 @@ func TestWaiterOutlivesInitiatorDeadline(t *testing.T) {
 	}
 	waiterDone := make(chan res, 1)
 	go func() {
-		sol, out, err := c.Solve(context.Background(), "cachetest-outlive", ext, p)
+		sol, out, err := solveOutcome(c, context.Background(), "cachetest-outlive", ext, p)
 		waiterDone <- res{sol, out, err}
 	}()
 	attachBy := time.After(2 * time.Second)
@@ -429,7 +436,7 @@ func TestWaiterOutlivesInitiatorDeadline(t *testing.T) {
 		t.Errorf("engine ran %d times, want 1 (waiter shares the surviving flight)", got)
 	}
 	// The survivor's result was cached despite the initiator's timeout.
-	if _, out, err := c.Solve(context.Background(), "cachetest-outlive", ext, p); err != nil || out != Hit {
+	if _, out, err := solveOutcome(c, context.Background(), "cachetest-outlive", ext, p); err != nil || out != Hit {
 		t.Errorf("post-flight solve: outcome %v, err %v; want Hit", out, err)
 	}
 }
@@ -465,7 +472,7 @@ func TestAttachToDeadFlightStartsFresh(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Solve(ctx, "cachetest-dead", ext, p)
+		_, _, err := solveOutcome(c, ctx, "cachetest-dead", ext, p)
 		ownerDone <- err
 	}()
 	<-started
@@ -475,7 +482,7 @@ func TestAttachToDeadFlightStartsFresh(t *testing.T) {
 	}
 	// The dead flight is still registered (its solver is wedged). A new
 	// request with a live ctx must bypass it and solve fresh.
-	sol, out, err := c.Solve(context.Background(), "cachetest-dead", ext, p)
+	sol, out, err := solveOutcome(c, context.Background(), "cachetest-dead", ext, p)
 	if err != nil || out != Miss {
 		t.Fatalf("request over a dead flight: outcome %v, err %v; want fresh Miss", out, err)
 	}
@@ -485,7 +492,7 @@ func TestAttachToDeadFlightStartsFresh(t *testing.T) {
 	close(holdFinalize)
 	// The dead flight's guarded delete must not have clobbered the fresh
 	// result that is now in the LRU.
-	if _, out, err := c.Solve(context.Background(), "cachetest-dead", ext, p); err != nil || out != Hit {
+	if _, out, err := solveOutcome(c, context.Background(), "cachetest-dead", ext, p); err != nil || out != Hit {
 		t.Fatalf("post-teardown solve: outcome %v, err %v; want Hit", out, err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -512,7 +519,7 @@ func TestAllPartiesGoneCancelsFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Solve(ctx, "cachetest-abandon", ext, engine.Params{})
+		_, _, err := solveOutcome(c, ctx, "cachetest-abandon", ext, engine.Params{})
 		done <- err
 	}()
 	<-started
@@ -539,7 +546,7 @@ func TestLRUEviction(t *testing.T) {
 		return extOf(instance.MustNew(2, []int64{first, 4, 3}, nil, []int{0, 0, 1}))
 	}
 	for _, s := range []int64{10, 11, 12} {
-		if _, out, err := c.Solve(context.Background(), "cachetest-count", mk(s), p); err != nil || out != Miss {
+		if _, out, err := solveOutcome(c, context.Background(), "cachetest-count", mk(s), p); err != nil || out != Miss {
 			t.Fatalf("size %d: outcome %v, err %v", s, out, err)
 		}
 	}
@@ -550,13 +557,13 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("eviction counter %d, want 1", got)
 	}
 	// The oldest (10) was evicted; the newer two still hit.
-	if _, out, _ := c.Solve(context.Background(), "cachetest-count", mk(11), p); out != Hit {
+	if _, out, _ := solveOutcome(c, context.Background(), "cachetest-count", mk(11), p); out != Hit {
 		t.Errorf("entry 11: outcome %v, want Hit", out)
 	}
-	if _, out, _ := c.Solve(context.Background(), "cachetest-count", mk(12), p); out != Hit {
+	if _, out, _ := solveOutcome(c, context.Background(), "cachetest-count", mk(12), p); out != Hit {
 		t.Errorf("entry 12: outcome %v, want Hit", out)
 	}
-	if _, out, _ := c.Solve(context.Background(), "cachetest-count", mk(10), p); out != Miss {
+	if _, out, _ := solveOutcome(c, context.Background(), "cachetest-count", mk(10), p); out != Miss {
 		t.Errorf("evicted entry 10: outcome %v, want Miss", out)
 	}
 }
@@ -570,14 +577,14 @@ func TestLRUTouchOnHit(t *testing.T) {
 	mk := func(first int64) *instance.Extended {
 		return extOf(instance.MustNew(2, []int64{first, 4, 3}, nil, []int{0, 0, 1}))
 	}
-	c.Solve(context.Background(), "cachetest-count", mk(20), p)
-	c.Solve(context.Background(), "cachetest-count", mk(21), p)
-	c.Solve(context.Background(), "cachetest-count", mk(20), p) // touch 20
-	c.Solve(context.Background(), "cachetest-count", mk(22), p) // evicts 21
-	if _, out, _ := c.Solve(context.Background(), "cachetest-count", mk(20), p); out != Hit {
+	solveOutcome(c, context.Background(), "cachetest-count", mk(20), p)
+	solveOutcome(c, context.Background(), "cachetest-count", mk(21), p)
+	solveOutcome(c, context.Background(), "cachetest-count", mk(20), p) // touch 20
+	solveOutcome(c, context.Background(), "cachetest-count", mk(22), p) // evicts 21
+	if _, out, _ := solveOutcome(c, context.Background(), "cachetest-count", mk(20), p); out != Hit {
 		t.Errorf("touched entry 20 was evicted (outcome %v)", out)
 	}
-	if _, out, _ := c.Solve(context.Background(), "cachetest-count", mk(21), p); out != Miss {
+	if _, out, _ := solveOutcome(c, context.Background(), "cachetest-count", mk(21), p); out != Miss {
 		t.Errorf("entry 21 survived past the bound (outcome %v)", out)
 	}
 }
@@ -593,11 +600,11 @@ func TestInfeasibleCached(t *testing.T) {
 	ext := extOf(instance.MustNew(2, []int64{3, 2, 1}, nil, []int{0, 0, 1}))
 	ext.Conflicts = [][2]int{{0, 1}, {0, 2}, {1, 2}}
 	p := engine.Params{Conflicts: ext.Conflicts}
-	_, out, err := c.Solve(context.Background(), "conflict", ext, p)
+	_, out, err := solveOutcome(c, context.Background(), "conflict", ext, p)
 	if !errors.Is(err, instance.ErrInfeasible) {
 		t.Fatalf("expected ErrInfeasible, got %v (outcome %v)", err, out)
 	}
-	_, out, err = c.Solve(context.Background(), "conflict", ext, p)
+	_, out, err = solveOutcome(c, context.Background(), "conflict", ext, p)
 	if !errors.Is(err, instance.ErrInfeasible) || out != Hit {
 		t.Fatalf("second call: outcome %v, err %v; want Hit + ErrInfeasible", out, err)
 	}
@@ -608,14 +615,14 @@ func TestInfeasibleCached(t *testing.T) {
 func TestSweepBypasses(t *testing.T) {
 	registerTestSolvers()
 	c := New(Config{})
-	_, out, err := c.Solve(context.Background(), "frontier", testExt(), engine.Params{})
+	_, out, err := solveOutcome(c, context.Background(), "frontier", testExt(), engine.Params{})
 	if out != Bypass {
 		t.Fatalf("sweep outcome %v, want Bypass", out)
 	}
 	if !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("sweep through Solve returned %v, want ErrUnsupported", err)
 	}
-	_, out, err = c.Solve(context.Background(), "no-such-solver", testExt(), engine.Params{})
+	_, out, err = solveOutcome(c, context.Background(), "no-such-solver", testExt(), engine.Params{})
 	if out != Bypass || !errors.Is(err, engine.ErrUnknownSolver) {
 		t.Fatalf("unknown solver: outcome %v, err %v", out, err)
 	}
@@ -638,7 +645,7 @@ func TestDeadlineErrorSurfaces(t *testing.T) {
 			return instance.Solution{}, ctx.Err()
 		},
 	})
-	_, _, err := c.Solve(ctx, "cachetest-deadline", testExt(), engine.Params{})
+	_, _, err := solveOutcome(c, ctx, "cachetest-deadline", testExt(), engine.Params{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline expiry surfaced as %v, want DeadlineExceeded", err)
 	}

@@ -25,7 +25,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -62,48 +61,10 @@ type Canonical struct {
 const keyVersion = "rebalance-cache-v1\x00"
 
 // Canonicalize computes the canonical identity of a solve request
-// against the named solver's capability metadata.
+// against the named solver's capability metadata. It runs a fresh
+// CanonScratch, so the returned Canonical owns its memory.
 func Canonicalize(solver string, caps engine.Caps, ext *instance.Extended, p engine.Params) Canonical {
-	order := canonicalOrder(ext)
-	enc := appendCanonical(nil, solver, caps, ext, p, order)
-	c := Canonical{Key: sha256.Sum256(enc)}
-	if order != nil {
-		c.perm = make([]int, len(order))
-		for slot, j := range order {
-			c.perm[j] = slot
-		}
-	}
-	return c
-}
-
-// canonicalOrder returns the job indices in canonical order — sorted by
-// (size, cost, initial processor), ties broken by index — or nil when
-// the request must keep its own ordering (extension fields present) or
-// is already sorted. Jobs equal in all three attributes are genuinely
-// interchangeable: swapping them changes neither loads nor move counts.
-func canonicalOrder(ext *instance.Extended) []int {
-	if len(ext.Allowed) > 0 || len(ext.Conflicts) > 0 {
-		return nil
-	}
-	in := &ext.Instance
-	if jobsCanonicallySorted(in) {
-		return nil
-	}
-	order := make([]int, in.N())
-	for j := range order {
-		order[j] = j
-	}
-	sortCanonical(order, in)
-	return order
-}
-
-// sortCanonical sorts a job-index permutation into canonical order.
-// The comparison is a total order, so the unstable sort yields exactly
-// the order a stable sort by (size, cost, initial processor) would,
-// without sort.Stable's insertion-and-merge passes or sort.Interface's
-// dynamic calls.
-func sortCanonical(order []int, in *instance.Instance) {
-	slices.SortFunc(order, canonicalCmp(in))
+	return new(CanonScratch).Canonicalize(solver, caps, ext, p)
 }
 
 // canonicalCmp returns the canonical job order over in's job indices:

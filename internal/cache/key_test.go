@@ -241,7 +241,7 @@ func TestCanonicalOrderMatchesStableSort(t *testing.T) {
 			}
 			return in.Assign[want[a]] < in.Assign[want[b]]
 		})
-		got := canonicalOrder(extOf(in))
+		got := new(CanonScratch).canonicalOrder(extOf(in))
 		if got == nil {
 			got = make([]int, in.N()) // already canonical: the identity
 			for j := range got {

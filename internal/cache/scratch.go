@@ -2,6 +2,7 @@ package cache
 
 import (
 	"crypto/sha256"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/instance"
@@ -24,10 +25,10 @@ type CanonScratch struct {
 	perm  []int
 }
 
-// Canonicalize is the scratch-reusing equivalent of the package-level
-// Canonicalize: same key, same permutation semantics, no steady-state
-// allocations for plain (non-extended) instances once the buffers are
-// warm.
+// Canonicalize computes the canonical identity of a solve request (see
+// the package-level Canonicalize) on the scratch's buffers: no
+// steady-state allocations for plain (non-extended) instances once the
+// buffers are warm.
 func (sc *CanonScratch) Canonicalize(solver string, caps engine.Caps, ext *instance.Extended, p engine.Params) Canonical {
 	order := sc.canonicalOrder(ext)
 	sc.enc = appendCanonical(sc.enc[:0], solver, caps, ext, p, order)
@@ -42,8 +43,11 @@ func (sc *CanonScratch) Canonicalize(solver string, caps engine.Caps, ext *insta
 	return c
 }
 
-// canonicalOrder mirrors the package-level canonicalOrder on the
-// scratch's buffers.
+// canonicalOrder returns the job indices in canonical order — sorted by
+// (size, cost, initial processor), ties broken by index — or nil when
+// the request must keep its own ordering (extension fields present) or
+// is already sorted. Jobs equal in all three attributes are genuinely
+// interchangeable: swapping them changes neither loads nor move counts.
 func (sc *CanonScratch) canonicalOrder(ext *instance.Extended) []int {
 	if len(ext.Allowed) > 0 || len(ext.Conflicts) > 0 {
 		return nil
@@ -56,6 +60,10 @@ func (sc *CanonScratch) canonicalOrder(ext *instance.Extended) []int {
 	for j := range sc.order {
 		sc.order[j] = j
 	}
-	sortCanonical(sc.order, in)
+	// The comparison is a total order, so the unstable sort yields
+	// exactly the order a stable sort by (size, cost, initial processor)
+	// would, without sort.Stable's insertion-and-merge passes or
+	// sort.Interface's dynamic calls.
+	slices.SortFunc(sc.order, canonicalCmp(in))
 	return sc.order
 }

@@ -326,8 +326,8 @@ func (s *sim) startService(sh *shard, req request) {
 	if !sh.cache.disabled() {
 		if f := sh.flights[req.rank]; f != nil {
 			// Single-flight: attach as a waiter. The waiter still holds
-			// its pool worker (as in the real cache) and completes with
-			// the flight.
+			// its worker (as a coalesced solve holds its slot in the
+			// real dispatch core) and completes with the flight.
 			f.waiters = append(f.waiters, req)
 			s.logf("C t=%d r=%d k=%d s=%s\n", s.clock, req.id, req.rank, sh.name)
 			return

@@ -102,8 +102,9 @@ func (o outcome) String() string {
 
 // flight is one service occupancy: a cache hit carries exactly its own
 // request, while a miss is a single-flight — later arrivals for the
-// same rank attach as waiters (each still holding a pool worker, as in
-// the real cache) and all complete together.
+// same rank attach as waiters (each still holding a worker, as a
+// coalesced solve holds its slot in the real dispatch core) and all
+// complete together.
 type flight struct {
 	rank    int
 	out     outcome

@@ -10,9 +10,11 @@
 //   - Deadline derivation: the request's timeout clamped to the
 //     configured maximum, layered on the caller's context and the
 //     core's root context so a drain cancels stragglers.
-//   - The bounded admission queue and fixed worker pool: a request
-//     either enters the queue or fails fast with ErrQueueFull; workers
-//     bound concurrent solver compute regardless of transport fan-in.
+//   - Admission: each solve runs on its caller's goroutine while it
+//     holds one of Workers solve slots, which bound concurrent solver
+//     compute regardless of transport fan-in. A solve that finds every
+//     slot taken waits its turn, first come first served, or fails
+//     fast with ErrQueueFull once QueueDepth solves already wait.
 //   - The solution cache: canonical-form LRU + single-flight
 //     coalescing (internal/cache), including the peer cache-fill hook
 //     a routing tier uses to warm a shard from the previous owner of a
@@ -26,10 +28,9 @@
 // in-process fleet simulator) consumes the same core — that is the
 // point of the split: the serving semantics live here exactly once.
 //
-// Construction mirrors internal/server's former monolith: New starts
-// the worker pool; Shutdown drains it (admission is the transport's
-// concern — callers stop calling Do — while queued and in-flight work
-// completes, then stragglers are cancelled on ctx expiry).
+// Solves and session calls join one drain group. Shutdown closes it to
+// new work (which fails with a context.Canceled-wrapped error), lets
+// admitted work complete, and cancels stragglers on ctx expiry.
 package dispatch
 
 import (
@@ -62,17 +63,18 @@ type FillFunc = cache.FillFunc
 // Config tunes a Core. The zero value is usable: New fills every unset
 // field with the package default.
 type Config struct {
-	// Workers is the solver pool size — the number of goroutines
-	// executing solves concurrently. ≤ 0 means runtime.GOMAXPROCS(0)
-	// (the internal/par resolution rule).
+	// Workers is the number of solve slots — the number of solves
+	// running concurrently, each on its caller's goroutine. ≤ 0 means
+	// runtime.GOMAXPROCS(0) (the internal/par resolution rule).
 	Workers int
 	// SolverWorkers is the internal parallelism handed to each solve
-	// (engine Params.Workers). ≤ 0 means 1: with the pool providing
+	// (engine Params.Workers). ≤ 0 means 1: with the slots providing
 	// across-request parallelism, single-threaded solver internals keep
 	// the machine share per request deterministic.
 	SolverWorkers int
-	// QueueDepth bounds the admission queue; a request arriving with the
-	// queue full fails with ErrQueueFull. ≤ 0 means DefaultQueueDepth.
+	// QueueDepth bounds the solves waiting for a slot; a request
+	// arriving with that many waiting fails with ErrQueueFull. ≤ 0 means
+	// DefaultQueueDepth.
 	QueueDepth int
 	// DefaultTimeout is the per-request deadline applied when the
 	// request names none. ≤ 0 means the package default.
@@ -104,31 +106,25 @@ type Config struct {
 	SessionTTL time.Duration
 }
 
-// task is one admitted solve request travelling from Do to a worker.
-type task struct {
-	ctx      context.Context
-	req      *Request
-	enqueued time.Time
-	qspan    *obs.Span   // queue-wait span; ended by the worker at dequeue
-	done     chan Result // buffered(1): the worker's send never blocks
-}
-
 // Core dispatches solve requests through the engine registry: bounded
-// admission, deadlines, solution cache, worker pool. Create with New
+// admission, deadlines, solution cache, solve slots. Create with New
 // and release with Shutdown (or Close); transports adapt their wire
 // format onto Do and never touch the cache or engine directly.
 type Core struct {
 	cfg        Config
-	queue      chan *task
 	cache      *cache.Cache    // nil when caching is disabled
-	poolSize   int             // resolved worker count
-	rootCtx    context.Context // cancelled to kill stragglers and stop workers
+	slots      chan struct{}   // one token per running solve; capacity is the resolved Workers
+	waiting    atomic.Int64    // solves blocked on a slot: the admission queue
+	rootCtx    context.Context // cancelled to kill stragglers and stop the session janitor
 	rootCancel context.CancelFunc
-	draining   atomic.Bool
-	inflight   sync.WaitGroup // queued + running tasks
-	inflightN  atomic.Int64   // same population, as a number for the gauge
-	workers    chan struct{}  // closed when the pool has exited
-	sessions   *sessionTable  // rebalancing sessions (session.go)
+	sessions   *sessionTable // rebalancing sessions (session.go)
+
+	// The drain group. Solves and session calls join inflight under
+	// admit after checking draining; Shutdown sets draining under admit
+	// before it waits, so no join can race the wait.
+	admit    sync.Mutex
+	draining atomic.Bool
+	inflight sync.WaitGroup // admitted solves and session calls
 
 	// solvers is the per-solver serving table, built once from the
 	// registry: interned names for allocation-free lookup plus the
@@ -138,9 +134,16 @@ type Core struct {
 	// Pre-resolved aggregate serving metrics; nil without an obs sink.
 	mRequests, mErrors           *obs.Counter
 	mQueueNS, mCacheNS, mSolveNS *obs.Histogram
+	mQueueDepth, mInflight       *obs.Gauge // solves waiting; admitted solves, waiting or running
 }
 
-// New normalizes cfg, starts the worker pool, and returns the core.
+// errDraining rejects work that arrives once Shutdown has begun; it
+// classifies as context.Canceled, which transports map to their
+// unavailable status (HTTP 503).
+var errDraining = fmt.Errorf("dispatch core is draining: %w", context.Canceled)
+
+// New normalizes cfg and returns the core. The only goroutine it
+// starts is the session janitor; solves run on their callers'.
 func New(cfg Config) *Core {
 	if cfg.SolverWorkers <= 0 {
 		cfg.SolverWorkers = 1
@@ -166,10 +169,9 @@ func New(cfg Config) *Core {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Core{
 		cfg:        cfg,
-		queue:      make(chan *task, cfg.QueueDepth),
+		slots:      make(chan struct{}, par.Workers(cfg.Workers, 0)),
 		rootCtx:    ctx,
 		rootCancel: cancel,
-		workers:    make(chan struct{}),
 		sessions:   &sessionTable{entries: make(map[string]*sessionEntry)},
 	}
 	go c.sessionJanitor()
@@ -190,128 +192,93 @@ func New(cfg Config) *Core {
 		c.mQueueNS = reg.Histogram("server.queue_ns")
 		c.mCacheNS = reg.Histogram("server.cache_ns")
 		c.mSolveNS = reg.Histogram("server.solve_ns")
+		c.mQueueDepth = reg.Gauge("server.queue_depth")
+		c.mInflight = reg.Gauge("server.inflight")
 		for name, ent := range c.solvers {
 			ent.requests = reg.Counter("server.requests." + name)
 			ent.latency = reg.Histogram("server.latency_ns." + name)
 		}
 	}
-	n := par.Workers(cfg.Workers, 0)
-	c.poolSize = n
-	go func() {
-		defer close(c.workers)
-		// One par task per pool worker: par supplies the sizing rules and
-		// last-resort panic capture; per-solve panics are converted to
-		// errors inside dispatch and never reach the pool.
-		_ = par.Do(context.Background(), n, n, func(int) error {
-			c.workerLoop()
-			return nil
-		})
-	}()
 	return c
 }
 
-// PoolSize returns the resolved worker count.
-func (c *Core) PoolSize() int { return c.poolSize }
+// PoolSize returns the number of solve slots: the resolved Workers.
+func (c *Core) PoolSize() int { return cap(c.slots) }
 
 // QueueDepth returns the admission queue bound.
 func (c *Core) QueueDepth() int { return c.cfg.QueueDepth }
 
-// QueueLen returns the admission queue's current occupancy.
-func (c *Core) QueueLen() int { return len(c.queue) }
+// QueueLen returns the number of solves waiting for a slot.
+func (c *Core) QueueLen() int { return int(c.waiting.Load()) }
 
 // Draining reports whether Shutdown has begun.
 func (c *Core) Draining() bool { return c.draining.Load() }
 
-// workerLoop pulls tasks until the root context is cancelled, then
-// drains what is left in the queue — those tasks' contexts are already
-// cancelled (Shutdown cancels rootCtx only after admission stopped), so
-// each finishes immediately with a context error.
-func (c *Core) workerLoop() {
-	for {
-		select {
-		case t := <-c.queue:
-			c.runTask(t)
-		case <-c.rootCtx.Done():
-			for {
-				select {
-				case t := <-c.queue:
-					c.runTask(t)
-				default:
-					return
-				}
-			}
-		}
+// enter joins the drain group, or returns errDraining once Shutdown
+// has begun. A nil return must be paired with c.inflight.Done().
+func (c *Core) enter() error {
+	c.admit.Lock()
+	defer c.admit.Unlock()
+	if c.draining.Load() {
+		return errDraining
 	}
+	c.inflight.Add(1)
+	return nil
 }
 
-// runTask executes one admitted task and delivers its result.
-func (c *Core) runTask(t *task) {
-	defer c.inflight.Done()
-	defer func() { c.gauge("server.inflight", c.inflightN.Add(-1)) }()
-	c.gauge("server.queue_depth", int64(len(c.queue)))
-	queueNS := time.Since(t.enqueued).Nanoseconds()
-	t.qspan.End()
-	c.cfg.Obs.Observe("server.queue_ns", queueNS)
-	if err := t.ctx.Err(); err != nil {
-		// Expired while queued: don't burn a worker on a dead request.
-		c.cfg.Obs.Count("server.expired_in_queue", 1)
-		t.done <- Result{Err: err, QueueNS: queueNS}
+// observe records one served solve: the per-request accounting shared
+// by admitted solves (Do) and hits the transport served without
+// admission (ObserveHit), so the two cannot drift in /metrics. ent is
+// the solver's table entry, nil for solvers registered after New.
+func (c *Core) observe(ent *Solver, solver string, res *Result, latencyNS int64) {
+	if c.cfg.Obs == nil {
 		return
 	}
-	start := time.Now()
-	res := c.solve(t)
-	res.QueueNS = queueNS
-	totalNS := time.Since(start).Nanoseconds()
-	// solve measured the engine compute (SolveNS); the remainder of the
-	// dispatch time belongs to the cache layer when one was in play.
+	c.mQueueNS.Observe(res.QueueNS)
 	if res.Cache != "" {
-		if res.CacheNS = totalNS - res.SolveNS; res.CacheNS < 0 {
-			res.CacheNS = 0
-		}
-		c.cfg.Obs.Observe("server.cache_ns", res.CacheNS)
+		c.mCacheNS.Observe(res.CacheNS)
 	}
-	c.cfg.Obs.Count("server.requests", 1)
-	if ent := c.solvers[t.req.Solver]; ent != nil && ent.requests != nil {
-		ent.requests.Inc()
-		ent.latency.Observe(totalNS)
-	} else {
-		c.cfg.Obs.Count("server.requests."+t.req.Solver, 1)
-		c.cfg.Obs.Observe("server.latency_ns."+t.req.Solver, totalNS)
-	}
-	c.cfg.Obs.Observe("server.solve_ns", res.SolveNS)
+	c.mSolveNS.Observe(res.SolveNS)
+	c.mRequests.Inc()
 	if res.Err != nil {
-		c.cfg.Obs.Count("server.errors", 1)
+		c.mErrors.Inc()
 	}
-	t.done <- res
+	if ent != nil {
+		ent.requests.Inc()
+		ent.latency.Observe(latencyNS)
+	} else {
+		c.cfg.Obs.Count("server.requests."+solver, 1)
+		c.cfg.Obs.Observe("server.latency_ns."+solver, latencyNS)
+	}
 }
 
-// solve runs the named solver (or sweep) under the task's context. A
-// solver panic is converted into an error so one bad request cannot
-// take the pool down. Solution-kind solves route through the solution
-// cache when one is configured.
-func (c *Core) solve(t *task) (res Result) {
+// solve runs the named solver (or sweep) under ctx. A solver panic is
+// converted into an error so one bad request cannot take the caller
+// down. Solution-kind solves route through the solution cache when one
+// is configured.
+func (c *Core) solve(ctx context.Context, req *Request) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res.Err = fmt.Errorf("server: solver %q panicked: %v", t.req.Solver, r)
+			res.Err = fmt.Errorf("server: solver %q panicked: %v", req.Solver, r)
 		}
 	}()
-	spec, ok := engine.Lookup(t.req.Solver)
+	spec, ok := engine.Lookup(req.Solver)
 	if !ok {
 		// Validation already vetted the name; re-check defensively.
-		res.Err = fmt.Errorf("%w: %q", engine.ErrUnknownSolver, t.req.Solver)
+		res.Err = fmt.Errorf("%w: %q", engine.ErrUnknownSolver, req.Solver)
 		return res
 	}
-	in := &t.req.Instance.Instance
+	in := &req.Instance.Instance
 	if spec.Kind == engine.KindSweep {
-		ks := t.req.Ks
+		ks := req.Ks
 		if len(ks) == 0 {
 			ks = rebalance.DefaultFrontierKs(in.N())
 		}
 		// Sweeps don't route through engine.Spec.Solve, so the solve
 		// span is opened here.
-		sctx, sp := obs.StartSpan(t.ctx, "solve")
+		sctx, sp := obs.StartSpan(ctx, "solve")
 		if sp != nil {
-			sp.SetAttr(obs.String("solver", t.req.Solver))
+			sp.SetAttr(obs.String("solver", req.Solver))
 		}
 		t0 := time.Now()
 		points, err := rebalance.FrontierCtx(sctx, in, ks, rebalance.FrontierOptions{
@@ -328,20 +295,20 @@ func (c *Core) solve(t *task) (res Result) {
 		return res
 	}
 	p := engine.Params{
-		K:       t.req.K,
-		Budget:  t.req.Budget,
-		Eps:     t.req.Eps,
+		K:       req.K,
+		Budget:  req.Budget,
+		Eps:     req.Eps,
 		Workers: c.cfg.SolverWorkers,
 		Obs:     c.cfg.Obs,
-		Allowed: t.req.Instance.Allowed, Conflicts: t.req.Instance.Conflicts,
+		Allowed: req.Instance.Allowed, Conflicts: req.Instance.Conflicts,
 	}
 	if c.cache != nil {
 		// The cache span covers lookup, canonicalization, coalesce wait
 		// and any peer fill; the engine solve becomes its child via the
 		// span linkage grafted onto the flight context (internal/cache).
-		cctx, csp := obs.StartSpan(t.ctx, "cache")
+		cctx, csp := obs.StartSpan(ctx, "cache")
 		var st cache.Stats
-		res.Sol, st, res.Err = c.cache.SolveTimedPeer(cctx, t.req.Solver, &t.req.Instance, p, t.req.PeerFill)
+		res.Sol, st, res.Err = c.cache.Solve(cctx, req.Solver, &req.Instance, p, req.PeerFill)
 		res.Cache, res.SolveNS, res.PeerFill = st.Outcome.String(), st.EngineNS, st.PeerFill
 		if csp != nil {
 			csp.SetAttr(obs.String("outcome", st.Outcome.String()))
@@ -350,7 +317,7 @@ func (c *Core) solve(t *task) (res Result) {
 		return res
 	}
 	t0 := time.Now()
-	res.Sol, res.Err = engine.Solve(t.ctx, t.req.Solver, in, p)
+	res.Sol, res.Err = engine.Solve(ctx, req.Solver, in, p)
 	res.SolveNS = time.Since(t0).Nanoseconds()
 	return res
 }
@@ -373,63 +340,111 @@ func (c *Core) requestCtx(parent context.Context, timeoutMS int64) (context.Cont
 	return ctx, func() { stop(); cancel() }
 }
 
-// Do admits one validated request into the worker queue and waits for
-// its result. The request runs under its own deadline (TimeoutMS
+// Do admits one validated request and runs it on the calling
+// goroutine. The request runs under its own deadline (TimeoutMS
 // clamped to the configured maximum, else the default) layered on ctx;
 // trace span linkage in ctx is honored (the queue and cache phases
 // record child spans).
 //
+// Admission: the solve takes one of Workers slots. With every slot
+// taken it waits, first come first served, unless QueueDepth solves
+// are already waiting, in which case it fails fast with ErrQueueFull.
+// The wait counts against the deadline and is reported as QueueNS.
+//
 // The error return covers requests that never produced a solver
-// result: ErrQueueFull when the admission queue was full, or the
-// context's error when the caller's deadline or disconnect abandoned
-// the wait (the worker, if it reached the task, observes the same
-// cancelled context and stops promptly). A non-nil Result.Err instead
-// reports the solver's own outcome — unknown solver, infeasible,
-// deadline mid-solve — with the phase timings populated.
+// result: ErrQueueFull, a context.Canceled-wrapped error once Shutdown
+// has begun, or the context's error when the deadline, the caller or a
+// drain timeout cut the wait or the solve short. A non-nil Result.Err
+// instead reports the solver's own outcome — unknown solver,
+// infeasible — with the phase timings populated.
 func (c *Core) Do(ctx context.Context, req *Request) (Result, error) {
+	if err := c.enter(); err != nil {
+		return Result{}, err
+	}
+	defer c.inflight.Done()
 	dctx, cancel := c.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	// The queue span opens at enqueue and is ended by the worker at
-	// dequeue, so its duration is the admission wait. It is a child of
-	// the request's root span, not a parent of the solve spans.
+	// The queue span covers the admission wait. It is a child of the
+	// request's root span, not a parent of the solve spans.
 	_, qspan := obs.StartSpan(dctx, "queue")
-	t := &task{ctx: dctx, req: req, enqueued: time.Now(), qspan: qspan, done: make(chan Result, 1)}
-	c.inflight.Add(1)
+	enqueued := time.Now()
+	var acquired bool
 	select {
-	case c.queue <- t:
-		c.gauge("server.inflight", c.inflightN.Add(1))
-		c.gauge("server.queue_depth", int64(len(c.queue)))
+	case c.slots <- struct{}{}:
+		acquired = true
 	default:
-		c.inflight.Done()
-		if qspan != nil {
-			qspan.SetAttr(obs.Bool("rejected", true))
+		// Blocked senders on a channel are served in arrival order, so
+		// waiting solves get slots first come, first served.
+		if c.waiting.Add(1) > int64(c.cfg.QueueDepth) {
+			c.waiting.Add(-1)
+			if qspan != nil {
+				qspan.SetAttr(obs.Bool("rejected", true))
+			}
+			qspan.End()
+			c.cfg.Obs.Count("server.rejected_full", 1)
+			return Result{}, fmt.Errorf("%w (%d deep); retry later", ErrQueueFull, c.cfg.QueueDepth)
 		}
-		qspan.End()
-		c.cfg.Obs.Count("server.rejected_full", 1)
-		return Result{}, fmt.Errorf("%w (%d deep); retry later", ErrQueueFull, c.cfg.QueueDepth)
+		adjust(c.mQueueDepth, 1)
 	}
-	select {
-	case res := <-t.done:
-		return res, nil
-	case <-dctx.Done():
-		// The worker (if it reached the task) sees the same cancelled
-		// context and stops promptly; its buffered send is discarded.
-		err := dctx.Err()
-		if err == context.DeadlineExceeded {
-			c.cfg.Obs.Count("server.deadline_expired", 1)
+	adjust(c.mInflight, 1)
+	defer adjust(c.mInflight, -1)
+	if !acquired {
+		select {
+		case c.slots <- struct{}{}:
+			acquired = true
+		case <-dctx.Done():
 		}
-		return Result{}, fmt.Errorf("solve abandoned: %w", err)
+		c.waiting.Add(-1)
+		adjust(c.mQueueDepth, -1)
 	}
+	queueNS := time.Since(enqueued).Nanoseconds()
+	qspan.End()
+	if acquired {
+		defer func() { <-c.slots }()
+	}
+	if dctx.Err() != nil {
+		// Expired, abandoned or drained while waiting: no solve runs.
+		c.cfg.Obs.Observe("server.queue_ns", queueNS)
+		c.cfg.Obs.Count("server.expired_in_queue", 1)
+		return Result{}, c.abandoned(dctx)
+	}
+	start := time.Now()
+	res := c.solve(dctx, req)
+	res.QueueNS = queueNS
+	totalNS := time.Since(start).Nanoseconds()
+	// solve measured the engine compute (SolveNS); the remainder of the
+	// dispatch time belongs to the cache layer when one was in play.
+	if res.Cache != "" {
+		res.CacheNS = max(totalNS-res.SolveNS, 0)
+	}
+	c.observe(c.solvers[req.Solver], req.Solver, &res, totalNS)
+	if res.Err != nil && dctx.Err() != nil {
+		return Result{}, c.abandoned(dctx)
+	}
+	return res, nil
 }
 
-// Shutdown drains the core: the transport must stop admitting first
-// (Draining reports true immediately), then queued and in-flight
-// solves run to completion. If ctx fires first, the stragglers' solve
+// abandoned reports a request whose context died before it produced a
+// result, counting deadline expiries.
+func (c *Core) abandoned(dctx context.Context) error {
+	err := dctx.Err()
+	if err == context.DeadlineExceeded {
+		c.cfg.Obs.Count("server.deadline_expired", 1)
+	}
+	return fmt.Errorf("solve abandoned: %w", err)
+}
+
+// Shutdown drains the core. Admission stops at once: Draining reports
+// true, and Do, SessionCreate and SessionDelta fail with a
+// context.Canceled-wrapped error. Admitted solves and session calls,
+// waiting or running, then run to completion. If ctx fires first, their
 // contexts are cancelled — they return promptly with context errors —
-// and ctx.Err() is reported. The worker pool has fully exited when
-// Shutdown returns.
+// and ctx.Err() is reported. Every admitted call has returned when
+// Shutdown does.
 func (c *Core) Shutdown(ctx context.Context) error {
+	c.admit.Lock()
 	c.draining.Store(true)
+	c.admit.Unlock()
 	drained := make(chan struct{})
 	go func() {
 		c.inflight.Wait()
@@ -442,13 +457,13 @@ func (c *Core) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 		c.cfg.Obs.Count("server.drain_cancelled", 1)
 	}
-	c.rootCancel() // stops workers; cancels any straggler solve contexts
+	c.rootCancel() // cancels any straggler's context; stops the janitor
 	// Sessions close after rootCancel: in-flight deltas have either
 	// drained with the inflight group or see their contexts cancelled
 	// and release the per-session locks promptly, so the close cannot
 	// stall on a straggler.
 	c.closeSessions()
-	<-c.workers
+	<-drained
 	return err
 }
 
@@ -458,6 +473,13 @@ func (c *Core) Close() {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = c.Shutdown(ctx)
+}
+
+// adjust moves a pre-resolved gauge by d; nil (no obs sink) is a no-op.
+func adjust(g *obs.Gauge, d int64) {
+	if g != nil {
+		g.Add(d)
+	}
 }
 
 // gauge sets a named gauge when instrumentation is on.

@@ -3,6 +3,9 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,11 +22,11 @@ var registerOnce sync.Once
 func registerTestSolvers() {
 	registerOnce.Do(func() {
 		engine.Register(engine.Spec{
-			Name: "dispatch-test-block", Summary: "blocks until released or cancelled", Guarantee: "-",
-			Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
-				blockStarted <- struct{}{}
+			Name: "dispatch-test-gate", Summary: "reports its k, then parks until released or cancelled", Guarantee: "-",
+			Run: func(ctx context.Context, in *instance.Instance, p engine.Params) (instance.Solution, error) {
+				gateStarted <- p.K
 				select {
-				case <-blockRelease:
+				case <-gateRelease:
 				case <-ctx.Done():
 				}
 				return instance.NewSolution(in, in.Assign), nil
@@ -39,9 +42,11 @@ func registerTestSolvers() {
 	})
 }
 
+// The gate solver announces each solve's k on gateStarted and holds its
+// slot until one token arrives on gateRelease.
 var (
-	blockStarted = make(chan struct{}, 64)
-	blockRelease = make(chan struct{})
+	gateStarted = make(chan int, 64)
+	gateRelease = make(chan struct{})
 )
 
 func coreReq(k int) *Request {
@@ -112,40 +117,140 @@ func TestCoreValidateTaxonomy(t *testing.T) {
 	}
 }
 
-// TestCoreQueueFull pins fail-fast admission: with the one worker
-// blocked and the queue at depth, the next Do returns ErrQueueFull
-// without waiting.
+// TestCoreQueueFull pins fail-fast admission and first-come-first-
+// served waiting: with every slot held and QueueDepth solves waiting,
+// the next Do returns ErrQueueFull without waiting, and as the holders
+// finish one at a time the waiters take the freed slots in arrival
+// order.
 func TestCoreQueueFull(t *testing.T) {
 	registerTestSolvers()
-	c := New(Config{Workers: 1, QueueDepth: 1, CacheEntries: -1, Obs: obs.New()})
-	t.Cleanup(c.Close)
-	ctx := context.Background()
+	for _, tc := range []struct{ workers, depth int }{{1, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("workers=%d,depth=%d", tc.workers, tc.depth), func(t *testing.T) {
+			c := New(Config{Workers: tc.workers, QueueDepth: tc.depth, CacheEntries: -1, Obs: obs.New()})
+			t.Cleanup(c.Close)
+			gateReq := func(k int) *Request {
+				req := coreReq(k)
+				req.Solver = "dispatch-test-gate"
+				return req
+			}
+			var wg sync.WaitGroup
+			start := func(k int) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if res, err := c.Do(context.Background(), gateReq(k)); err != nil || res.Err != nil {
+						t.Errorf("Do(k=%d) = %v / %v", k, err, res.Err)
+					}
+				}()
+			}
+			for i := 0; i < tc.workers; i++ { // holders take every slot
+				start(100 + i)
+				<-gateStarted
+			}
+			for i := 1; i <= tc.depth; i++ { // waiters arrive one at a time
+				start(i)
+				for parkedInDo() < i {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if n := c.QueueLen(); n != tc.depth {
+				t.Fatalf("QueueLen with %d waiters parked = %d", tc.depth, n)
+			}
 
+			if _, err := c.Do(context.Background(), gateReq(0)); !errors.Is(err, ErrQueueFull) {
+				t.Fatalf("Do with full queue = %v, want ErrQueueFull", err)
+			}
+			// Each release frees one slot, which the oldest waiter takes.
+			for want := 1; want <= tc.depth; want++ {
+				gateRelease <- struct{}{}
+				if got := <-gateStarted; got != want {
+					t.Fatalf("freed slot went to waiter %d, want %d (arrival order)", got, want)
+				}
+			}
+			for i := 0; i < tc.workers; i++ {
+				gateRelease <- struct{}{}
+			}
+			wg.Wait()
+			if n := c.QueueLen(); n != 0 {
+				t.Fatalf("QueueLen after the waiters ran = %d, want 0", n)
+			}
+		})
+	}
+}
+
+// parkedInDo counts goroutines parked in Do's wait for a slot, the only
+// select Do blocks in. A test that needs a known arrival order starts
+// the next waiter only once the previous one is parked.
+func parkedInDo() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "[select]:\nrepro/internal/dispatch.(*Core).Do(")
+}
+
+// TestCoreDrainRace races solves, session creates and session deltas
+// against Shutdown. Every call either completes or is refused with the
+// drain error, which wraps context.Canceled (503 over HTTP); Shutdown
+// returns; and the queue and the server.inflight gauge end at zero.
+// Under -race it pins that joining the drain group never races
+// Shutdown's wait on it.
+func TestCoreDrainRace(t *testing.T) {
+	sink := obs.New()
+	c := New(Config{Workers: 2, QueueDepth: 64, MaxSessions: 1 << 20, Obs: sink})
+	ctx := context.Background()
+	sess, err := c.SessionCreate(ctx, &SessionRequest{M: 2, MoveBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
-	start := func(k int) {
+	errs := make(chan error, 12)
+	for g := 0; g < cap(errs); g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req := coreReq(k)
-			req.Solver = "dispatch-test-block"
-			c.Do(ctx, req)
+			for i := 0; ; i++ {
+				var err error
+				switch g % 3 {
+				case 0:
+					var res Result
+					if res, err = c.Do(ctx, coreReq(1+i%3)); err == nil && res.Err != nil {
+						err = fmt.Errorf("solve failed: %w", res.Err)
+					}
+				case 1:
+					_, err = c.SessionCreate(ctx, &SessionRequest{M: 2})
+				case 2:
+					_, err = c.SessionDelta(ctx, sess.ID, &SessionDeltaRequest{Op: "arrive", Job: g<<20 + i, Size: 1})
+				}
+				if err == nil {
+					continue
+				}
+				if !errors.Is(err, errDraining) || !errors.Is(err, context.Canceled) {
+					errs <- fmt.Errorf("caller %d: %w, want the drain refusal", g, err)
+				}
+				return
+			}
 		}()
 	}
-	start(1) // occupies the worker
-	<-blockStarted
-	start(2) // occupies the queue slot
-	for c.QueueLen() == 0 {
-		time.Sleep(time.Millisecond)
+	// Let the callers run a while. A sleep, not a handshake: synchronizing
+	// with them would order their earlier joins before Shutdown's wait,
+	// and the race detector would no longer see those joins as
+	// concurrent with it.
+	time.Sleep(5 * time.Millisecond)
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := c.Shutdown(sctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
-
-	req := coreReq(3)
-	req.Solver = "dispatch-test-block"
-	_, err := c.Do(ctx, req)
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Do with full queue = %v, want ErrQueueFull", err)
-	}
-	close(blockRelease)
 	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := c.QueueLen(); n != 0 {
+		t.Errorf("QueueLen after drain = %d, want 0", n)
+	}
+	if n := sink.Snapshot().Gauges["server.inflight"]; n != 0 {
+		t.Errorf("server.inflight after drain = %d, want 0", n)
+	}
 }
 
 // TestCoreDeadline pins that a request-supplied timeout cancels the

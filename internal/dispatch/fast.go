@@ -1,8 +1,8 @@
 // Allocation-free cache-hit support. The HTTP layer's fast path (see
-// internal/server/fastpath.go) decodes a request on pooled buffers and
-// probes the solution cache without queuing; the core-side halves of
-// that handshake live here so the transport never touches the cache
-// directly. Every method on this file's path is allocation-free on a
+// internal/server/fastpath.go) and its /v1/peek handler decode a
+// request on pooled buffers and probe the solution cache without
+// admission; the core-side halves of that handshake live here so the
+// transport never touches the cache directly. Every method on this file's path is allocation-free on a
 // hit — the zero-alloc guarantee is pinned by the server's
 // TestFastSolveHitZeroAllocs.
 package dispatch
@@ -57,10 +57,6 @@ func SolverName(name []byte) string {
 	return string(name)
 }
 
-// FastPathEnabled reports whether the cache-hit fast path can run at
-// all: it requires a solution cache.
-func (c *Core) FastPathEnabled() bool { return c.cache != nil }
-
 // HitScratch carries the reusable buffers of one fast-path cache probe.
 // Callers pool it; nothing it holds may escape the serving of one
 // request except through TryCachedSolve's returned solution, whose
@@ -74,10 +70,11 @@ type HitScratch struct {
 // probes the solution cache. On a hit the returned solution's Assign
 // is hs's reused buffer (valid until the next call); the error return
 // is the cached deterministic failure (an infeasibility), also a hit.
-// ok is false on a miss or when no cache is configured — the caller
-// falls back to the queued path, which starts or joins a flight.
+// ok is false on a miss, for a nil (unregistered) or sweep-kind ent,
+// and when no cache is configured — nothing is cached for those; a
+// solve falls back to Do, which starts or joins a flight.
 func (c *Core) TryCachedSolve(hs *HitScratch, ent *Solver, ext *instance.Extended, k int, budget int64, eps float64) (sol instance.Solution, ok bool, err error) {
-	if c.cache == nil {
+	if c.cache == nil || ent == nil || !ent.Solution() {
 		return instance.Solution{}, false, nil
 	}
 	p := engine.Params{
@@ -92,40 +89,10 @@ func (c *Core) TryCachedSolve(hs *HitScratch, ent *Solver, ext *instance.Extende
 	return sol, ok, err
 }
 
-// ObserveFast mirrors the worker path's per-request accounting for a
-// hit served without queuing: zero queue wait, zero engine compute,
-// all cache.
-func (c *Core) ObserveFast(ent *Solver, cacheNS int64, failed bool) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.mQueueNS.Observe(0)
-	c.mCacheNS.Observe(cacheNS)
-	c.mSolveNS.Observe(0)
-	c.mRequests.Inc()
-	if failed {
-		c.mErrors.Inc()
-	}
-	ent.requests.Inc()
-	ent.latency.Observe(cacheNS)
-}
-
-// Peek probes the solution cache for a finished result without
-// admitting, solving, or warming anything — the read side of the peer
-// cache-fill protocol (DESIGN.md §13): after a membership change the
-// new owner of a key peeks the previous owner, and a miss here must
-// stay a cheap no-op. ok is false on a miss, for sweep-kind or
-// unregistered solvers, or with caching disabled; err is a cached
-// deterministic failure (also ok=true).
-func (c *Core) Peek(req *Request) (sol instance.Solution, ok bool, err error) {
-	if c.cache == nil {
-		return instance.Solution{}, false, nil
-	}
-	spec, found := engine.Lookup(req.Solver)
-	if !found || spec.Kind != engine.KindSolution {
-		return instance.Solution{}, false, nil
-	}
-	p := engine.Params{K: req.K, Budget: req.Budget, Eps: req.Eps}
-	can := cache.Canonicalize(req.Solver, spec.Caps, &req.Instance, p)
-	return c.cache.TryGet(can, req.Solver, nil)
+// ObserveHit records a hit the transport served without admission —
+// zero queue wait, zero engine compute, all cache — with the same
+// accounting Do gives an admitted solve. err is the cached failure,
+// if any.
+func (c *Core) ObserveHit(ent *Solver, cacheNS int64, err error) {
+	c.observe(ent, ent.name, &Result{Cache: "hit", CacheNS: cacheNS, Err: err}, cacheNS)
 }

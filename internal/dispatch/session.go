@@ -136,9 +136,12 @@ func newSessionID() string {
 // SessionCreate builds a session and installs it in the table. Errors:
 // *BadRequestError for a malformed config or seed instance,
 // ErrSessionTableFull when the table is at capacity after evicting
-// expired sessions.
+// expired sessions, a context.Canceled-wrapped error once Shutdown has
+// begun.
 func (c *Core) SessionCreate(ctx context.Context, req *SessionRequest) (SessionState, error) {
-	c.inflight.Add(1)
+	if err := c.enter(); err != nil {
+		return SessionState{}, err
+	}
 	defer c.inflight.Done()
 	cfg := session.Config{
 		M:             req.M,
@@ -207,9 +210,12 @@ func (c *Core) SessionGet(id string) (SessionState, error) {
 // other deltas to the same session (distinct sessions proceed in
 // parallel), and refreshes its TTL. The delta runs under the same
 // deadline policy as a solve: the core default clamped to the maximum,
-// layered on ctx and the drain context.
+// layered on ctx and the drain context. Once Shutdown has begun it
+// fails with a context.Canceled-wrapped error.
 func (c *Core) SessionDelta(ctx context.Context, id string, req *SessionDeltaRequest) (SessionDeltaResult, error) {
-	c.inflight.Add(1)
+	if err := c.enter(); err != nil {
+		return SessionDeltaResult{}, err
+	}
 	defer c.inflight.Done()
 	ent, err := c.lookup(id)
 	if err != nil {

@@ -39,6 +39,11 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
+// Add moves the value by d. Concurrent Adds compose exactly, so a gauge
+// that counts a population (+1 on entry, -1 on exit) cannot be left
+// stale the way racing Sets of separately computed values can.
+func (g *Gauge) Add(d int64) { g.v.Add(d) }
+
 // SetMax stores v only if it exceeds the current value.
 func (g *Gauge) SetMax(v int64) {
 	for {

@@ -7,10 +7,10 @@
 // LRU probe, response encode — on reused buffers, unless the request is
 // traced or its request ID or the shard ID would need JSON escaping.
 // Every other disposition (a miss, a fallback-decoded body, an unknown
-// solver, invalid parameters, tracing) takes the queued path on a heap
-// copy of the already-decoded request: the worker/flight machinery may
-// retain a request beyond the handler's lifetime, so pooled memory is
-// only ever served on a pure hit, where nothing escapes.
+// solver, invalid parameters, tracing) takes the admitted path on a
+// heap copy of the already-decoded request: a cache flight may retain a
+// request beyond the handler's lifetime, so pooled memory is only ever
+// served on a pure hit, where nothing escapes.
 //
 // The cache-facing halves (solver table lookup, canonical probe, hit
 // accounting) live on the dispatch core; this file owns only the byte-
@@ -30,7 +30,7 @@ import (
 
 // solveScratch carries one request's reusable buffers through the
 // handler. Pooled; nothing in it may escape the handler — detach hands
-// the queued path its own copy of the request.
+// the admitted path its own copy of the request.
 type solveScratch struct {
 	body  []byte
 	req   SolveRequest
@@ -81,7 +81,7 @@ type fastOutcome int
 
 const (
 	// fastFallback: the request is outside the fast path (or a cache
-	// miss); the caller detaches the decoded request and queues it.
+	// miss); the caller detaches the decoded request and admits it.
 	fastFallback fastOutcome = iota
 	// fastHit: sc.out holds the complete 200 response body.
 	fastHit
@@ -93,11 +93,11 @@ const (
 // fastSolve attempts the allocation-free hit probe on sc.req, which
 // the strict decoder has filled. On fastHit the response body is in
 // sc.out; on fastCachedError the returned error is the cached one. It
-// performs the same counter accounting a worker-path hit would
+// performs the same counter accounting an admitted hit would
 // (request/latency/phase metrics, cache.hits), so a served hit is
 // indistinguishable from the slow path in /metrics.
 func (s *Server) fastSolve(sc *solveScratch, rid string) (fastOutcome, error) {
-	if !s.core.FastPathEnabled() || s.cfg.Trace != nil || !s.shardSafe || !plainJSONSafe(rid) {
+	if s.cfg.Trace != nil || !s.shardSafe || !plainJSONSafe(rid) {
 		return fastFallback, nil
 	}
 	start := time.Now()
@@ -120,7 +120,7 @@ func (s *Server) fastSolve(sc *solveScratch, rid string) (fastOutcome, error) {
 		return fastFallback, nil
 	}
 	totalNS := time.Since(start).Nanoseconds()
-	s.core.ObserveFast(ent, totalNS, err != nil)
+	s.core.ObserveHit(ent, totalNS, err)
 	if err != nil {
 		return fastCachedError, err
 	}

@@ -36,7 +36,7 @@ func requestID(r *http.Request) string {
 // server.slow_requests when the request's server-side latency reached
 // the configured threshold. status is the HTTP status the request is
 // about to be answered with; res carries the phase decomposition (zero
-// for requests that never reached a worker).
+// for requests that never reached a solve slot).
 func (s *Server) noteSlow(rid, solver string, res dispatch.Result, total time.Duration, status int) {
 	if s.cfg.SlowThreshold <= 0 || total < s.cfg.SlowThreshold {
 		return

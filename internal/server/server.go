@@ -5,7 +5,7 @@
 //   - POST /v1/solve   — run any registered solver (or sweep) on an
 //     instance shipped in the request body.
 //   - POST /v1/batch   — fan a slice of solve requests through the
-//     worker pool; per-item results and statuses.
+//     core's solve slots; per-item results and statuses.
 //   - POST /v1/peek    — probe the solution cache without solving; the
 //     read side of the fleet's peer cache-fill protocol.
 //   - POST /v1/session — open an incremental rebalancing session; apply
@@ -41,9 +41,9 @@
 // tier; see DESIGN.md §13.
 //
 // Graceful drain: Shutdown stops admission (readyz and new solves
-// answer 503), waits for queued and in-flight solves to finish, and on
-// drain timeout cancels the stragglers' contexts so they return
-// promptly. See DESIGN.md §9.
+// answer 503), waits for admitted solves, waiting or running, to
+// finish, and on drain timeout cancels the stragglers' contexts so they
+// return promptly. See DESIGN.md §9.
 package server
 
 import (
@@ -82,17 +82,18 @@ type FillFunc = dispatch.FillFunc
 // Config tunes a Server. The zero value is usable: New fills every
 // unset field with the package default.
 type Config struct {
-	// Workers is the solver pool size — the number of goroutines
-	// executing solves concurrently. ≤ 0 means runtime.GOMAXPROCS(0)
-	// (the internal/par resolution rule).
+	// Workers is the number of solve slots — the number of solves
+	// running concurrently, each on its handler's goroutine. ≤ 0 means
+	// runtime.GOMAXPROCS(0) (the internal/par resolution rule).
 	Workers int
 	// SolverWorkers is the internal parallelism handed to each solve
-	// (engine Params.Workers). ≤ 0 means 1: with the pool providing
+	// (engine Params.Workers). ≤ 0 means 1: with the slots providing
 	// across-request parallelism, single-threaded solver internals keep
 	// the machine share per request deterministic.
 	SolverWorkers int
-	// QueueDepth bounds the admission queue; a request arriving with the
-	// queue full is rejected with 429. ≤ 0 means DefaultQueueDepth.
+	// QueueDepth bounds the solves waiting for a slot; a request
+	// arriving with that many waiting is rejected with 429. ≤ 0 means
+	// DefaultQueueDepth.
 	QueueDepth int
 	// DefaultTimeout is the per-request deadline applied when the
 	// request names none. ≤ 0 means the package default.
@@ -158,14 +159,14 @@ const peerFillHeader = "X-Peer-Fill"
 
 // Server adapts HTTP onto the dispatch core. Create with New, expose
 // Handler on an http.Server, and call Shutdown to drain; a Server must
-// be Shutdown (or Close) to release its worker goroutines.
+// be Shutdown (or Close) to stop the core's session janitor.
 type Server struct {
 	cfg       Config
 	core      *dispatch.Core
 	shardSafe bool // ShardID encodes verbatim in JSON (fast path eligible)
 }
 
-// New normalizes cfg, starts the core's worker pool, and returns the
+// New normalizes cfg, builds the dispatch core, and returns the
 // server.
 func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
@@ -209,11 +210,11 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Shutdown drains the server: admission stops immediately (readyz and
-// new solves answer 503), then queued and in-flight solves run to
-// completion. If ctx fires first, the stragglers' solve contexts are
-// cancelled — they return promptly with context errors and their
-// handlers answer 503 — and ctx.Err() is reported. The worker pool has
-// fully exited when Shutdown returns.
+// new solves answer 503), then admitted solves, waiting for a slot or
+// running, complete. If ctx fires first, the stragglers' solve contexts
+// are cancelled — they return promptly with context errors and their
+// handlers answer 503 — and ctx.Err() is reported. Every admitted solve
+// has returned when Shutdown does.
 func (s *Server) Shutdown(ctx context.Context) error { return s.core.Shutdown(ctx) }
 
 // Close is Shutdown with no grace: in-flight solves are cancelled
@@ -291,7 +292,7 @@ func (s *Server) buildResponse(req *SolveRequest, res dispatch.Result, rid strin
 // request ID, then dispatch through the core (or answer 429/503). The
 // body is buffered into pooled scratch and decoded there once; a strict
 // body may be answered by the allocation-free hit path, and anything it
-// cannot serve takes the queued path on a heap copy of the decoded
+// cannot serve takes the admitted path on a heap copy of the decoded
 // request.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
@@ -322,8 +323,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Queued path. The worker/flight machinery may retain the request
-	// beyond this handler, so it gets a heap copy of the decoded one.
+	// Admitted path. A cache flight may retain the request beyond this
+	// handler, so it gets a heap copy of the decoded one.
 	req := sc.detach()
 	if err := s.core.Validate(req); err != nil {
 		writeError(w, statusFor(err), "%s", err.Error())
@@ -356,7 +357,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch is POST /v1/batch: decode a slice of solve requests, fan
-// them through the worker pool, and answer per-item statuses. The batch
+// them through the core's solve slots, and answer per-item statuses. The batch
 // as a whole is 200 as long as it was well-formed; each item carries its
 // own status, result, or error, exactly as the sequential single solves
 // would have produced.
@@ -387,9 +388,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Obs.Count("server.batches", 1)
 	s.cfg.Obs.Count("server.batch_items", int64(len(breq.Requests)))
 
-	// Fan the items through the pool. The fan-out is bounded by both the
-	// pool size and the queue depth so a single batch cannot flood the
-	// admission queue and 429 its own items; identical items in one batch
+	// Fan the items out. The fan-out is bounded by both the slot count
+	// and the queue depth so a single batch cannot flood the admission
+	// queue and 429 its own items; identical items in one batch
 	// coalesce in the cache like any other concurrent duplicates.
 	items := make([]BatchItem, len(breq.Requests))
 	fan := s.core.PoolSize()
@@ -449,8 +450,9 @@ func (s *Server) batchItem(parent context.Context, req *SolveRequest, rid string
 func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	w.Header().Set("X-Request-ID", rid)
-	// Nothing outlives the handler here (the probe canonicalizes on its
-	// own memory), so the decoded request stays in pooled scratch.
+	// Nothing outlives the handler here: the probe runs on the scratch's
+	// HitScratch, and the hit's Assign, which aliases it, is encoded
+	// before the scratch goes back to the pool.
 	sc := solveScratchPool.Get().(*solveScratch)
 	defer solveScratchPool.Put(sc)
 	if _, ok := s.readSolve(w, r, sc); !ok {
@@ -462,7 +464,7 @@ func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cfg.Obs.Count("server.peeks", 1)
-	sol, ok, err := s.core.Peek(req)
+	sol, ok, err := s.core.TryCachedSolve(&sc.hit, s.core.LookupSolver(req.Solver), &req.Instance, req.K, req.Budget, req.Eps)
 	if !ok {
 		writeError(w, http.StatusNotFound, "cache miss")
 		return

@@ -69,7 +69,7 @@ type SolveResponse struct {
 }
 
 // BatchRequest is the body of POST /v1/batch: a slice of solve
-// requests fanned through the worker pool.
+// requests fanned through the core's solve slots.
 type BatchRequest struct {
 	Requests []SolveRequest `json:"requests"`
 }
