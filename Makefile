@@ -155,7 +155,8 @@ fuzz-short:
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzDecodeSolve -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -run '^$$' -fuzz FuzzSessionDeltas -fuzztime $(FUZZTIME)
 
-# ci is the single gate: static checks, the full suite, and the race
+# ci is the single gate: formatting (gofmt must list no file), static
+# checks, the full suite, and the race
 # detector over the whole module — which includes the server's admission
 # queue, drain path, and concurrent engine dispatch — cancellation
 # threads contexts through every solver's hot loop, so data races can
@@ -169,6 +170,7 @@ fuzz-short:
 # to catch a regression.
 DRAIN_RACE_RE = Drain|Shutdown|QueueFull|Session.*E2E
 ci:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) -C perfbench vet ./...

@@ -308,6 +308,13 @@ func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Soluti
 // owner instead of recomputing. Stats.PeerFill reports the attempt's
 // outcome; an empty peer skips it.
 //
+// key, when non-nil, is the request's canonical identity as its caller
+// already computed it — the shard's hit probe keys every strict body
+// before it misses — and Solve uses it instead of keying the request
+// again. It must be the Canonicalize of exactly these arguments and
+// own its permutation (see Canonical.Owned): a flight keeps it. Nil
+// means Solve computes the key itself.
+//
 // Cancellation semantics: a waiter whose ctx fires detaches and returns
 // ctx.Err() without killing the in-flight solve — remaining waiters
 // still get the result. The flight runs on its own goroutine under
@@ -320,7 +327,7 @@ func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Soluti
 // flight open. Only successes and ErrInfeasible (a deterministic
 // property of the instance) are cached; contextual errors never poison
 // the cache.
-func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended, p engine.Params, peer string) (instance.Solution, Stats, error) {
+func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended, p engine.Params, peer string, key *Canonical) (instance.Solution, Stats, error) {
 	spec, ok := engine.Lookup(solver)
 	if !ok || spec.Kind != engine.KindSolution {
 		// Unknown names keep the engine's typed error; sweep-kind
@@ -329,7 +336,12 @@ func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended
 		sol, err := engine.Solve(ctx, solver, &ext.Instance, p)
 		return sol, Stats{Outcome: Bypass, EngineNS: time.Since(t0).Nanoseconds()}, err
 	}
-	can := Canonicalize(solver, spec.Caps, ext, p)
+	var can Canonical
+	if key != nil {
+		can = *key
+	} else {
+		can = Canonicalize(solver, spec.Caps, ext, p)
+	}
 
 	for {
 		c.mu.Lock()

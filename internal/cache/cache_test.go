@@ -53,7 +53,7 @@ func registerTestSolvers() {
 // solveOutcome is Solve with no peer, reduced to the outcome the
 // single-flight assertions check.
 func solveOutcome(c *Cache, ctx context.Context, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, Outcome, error) {
-	sol, st, err := c.Solve(ctx, solver, ext, p, "")
+	sol, st, err := c.Solve(ctx, solver, ext, p, "", nil)
 	return sol, st.Outcome, err
 }
 
@@ -651,5 +651,28 @@ func TestDeadlineErrorSurfaces(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Error("deadline error was cached")
+	}
+}
+
+// TestSolveUsesHandedKey pins that Solve keys a request only when its
+// caller has not: a handed key is used as is. Solving request a under
+// request b's key stores a's solution where b's lookups find it, which
+// a recomputed key would not. (b is already sorted, so its key carries
+// the identity permutation, which fits a's six jobs too.)
+func TestSolveUsesHandedKey(t *testing.T) {
+	c := New(Config{})
+	spec, _ := engine.Lookup("greedy")
+	p := engine.Params{K: 1}
+	a := testExt()
+	b := extOf(instance.MustNew(2, []int64{1, 2, 3, 4, 5, 6}, nil, []int{0, 0, 0, 0, 0, 0}))
+	bKey := Canonicalize("greedy", spec.Caps, b, p)
+	if _, st, err := c.Solve(context.Background(), "greedy", a, p, "", &bKey); err != nil || st.Outcome != Miss {
+		t.Fatalf("first solve: outcome %v, err %v (want a miss)", st.Outcome, err)
+	}
+	if _, hit, _ := c.TryGet(Canonicalize("greedy", spec.Caps, a, p), "greedy", nil); hit {
+		t.Fatal("the solve was stored under a key Solve computed, not the handed one")
+	}
+	if _, hit, _ := c.TryGet(bKey, "greedy", nil); !hit {
+		t.Fatal("the solve was not stored under the handed key")
 	}
 }

@@ -8,9 +8,14 @@ import (
 )
 
 // fuzzInstance decodes raw fuzz bytes into a valid instance: three
-// bytes per job (size 1–64, cost 0–15, processor).
+// bytes per job (size 1–64, cost 0–15, processor). The low bits of
+// mRaw pick the processor count; its high bit widens every size and
+// cost so that its encoding uses all eight bytes (sizes up to 2^62,
+// costs up to 15·2^58 — near 2^62 — or 0), with the raw byte repeated
+// in the low byte so equal raw bytes still tie.
 func fuzzInstance(mRaw uint8, raw []byte) *instance.Instance {
-	m := int(mRaw%6) + 1
+	m := int(mRaw&0x7f)%6 + 1
+	wide := mRaw&0x80 != 0
 	if len(raw) == 0 {
 		raw = []byte{1}
 	}
@@ -28,8 +33,13 @@ func fuzzInstance(mRaw uint8, raw []byte) *instance.Instance {
 	costs := make([]int64, n)
 	assign := make([]int, n)
 	for j := 0; j < n; j++ {
-		sizes[j] = int64(at(3*j)%64) + 1
-		costs[j] = int64(at(3*j+1) % 16)
+		s, c := at(3*j), at(3*j+1)
+		sizes[j] = int64(s%64) + 1
+		costs[j] = int64(c % 16)
+		if wide {
+			sizes[j] = sizes[j]<<56 | int64(s)
+			costs[j] = costs[j]<<58 | int64(c)
+		}
 		assign[j] = int(at(3*j+2)) % m
 	}
 	return instance.MustNew(m, sizes, costs, assign)
@@ -57,6 +67,10 @@ func FuzzCanonicalHash(f *testing.F) {
 	f.Add(uint8(1), uint8(0), []byte{255})
 	f.Add(uint8(2), uint8(7), []byte{90, 3, 1, 90, 3, 0, 90, 3, 1})
 	f.Add(uint8(6), uint8(255), []byte{1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4})
+	// Wide values (mRaw's high bit): multi-byte sizes and costs, ties
+	// among them, and costs at both 0 and near 2^62.
+	f.Add(uint8(0x80|4), uint8(3), []byte{63, 15, 0, 63, 15, 1, 7, 0, 2, 63, 15, 0, 1, 255, 3})
+	f.Add(uint8(0x80|5), uint8(9), []byte{200, 0, 4, 8, 240, 4, 200, 0, 1, 72, 240, 0, 8, 0, 2, 136, 16, 5})
 	f.Fuzz(func(t *testing.T, mRaw, kRaw uint8, raw []byte) {
 		in := fuzzInstance(mRaw, raw)
 		n := in.N()

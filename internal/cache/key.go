@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -60,45 +61,23 @@ type Canonical struct {
 // encoding changes so stale keys from older layouts cannot collide.
 const keyVersion = "rebalance-cache-v1\x00"
 
-// Canonicalize computes the canonical identity of a solve request
-// against the named solver's capability metadata. It runs a fresh
-// CanonScratch, so the returned Canonical owns its memory.
-func Canonicalize(solver string, caps engine.Caps, ext *instance.Extended, p engine.Params) Canonical {
-	return new(CanonScratch).Canonicalize(solver, caps, ext, p)
-}
-
-// canonicalCmp returns the canonical job order over in's job indices:
-// (size, cost, initial processor), ties broken by index. The comparison
-// is written out in the closure, not with cmp.Compare or a helper, so
-// the sort's per-comparison call does no further calls.
-func canonicalCmp(in *instance.Instance) func(a, b int) int {
-	jobs, assign := in.Jobs, in.Assign
-	return func(a, b int) int {
-		ja, jb := &jobs[a], &jobs[b]
-		switch {
-		case ja.Size < jb.Size:
-			return -1
-		case ja.Size > jb.Size:
-			return 1
-		case ja.Cost < jb.Cost:
-			return -1
-		case ja.Cost > jb.Cost:
-			return 1
-		case assign[a] < assign[b]:
-			return -1
-		case assign[a] > assign[b]:
-			return 1
-		}
-		return a - b
-	}
-}
-
 // jobsCanonicallySorted reports whether the request's own job order is
-// already canonical, in which case no permutation is needed.
+// already canonical — (size, cost, initial processor) nondecreasing —
+// in which case no permutation is needed.
 func jobsCanonicallySorted(in *instance.Instance) bool {
-	cmp := canonicalCmp(in)
-	for j := 1; j < in.N(); j++ {
-		if cmp(j-1, j) > 0 {
+	jobs, assign := in.Jobs, in.Assign
+	for j := 1; j < len(jobs); j++ {
+		a, b := &jobs[j-1], &jobs[j]
+		switch {
+		case a.Size != b.Size:
+			if a.Size > b.Size {
+				return false
+			}
+		case a.Cost != b.Cost:
+			if a.Cost > b.Cost {
+				return false
+			}
+		case assign[j-1] > assign[j]:
 			return false
 		}
 	}
@@ -112,6 +91,9 @@ func jobsCanonicallySorted(in *instance.Instance) bool {
 // distinct requests cannot encode to the same bytes.
 func appendCanonical(dst []byte, solver string, caps engine.Caps, ext *instance.Extended, p engine.Params, order []int) []byte {
 	in := &ext.Instance
+	// Grow once for everything but the extension fields: the header, 24
+	// bytes per job, the mask byte and up to three parameters.
+	dst = slices.Grow(dst, len(keyVersion)+len(solver)+1+16+24*in.N()+1+24)
 	dst = append(dst, keyVersion...)
 	dst = append(dst, solver...)
 	dst = append(dst, 0)
@@ -186,6 +168,13 @@ func appendCanonical(dst []byte, solver string, caps engine.Caps, ext *instance.
 		}
 	}
 	return dst
+}
+
+// Owned returns c with a private copy of its permutation, safe to keep
+// after the scratch that computed it is reused.
+func (c Canonical) Owned() Canonical {
+	c.perm = slices.Clone(c.perm)
+	return c
 }
 
 // ToCanonical re-indexes a solution computed on the request's job

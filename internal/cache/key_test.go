@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -210,13 +212,14 @@ func randomAssign(in *instance.Instance, rng *rand.Rand) []int {
 
 // TestCanonicalOrderMatchesStableSort pins the canonical job order, and
 // with it every cache key, to a stable sort by (size, cost, initial
-// processor) in request order. The instances are tie-heavy (sizes and
-// costs drawn from [1, 50], up to 2000 jobs on few processors), so the
-// index tie-break decides most positions.
+// processor) in request order. The workload instances are tie-heavy
+// (sizes and costs drawn from [1, 50], up to 2000 jobs on few
+// processors), so the index tie-break decides most positions; the
+// hand-built ones cover the radix sort's edges: values that need every
+// byte, more than 256 processors, tiny and degenerate job lists, and
+// negative values (which no valid instance has, but the order still
+// defines).
 func TestCanonicalOrderMatchesStableSort(t *testing.T) {
-	spec, _ := engine.Lookup("mpartition")
-	p := engine.Params{K: 7}
-	var sc CanonScratch
 	for trial := 0; trial < 48; trial++ {
 		in := workload.Generate(workload.Config{
 			N:         1 + trial*2000/47,
@@ -227,36 +230,99 @@ func TestCanonicalOrderMatchesStableSort(t *testing.T) {
 			Costs:     workload.CostModel(trial % 4),
 			Seed:      uint64(trial),
 		})
-		want := make([]int, in.N())
-		for j := range want {
-			want[j] = j
+		checkCanonicalOrder(t, fmt.Sprintf("workload trial %d (n=%d)", trial, in.N()), in)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	const near62 = int64(1) << 62
+	random := func(n, m int, size, cost func() int64) *instance.Instance {
+		in := &instance.Instance{M: m, Jobs: make([]instance.Job, n), Assign: make([]int, n)}
+		for j := range in.Jobs {
+			in.Jobs[j] = instance.Job{ID: j, Size: size(), Cost: cost()}
+			in.Assign[j] = rng.Intn(m)
 		}
-		sort.SliceStable(want, func(a, b int) bool {
-			ja, jb := in.Jobs[want[a]], in.Jobs[want[b]]
-			if ja.Size != jb.Size {
-				return ja.Size < jb.Size
+		return in
+	}
+	small := func(hi int64) func() int64 { return func() int64 { return 1 + rng.Int63n(hi) } }
+	wide := func() int64 { return 1 + rng.Int63() }
+	// Few distinct values near 2^62 that still differ in low and high
+	// bytes, so ties and multi-byte passes mix.
+	nearTop := func() int64 { return near62 - int64(rng.Intn(4))<<(8*rng.Intn(8)) }
+	zero := func() int64 { return 0 }
+	cases := map[string]*instance.Instance{
+		"n=0":                     {M: 3},
+		"n=1":                     random(1, 3, small(9), small(9)),
+		"n=2 sorted":              instance.MustNew(2, []int64{1, 2}, nil, []int{1, 0}),
+		"n=2 swapped":             instance.MustNew(2, []int64{2, 1}, nil, []int{1, 0}),
+		"n=2 processor tie-break": instance.MustNew(2, []int64{5, 5}, []int64{3, 3}, []int{1, 0}),
+		"all equal":               random(500, 1, func() int64 { return 7 }, func() int64 { return 2 }),
+		"multi-byte sizes":        random(1500, 7, wide, small(50)),
+		"multi-byte costs":        random(1500, 7, small(5), wide),
+		"multi-byte both":         random(1500, 7, small(1<<40), small(1<<40)),
+		"costs at 0":              random(800, 5, small(300), zero),
+		"near 2^62":               random(1200, 9, nearTop, nearTop),
+		"cost 0 and near 2^62": random(1200, 9, small(30), func() int64 {
+			if rng.Intn(2) == 0 {
+				return 0
 			}
-			if ja.Cost != jb.Cost {
-				return ja.Cost < jb.Cost
+			return nearTop()
+		}),
+		"m=300":   random(1500, 300, small(20), small(3)),
+		"m=70000": random(1500, 70000, small(4), zero),
+		"negative values": func() *instance.Instance {
+			in := random(600, 600, small(40), small(40))
+			for j := range in.Jobs {
+				in.Jobs[j].Size -= 20
+				in.Jobs[j].Cost -= 20
+				in.Assign[j] -= 300
 			}
-			return in.Assign[want[a]] < in.Assign[want[b]]
-		})
-		got := new(CanonScratch).canonicalOrder(extOf(in))
-		if got == nil {
-			got = make([]int, in.N()) // already canonical: the identity
-			for j := range got {
-				got[j] = j
-			}
+			return in
+		}(),
+	}
+	reversed := random(1000, 4, small(100), small(5))
+	slices.SortStableFunc(reversed.Jobs, func(a, b instance.Job) int { return cmp.Compare(b.Size, a.Size) })
+	cases["reverse sorted"] = reversed
+	for name, in := range cases {
+		checkCanonicalOrder(t, name, in)
+	}
+}
+
+// checkCanonicalOrder compares canonicalOrder and both canonicalizers'
+// keys against a stable sort by (size, cost, initial processor).
+func checkCanonicalOrder(t *testing.T, name string, in *instance.Instance) {
+	t.Helper()
+	spec, _ := engine.Lookup("mpartition")
+	p := engine.Params{K: 7}
+	want := make([]int, in.N())
+	for j := range want {
+		want[j] = j
+	}
+	sort.SliceStable(want, func(a, b int) bool {
+		ja, jb := in.Jobs[want[a]], in.Jobs[want[b]]
+		if ja.Size != jb.Size {
+			return ja.Size < jb.Size
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d (n=%d): canonical order differs from the stable-sort reference", trial, in.N())
+		if ja.Cost != jb.Cost {
+			return ja.Cost < jb.Cost
 		}
-		wantKey := Key(sha256.Sum256(appendCanonical(nil, "mpartition", spec.Caps, extOf(in), p, want)))
-		if k := Canonicalize("mpartition", spec.Caps, extOf(in), p).Key; k != wantKey {
-			t.Fatalf("trial %d: Canonicalize key differs from the stable-sort reference", trial)
+		return in.Assign[want[a]] < in.Assign[want[b]]
+	})
+	got := new(CanonScratch).canonicalOrder(extOf(in))
+	if got == nil {
+		got = make([]int, in.N()) // already canonical: the identity
+		for j := range got {
+			got[j] = j
 		}
-		if k := sc.Canonicalize("mpartition", spec.Caps, extOf(in), p).Key; k != wantKey {
-			t.Fatalf("trial %d: CanonScratch key differs from the stable-sort reference", trial)
-		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: canonical order differs from the stable-sort reference", name)
+	}
+	wantKey := Key(sha256.Sum256(appendCanonical(nil, "mpartition", spec.Caps, extOf(in), p, want)))
+	if k := Canonicalize("mpartition", spec.Caps, extOf(in), p).Key; k != wantKey {
+		t.Fatalf("%s: Canonicalize key differs from the stable-sort reference", name)
+	}
+	var sc CanonScratch
+	if k := sc.Canonicalize("mpartition", spec.Caps, extOf(in), p).Key; k != wantKey {
+		t.Fatalf("%s: CanonScratch key differs from the stable-sort reference", name)
 	}
 }

@@ -57,9 +57,9 @@ const (
 )
 
 type event struct {
-	at   int64
-	seq  uint64 // insertion order; ties on at resolve deterministically
-	kind evKind
+	at    int64
+	seq   uint64 // insertion order; ties on at resolve deterministically
+	kind  evKind
 	shard int     // evDone
 	fl    *flight // evDone
 	fev   FleetEvent

@@ -114,20 +114,20 @@ type flight struct {
 
 // ShardStats is one shard's tally, reported in Result.Shards.
 type ShardStats struct {
-	Name          string `json:"name"`
-	Routed        int64  `json:"routed"`   // arrivals routed here (incl. failover traffic)
-	OK            int64  `json:"ok"`       // requests completed
-	Rejected      int64  `json:"rejected"` // admission-queue 429s
-	Lost          int64  `json:"lost"`     // queued/in-flight work destroyed by a kill
-	Hits          int64  `json:"hits"`
-	Misses        int64  `json:"misses"` // includes peer-filled misses
-	Coalesced     int64  `json:"coalesced"`
-	PeerFillHits  int64  `json:"peer_fill_hits"`
-	PeerFillMiss  int64  `json:"peer_fill_misses"`
-	Evictions     int64  `json:"evictions"`
-	CacheEnd      int64  `json:"cache_end"` // live cache entries at end of run
-	PostJoinMiss  int64  `json:"post_join_misses"`
-	PostJoinHits  int64  `json:"post_join_hits"`
+	Name         string `json:"name"`
+	Routed       int64  `json:"routed"`   // arrivals routed here (incl. failover traffic)
+	OK           int64  `json:"ok"`       // requests completed
+	Rejected     int64  `json:"rejected"` // admission-queue 429s
+	Lost         int64  `json:"lost"`     // queued/in-flight work destroyed by a kill
+	Hits         int64  `json:"hits"`
+	Misses       int64  `json:"misses"` // includes peer-filled misses
+	Coalesced    int64  `json:"coalesced"`
+	PeerFillHits int64  `json:"peer_fill_hits"`
+	PeerFillMiss int64  `json:"peer_fill_misses"`
+	Evictions    int64  `json:"evictions"`
+	CacheEnd     int64  `json:"cache_end"` // live cache entries at end of run
+	PostJoinMiss int64  `json:"post_join_misses"`
+	PostJoinHits int64  `json:"post_join_hits"`
 }
 
 // shard is one simulated daemon process.

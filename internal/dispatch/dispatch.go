@@ -303,12 +303,17 @@ func (c *Core) solve(ctx context.Context, req *Request) (res Result) {
 		Allowed: req.Instance.Allowed, Conflicts: req.Instance.Conflicts,
 	}
 	if c.cache != nil {
-		// The cache span covers lookup, canonicalization, coalesce wait
-		// and any peer fill; the engine solve becomes its child via the
-		// span linkage grafted onto the flight context (internal/cache).
+		// The cache span covers lookup, canonicalization (unless a probe
+		// already keyed the request), coalesce wait and any peer fill;
+		// the engine solve becomes its child via the span linkage
+		// grafted onto the flight context (internal/cache).
 		cctx, csp := obs.StartSpan(ctx, "cache")
+		var key *cache.Canonical
+		if req.probe.keyed {
+			key = &req.probe.can
+		}
 		var st cache.Stats
-		res.Sol, st, res.Err = c.cache.Solve(cctx, req.Solver, &req.Instance, p, req.PeerFill)
+		res.Sol, st, res.Err = c.cache.Solve(cctx, req.Solver, &req.Instance, p, req.PeerFill, key)
 		res.Cache, res.SolveNS, res.PeerFill = st.Outcome.String(), st.EngineNS, st.PeerFill
 		if csp != nil {
 			csp.SetAttr(obs.String("outcome", st.Outcome.String()))
@@ -411,9 +416,10 @@ func (c *Core) Do(ctx context.Context, req *Request) (Result, error) {
 	start := time.Now()
 	res := c.solve(dctx, req)
 	res.QueueNS = queueNS
-	totalNS := time.Since(start).Nanoseconds()
 	// solve measured the engine compute (SolveNS); the remainder of the
-	// dispatch time belongs to the cache layer when one was in play.
+	// dispatch time, plus the time a transport's probe spent keying the
+	// request, belongs to the cache layer when one was in play.
+	totalNS := time.Since(start).Nanoseconds() + req.probe.ns
 	if res.Cache != "" {
 		res.CacheNS = max(totalNS-res.SolveNS, 0)
 	}

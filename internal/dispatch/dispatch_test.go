@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/instance"
 	"repro/internal/obs"
@@ -289,5 +291,57 @@ func TestCoreShutdownDrains(t *testing.T) {
 	}
 	if !c.Draining() {
 		t.Fatal("Draining() = false after Shutdown")
+	}
+}
+
+// TestDoUsesProbedKey pins key-once: a request whose hit probe missed
+// is solved under the probe's key, and Do does not key it again. A
+// probe of request b handed to request a stores a's result where b's
+// next probe finds it, which a recomputed key would not; the probe's
+// own key, handed to its own request, is the one Canonicalize computes.
+func TestDoUsesProbedKey(t *testing.T) {
+	c := New(Config{Workers: 1})
+	defer c.Close()
+	ctx := context.Background()
+	ent := c.LookupSolver("mpartition")
+
+	a := coreReq(2)
+	var hs HitScratch
+	if _, ok, _ := c.TryCachedSolve(&hs, ent, &a.Instance, a.K, 0, 0); ok {
+		t.Fatal("probe of a cold cache hit")
+	}
+	want := cache.Canonicalize("mpartition", ent.spec.Caps, &a.Instance, engine.Params{K: 2})
+	if !hs.missed.keyed || hs.missed.can.Key != want.Key {
+		t.Fatal("a missed probe did not keep the request's canonical key")
+	}
+	hs.KeyInto(a)
+	if !a.probe.keyed || hs.missed.keyed {
+		t.Fatal("KeyInto did not move the probe's key onto the request")
+	}
+	res, err := c.Do(ctx, a)
+	if err != nil || res.Err != nil || res.Cache != "miss" {
+		t.Fatalf("a: cache %q, err %v / %v (want a miss)", res.Cache, err, res.Err)
+	}
+	sol, ok, err := c.TryCachedSolve(&hs, ent, &a.Instance, a.K, 0, 0)
+	if !ok || err != nil || !slices.Equal(sol.Assign, res.Sol.Assign) {
+		t.Fatalf("repeat probe: hit %v, err %v, assign %v (want %v)", ok, err, sol.Assign, res.Sol.Assign)
+	}
+
+	// Hand the probe key of b (k=3) to a2 (k=4), neither of them stored
+	// yet: the solve must land under b's key.
+	b := coreReq(3)
+	if _, ok, _ := c.TryCachedSolve(&hs, ent, &b.Instance, b.K, 0, 0); ok {
+		t.Fatal("probe of b hit before b was solved")
+	}
+	a2 := coreReq(4)
+	hs.KeyInto(a2)
+	if res, err := c.Do(ctx, a2); err != nil || res.Cache != "miss" {
+		t.Fatalf("a2: cache %q, err %v (want a miss)", res.Cache, err)
+	}
+	if _, ok, _ := c.TryCachedSolve(&hs, ent, &b.Instance, b.K, 0, 0); !ok {
+		t.Fatal("Do recomputed the key instead of using the one handed to it")
+	}
+	if _, ok, _ := c.TryCachedSolve(&hs, ent, &a2.Instance, a2.K, 0, 0); ok {
+		t.Fatal("a2 was stored under its own key, not the handed one")
 	}
 }

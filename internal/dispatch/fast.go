@@ -8,6 +8,8 @@
 package dispatch
 
 import (
+	"time"
+
 	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/instance"
@@ -60,10 +62,12 @@ func SolverName(name []byte) string {
 // HitScratch carries the reusable buffers of one fast-path cache probe.
 // Callers pool it; nothing it holds may escape the serving of one
 // request except through TryCachedSolve's returned solution, whose
-// Assign aliases the scratch buffer.
+// Assign aliases the scratch buffer, and KeyInto's owned copy of a
+// missed probe's key.
 type HitScratch struct {
 	can    cache.CanonScratch
 	assign []int
+	missed probedKey // the last probe's key, if it missed
 }
 
 // TryCachedSolve canonicalizes the request on scratch buffers and
@@ -72,21 +76,41 @@ type HitScratch struct {
 // is the cached deterministic failure (an infeasibility), also a hit.
 // ok is false on a miss, for a nil (unregistered) or sweep-kind ent,
 // and when no cache is configured — nothing is cached for those; a
-// solve falls back to Do, which starts or joins a flight.
+// solve falls back to Do, which starts or joins a flight. After a miss
+// KeyInto hands the probe's key on to that solve.
 func (c *Core) TryCachedSolve(hs *HitScratch, ent *Solver, ext *instance.Extended, k int, budget int64, eps float64) (sol instance.Solution, ok bool, err error) {
+	hs.missed = probedKey{}
 	if c.cache == nil || ent == nil || !ent.Solution() {
 		return instance.Solution{}, false, nil
 	}
+	start := time.Now()
 	p := engine.Params{
 		K: k, Budget: budget, Eps: eps,
 		Workers: c.cfg.SolverWorkers, Obs: c.cfg.Obs,
 	}
 	can := hs.can.Canonicalize(ent.name, ent.spec.Caps, ext, p)
 	sol, ok, err = c.cache.TryGet(can, ent.name, hs.assign)
-	if ok && err == nil {
+	if !ok {
+		hs.missed = probedKey{can: can, ns: time.Since(start).Nanoseconds(), keyed: true}
+		return sol, false, nil
+	}
+	if err == nil {
 		hs.assign = sol.Assign // keep the (possibly grown) buffer
 	}
 	return sol, ok, err
+}
+
+// KeyInto hands the key of hs's last probe, which must have missed on
+// this very request, to req, so that Do's cache solve does not key the
+// request a second time; the probe's time then counts in req's CacheNS.
+// It does nothing when the last probe computed no key or hit.
+func (hs *HitScratch) KeyInto(req *Request) {
+	if !hs.missed.keyed {
+		return
+	}
+	req.probe = hs.missed
+	req.probe.can = hs.missed.can.Owned()
+	hs.missed = probedKey{}
 }
 
 // ObserveHit records a hit the transport served without admission —

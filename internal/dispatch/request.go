@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/instance"
 )
@@ -78,6 +79,18 @@ type Request struct {
 	// change. On a local cache miss the flight asks that peer for the
 	// finished solution before running the engine (requires Config.Fill).
 	PeerFill string `json:"-"`
+	// probe is the canonical key a transport's hit probe computed for
+	// this request before it missed (HitScratch.KeyInto); the cache
+	// uses it instead of keying the request again.
+	probe probedKey
+}
+
+// probedKey is a missed probe's key and the time the probe took, which
+// Do counts as cache time. The zero value is no key.
+type probedKey struct {
+	can   cache.Canonical
+	ns    int64
+	keyed bool
 }
 
 // SweepPoint is one point of a sweep-kind solver's tradeoff curve.

@@ -343,9 +343,16 @@ const DefaultTraceRing = 128
 // decision when each root span ends, and retains kept traces in a
 // fixed-size ring. A nil *SpanTracer disables tracing entirely:
 // StartRequest returns a nil span and no allocation happens downstream.
+//
+// A transport that answers some requests without spans draws each
+// request's decision once with Sample. It then either starts the root
+// with StartSampled, passing the decision on, or, for an unsampled
+// request it answers without spans, reports the end with EndUnsampled,
+// which still keeps the request if it was slow.
 type SpanTracer struct {
-	cfg  SpanConfig
-	seed atomic.Uint64 // splitmix64 state for the rate decision
+	cfg     SpanConfig
+	seed    atomic.Uint64 // splitmix64 state for the rate decision
+	started *Counter      // trace.started; nil without cfg.Obs
 
 	mu   sync.Mutex
 	ring []Trace
@@ -358,7 +365,11 @@ func NewSpanTracer(cfg SpanConfig) *SpanTracer {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = DefaultTraceRing
 	}
-	return &SpanTracer{cfg: cfg, ring: make([]Trace, cfg.RingSize)}
+	st := &SpanTracer{cfg: cfg, ring: make([]Trace, cfg.RingSize)}
+	if cfg.Obs != nil {
+		st.started = cfg.Obs.Reg.Counter("trace.started")
+	}
+	return st
 }
 
 // Enabled reports whether tracing is on. Safe on nil.
@@ -369,22 +380,68 @@ func (st *SpanTracer) Enabled() bool { return st != nil }
 // On a nil tracer it returns (ctx, nil) without allocating; the caller
 // needing an ID anyway should mint one with NewTraceID.
 func (st *SpanTracer) StartRequest(ctx context.Context, name, traceID string) (context.Context, *Span) {
+	return st.StartSampled(ctx, name, traceID, st.Sample())
+}
+
+// StartSampled is StartRequest for a request whose rate decision the
+// caller already drew with Sample; it draws none of its own, so a
+// request is sampled exactly as often as SampleRate says however many
+// paths it tries.
+func (st *SpanTracer) StartSampled(ctx context.Context, name, traceID string, sampled bool) (context.Context, *Span) {
 	if st == nil {
 		return ctx, nil
 	}
 	if traceID == "" {
 		traceID = NewTraceID()
 	}
-	st.cfg.Obs.Count("trace.started", 1)
-	t := &traceState{st: st, id: traceID, sampled: st.sampleDecision(), nextSpan: 1}
+	st.countStarted()
+	t := &traceState{st: st, id: traceID, sampled: sampled, nextSpan: 1}
 	s := &Span{tr: t, name: name, id: 1, start: time.Now()}
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// sampleDecision draws the rate decision from a lock-free splitmix64
+// EndUnsampled closes the books on a request whose draw came out false
+// and that was served without a span tree (the server's allocation-free
+// hit path). It counts in trace.started like any root. If the request,
+// begun at start, lasted SlowThreshold or longer, it is kept as a slow
+// trace of one root span named name carrying attr; otherwise nothing is
+// allocated. Safe on nil.
+func (st *SpanTracer) EndUnsampled(name, traceID string, start time.Time, attr Attr) {
+	if st == nil {
+		return
+	}
+	st.countStarted()
+	d := time.Since(start)
+	if st.cfg.SlowThreshold <= 0 || d < st.cfg.SlowThreshold {
+		return
+	}
+	if traceID == "" {
+		traceID = NewTraceID()
+	}
+	st.commit(&traceState{st: st, id: traceID}, SpanRecord{
+		TraceID:     traceID,
+		SpanID:      1,
+		Name:        name,
+		StartUnixNS: start.UnixNano(),
+		DurationNS:  d.Nanoseconds(),
+		Attrs:       attrList{attr},
+	})
+}
+
+// countStarted bumps trace.started, when there is a sink.
+func (st *SpanTracer) countStarted() {
+	if st.started != nil {
+		st.started.Inc()
+	}
+}
+
+// Sample draws one request's rate decision from a lock-free splitmix64
 // stream, so the kept fraction converges to SampleRate without shared
-// lock traffic.
-func (st *SpanTracer) sampleDecision() bool {
+// lock traffic. False on a nil tracer.
+func (st *SpanTracer) Sample() bool {
+	if st == nil {
+		return false
+	}
 	r := st.cfg.SampleRate
 	if r >= 1 {
 		return true

@@ -97,6 +97,42 @@ func TestSpanSampling(t *testing.T) {
 	}
 }
 
+// TestSpanUnsampledEnd checks the span-free half of a pre-drawn
+// decision: StartSampled honours the caller's draw, and EndUnsampled
+// counts the request in trace.started, keeps it only when it was slow,
+// and then as one slow root span.
+func TestSpanUnsampledEnd(t *testing.T) {
+	sink := New()
+	st := NewSpanTracer(SpanConfig{SampleRate: 0, SlowThreshold: time.Hour, Obs: sink})
+	_, root := st.StartSampled(context.Background(), "request", "drawn", true)
+	root.End()
+	st.EndUnsampled("request", "fast", time.Now(), String("solver", "greedy"))
+	if traces := st.Traces(); len(traces) != 1 || traces[0].TraceID != "drawn" || traces[0].Slow {
+		t.Fatalf("traces %+v, want only the sampled one", traces)
+	}
+
+	st = NewSpanTracer(SpanConfig{SampleRate: 1, SlowThreshold: time.Millisecond, Obs: sink})
+	st.EndUnsampled("request", "slow", time.Now().Add(-time.Second), String("solver", "greedy"))
+	traces := st.Traces()
+	if len(traces) != 1 || !traces[0].Slow || traces[0].TraceID != "slow" || len(traces[0].Spans) != 1 {
+		t.Fatalf("slow unsampled request: traces %+v, want one slow single-span trace", traces)
+	}
+	if sp := traces[0].Spans[0]; sp.Name != "request" || sp.ParentID != 0 || sp.DurationNS < int64(time.Second) ||
+		len(sp.Attrs) != 1 || sp.Attrs[0].Value() != "greedy" {
+		t.Fatalf("slow unsampled root %+v", sp)
+	}
+	c := sink.Snapshot().Counters
+	if c["trace.started"] != 3 || c["trace.kept"] != 2 || c["trace.slow"] != 1 {
+		t.Errorf("trace counters = %v, want started 3, kept 2, slow 1", c)
+	}
+
+	var off *SpanTracer
+	if off.Sample() {
+		t.Error("a nil tracer sampled a request")
+	}
+	off.EndUnsampled("request", "x", time.Now(), String("solver", "greedy")) // must not panic
+}
+
 // TestSpanSampleRate checks the splitmix decision realizes an
 // approximate fraction.
 func TestSpanSampleRate(t *testing.T) {

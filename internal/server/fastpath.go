@@ -2,15 +2,22 @@
 //
 // The handler reads the body into pooled scratch and decodes it once,
 // into the scratch's request (DecodeSolve: the strict decoder, with
-// encoding/json only for bodies it rejects). A strict body then gets
-// the allocation-free hit probe — validation, pooled canonicalization,
-// LRU probe, response encode — on reused buffers, unless the request is
-// traced or its request ID or the shard ID would need JSON escaping.
-// Every other disposition (a miss, a fallback-decoded body, an unknown
-// solver, invalid parameters, tracing) takes the admitted path on a
-// heap copy of the already-decoded request: a cache flight may retain a
-// request beyond the handler's lifetime, so pooled memory is only ever
-// served on a pure hit, where nothing escapes.
+// encoding/json only for bodies it rejects), and draws the request's
+// trace sampling decision once. A strict body whose draw came out
+// false — every request without a tracer, and all but SampleRate of
+// them with one — then gets the allocation-free hit probe: validation,
+// pooled canonicalization, LRU probe, response encode, on reused
+// buffers, unless its request ID or the shard ID would need JSON
+// escaping. A sampled request skips the probe, so that its trace shows
+// the full span tree of the admitted path. Every other disposition (a
+// miss, a fallback-decoded body, an unknown solver, invalid parameters,
+// a sampled trace) takes the admitted path on a heap copy of the
+// already-decoded request: a cache flight may retain a request beyond
+// the handler's lifetime, so pooled memory is only ever served on a
+// pure hit, where nothing escapes. A probe that missed hands its key to
+// the admitted solve, so every strict body is canonicalized exactly
+// once, hit or miss, and the admitted root span carries the decision
+// already drawn.
 //
 // The cache-facing halves (solver table lookup, canonical probe, hit
 // accounting) live on the dispatch core; this file owns only the byte-
@@ -80,9 +87,13 @@ func readBody(dst []byte, r io.Reader) ([]byte, error) {
 type fastOutcome int
 
 const (
-	// fastFallback: the request is outside the fast path (or a cache
-	// miss); the caller detaches the decoded request and admits it.
+	// fastFallback: the request is outside the fast path; the caller
+	// detaches the decoded request and admits it.
 	fastFallback fastOutcome = iota
+	// fastMiss: the probe keyed the request and missed; the caller
+	// admits it as for fastFallback, handing on the probe's key
+	// (HitScratch.KeyInto).
+	fastMiss
 	// fastHit: sc.out holds the complete 200 response body.
 	fastHit
 	// fastCachedError: the cache holds a deterministic error for this
@@ -91,13 +102,14 @@ const (
 )
 
 // fastSolve attempts the allocation-free hit probe on sc.req, which
-// the strict decoder has filled. On fastHit the response body is in
-// sc.out; on fastCachedError the returned error is the cached one. It
-// performs the same counter accounting an admitted hit would
-// (request/latency/phase metrics, cache.hits), so a served hit is
-// indistinguishable from the slow path in /metrics.
+// the strict decoder has filled; the caller has already ruled out a
+// sampled trace. On fastHit the response body is in sc.out; on
+// fastCachedError the returned error is the cached one. It performs the
+// same counter accounting an admitted hit would (request/latency/phase
+// metrics, cache.hits), so a served hit is indistinguishable from the
+// slow path in /metrics.
 func (s *Server) fastSolve(sc *solveScratch, rid string) (fastOutcome, error) {
-	if s.cfg.Trace != nil || !s.shardSafe || !plainJSONSafe(rid) {
+	if !s.shardSafe || !plainJSONSafe(rid) {
 		return fastFallback, nil
 	}
 	start := time.Now()
@@ -117,7 +129,7 @@ func (s *Server) fastSolve(sc *solveScratch, rid string) (fastOutcome, error) {
 	}
 	sol, hit, err := s.core.TryCachedSolve(&sc.hit, ent, &req.Instance, req.K, req.Budget, req.Eps)
 	if !hit {
-		return fastFallback, nil
+		return fastMiss, nil
 	}
 	totalNS := time.Since(start).Nanoseconds()
 	s.core.ObserveHit(ent, totalNS, err)

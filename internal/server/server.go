@@ -29,10 +29,11 @@
 //
 // Tracing: every solve carries a request ID (the client's X-Request-ID
 // or a minted one), returned in the response header and body. With a
-// SpanTracer configured, each request records a span tree — request →
-// queue wait, cache lookup/coalesce, engine solve — sampled by rate
-// plus always-on-slow into /debug/traces; responses carry a per-phase
-// `timing` decomposition either way. See DESIGN.md §11.
+// SpanTracer configured, each sampled request records a span tree —
+// request → queue wait, cache lookup/coalesce, engine solve — into
+// /debug/traces, and slow requests are kept whatever their draw;
+// responses carry a per-phase `timing` decomposition either way. See
+// DESIGN.md §11.
 //
 // Fleet: a Server configured with a ShardID stamps it into every solve
 // response, and one configured with a PeerFill hook warms its cache
@@ -132,11 +133,14 @@ type Config struct {
 	// solve; nil disables instrumentation. GET /metrics exposes it in
 	// Prometheus text format.
 	Obs *obs.Sink
-	// Trace enables request-scoped span tracing: every request runs
-	// under a root span with queue/cache/solve children, and sampled or
-	// slow traces land in the tracer's ring, served at
-	// GET /debug/traces. Nil disables tracing; the disabled path
-	// allocates nothing.
+	// Trace enables request-scoped span tracing. Each solve draws its
+	// sampling decision once: a sampled request runs under a root span
+	// with queue/cache/solve children and lands in the tracer's ring,
+	// served at GET /debug/traces. An unsampled request is kept only
+	// if it reaches the tracer's SlowThreshold: as a lone root span
+	// when the allocation-free hit path answered it, else as the span
+	// tree of the admitted path. Nil disables tracing; the disabled
+	// path allocates nothing.
 	Trace *obs.SpanTracer
 	// SlowThreshold logs a structured slow-request line (and bumps
 	// server.slow_requests) for any request whose server-side latency
@@ -307,32 +311,43 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if strict {
+	// The request's one sampling draw: a sampled request takes the
+	// admitted path for its full span tree, and any other may be served
+	// by the hit probe.
+	sampled := s.cfg.Trace.Sample()
+	probed := false
+	if strict && !sampled {
 		fstart := time.Now()
-		switch out, ferr := s.fastSolve(sc, rid); out {
+		out, ferr := s.fastSolve(sc, rid)
+		switch out {
 		case fastHit:
-			s.noteSlow(rid, sc.req.Solver, dispatch.Result{Cache: "hit"}, time.Since(fstart), http.StatusOK)
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(sc.out)
+			s.endFast(rid, sc.req.Solver, fstart, http.StatusOK)
 			return
 		case fastCachedError:
-			s.noteSlow(rid, sc.req.Solver, dispatch.Result{Cache: "hit"}, time.Since(fstart), statusFor(ferr))
 			writeError(w, statusFor(ferr), "%v", ferr)
+			s.endFast(rid, sc.req.Solver, fstart, statusFor(ferr))
 			return
 		}
+		probed = out == fastMiss
 	}
 
 	// Admitted path. A cache flight may retain the request beyond this
-	// handler, so it gets a heap copy of the decoded one.
+	// handler, so it gets a heap copy of the decoded one, and the key a
+	// missed probe computed.
 	req := sc.detach()
+	if probed {
+		sc.hit.KeyInto(req)
+	}
 	if err := s.core.Validate(req); err != nil {
 		writeError(w, statusFor(err), "%s", err.Error())
 		return
 	}
 	req.PeerFill = r.Header.Get(peerFillHeader)
 	start := time.Now()
-	tctx, root := s.cfg.Trace.StartRequest(r.Context(), "request", rid)
+	tctx, root := s.cfg.Trace.StartSampled(r.Context(), "request", rid, sampled)
 	if root != nil {
 		root.SetAttr(obs.String("solver", req.Solver))
 	}

@@ -45,9 +45,9 @@ func decodeDelta(op, sel, sz byte, live []int, nextID, m int) Delta {
 // budget respected throughout.
 func FuzzSessionDeltas(f *testing.F) {
 	f.Add(uint8(2), uint8(3), []byte{0, 0, 10, 0, 1, 20, 7, 0, 0})
-	f.Add(uint8(1), uint8(0), []byte{0, 0, 5, 7, 0, 0, 7, 0, 0})           // drains on m=1 → infeasible
+	f.Add(uint8(1), uint8(0), []byte{0, 0, 5, 7, 0, 0, 7, 0, 0})             // drains on m=1 → infeasible
 	f.Add(uint8(4), uint8(8), []byte{0, 0, 63, 0, 1, 63, 0, 2, 63, 4, 0, 0}) // resize to zero
-	f.Add(uint8(3), uint8(1), []byte{6, 0, 0, 0, 5, 9, 5, 0, 9, 3, 0, 0})  // dup arrive, proc add, depart
+	f.Add(uint8(3), uint8(1), []byte{6, 0, 0, 0, 5, 9, 5, 0, 9, 3, 0, 0})    // dup arrive, proc add, depart
 	f.Fuzz(func(t *testing.T, mRaw, kRaw uint8, raw []byte) {
 		m := int(mRaw%5) + 1
 		k := int(kRaw % 8)
