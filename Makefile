@@ -167,8 +167,10 @@ fuzz-short:
 # benchmark's build fail CI. The drain and admission tests then repeat
 # under the race detector: a race between joining the drain group and
 # Shutdown's wait shows up in only some runs, so one pass is not enough
-# to catch a regression.
+# to catch a regression. The single-flight tests repeat the same way:
+# coalescing and waiter detach race the flight's finalizer.
 DRAIN_RACE_RE = Drain|Shutdown|QueueFull|Session.*E2E
+FLIGHT_RACE_RE = Coalesce|SingleFlight|Waiter
 ci:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -179,6 +181,7 @@ ci:
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(DRAIN_RACE_RE)' ./internal/dispatch ./internal/server/...
+	$(GO) test -race -count=20 -run '$(FLIGHT_RACE_RE)' ./internal/cache ./internal/server
 	$(MAKE) bench-diff
 	$(MAKE) hypotheses-check
 	$(MAKE) fuzz-short

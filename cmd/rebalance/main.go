@@ -171,7 +171,7 @@ func main() {
 	}
 
 	sol, err := engine.Solve(ctx, *alg, in, engine.Params{
-		K: *k, Budget: *budget, Eps: *eps, Workers: *workers,
+		K: *k, Budget: *budget, Eps: *eps,
 		Obs: sink, Allowed: ext.Allowed, Conflicts: ext.Conflicts,
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func TestValidateFlags(t *testing.T) {
 		{"budget", []string{"budget"}, true},
 		{"budget", []string{"k"}, false},
 		{"ptas", []string{"budget", "eps"}, true},
-		{"ptas", []string{"budget", "eps", "workers"}, true},
+		{"ptas", []string{"budget", "eps", "workers"}, false},
 		{"ptas", []string{"k"}, false},
 		{"exact", []string{"k"}, true},
 		{"exact", []string{"budget"}, false},

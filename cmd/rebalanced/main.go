@@ -68,7 +68,6 @@ func main() {
 	log.SetPrefix("rebalanced: ")
 	addr := flag.String("addr", "localhost:8080", "serve the solve API on this address")
 	pool := flag.Int("pool", runtime.GOMAXPROCS(0), "solve slots: concurrent solves (<=0: GOMAXPROCS)")
-	solverWorkers := flag.Int("solver-workers", 1, "internal parallelism per solve; the slots already parallelize across requests")
 	queue := flag.Int("queue", server.DefaultQueueDepth, "admission queue depth: solves waiting for a slot; beyond it requests get 429")
 	timeout := flag.Duration("timeout", server.DefaultTimeout, "default per-request deadline (queue wait + solve)")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout, "clamp on request-supplied timeout_ms")
@@ -145,7 +144,6 @@ func main() {
 	}
 	srv := server.New(server.Config{
 		Workers:        *pool,
-		SolverWorkers:  *solverWorkers,
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,

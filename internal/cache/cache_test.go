@@ -14,39 +14,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Test-only solvers registered once per test binary. "cachetest-count"
-// counts engine invocations (single-flight assertions); "cachetest-gate"
-// additionally parks until released so concurrent duplicates can pile up
-// on one flight.
-var (
-	registerOnce sync.Once
-	solveCount   atomic.Int64
-	gateStarted  = make(chan struct{}, 64)
-	gateRelease  = make(chan struct{})
-)
-
-func registerTestSolvers() {
-	registerOnce.Do(func() {
-		engine.Register(engine.Spec{
-			Name: "cachetest-count", Summary: "counts invocations", Guarantee: "-",
-			Run: func(_ context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
-				solveCount.Add(1)
-				return instance.NewSolution(in, in.Assign), nil
-			},
-		})
-		engine.Register(engine.Spec{
-			Name: "cachetest-gate", Summary: "counts invocations, parks until released", Guarantee: "-",
-			Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
-				solveCount.Add(1)
-				gateStarted <- struct{}{}
-				select {
-				case <-gateRelease:
-					return instance.NewSolution(in, in.Assign), nil
-				case <-ctx.Done():
-					return instance.Solution{}, ctx.Err()
-				}
-			},
-		})
+// registerCountSolver registers "cachetest-count", a trivial solver
+// that keeps every job in place, for the duration of the test.
+func registerCountSolver(t *testing.T) {
+	engine.RegisterTest(t, engine.Spec{
+		Name: "cachetest-count", Summary: "keeps every job in place", Guarantee: "-",
+		Run: func(_ context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			return instance.NewSolution(in, in.Assign), nil
+		},
 	})
 }
 
@@ -81,7 +56,6 @@ func solverParams(spec engine.Spec, n int) engine.Params {
 // solver twice through the cache and once directly, asserting the hit
 // is byte-identical to both the miss and the fresh engine result.
 func TestCachedVsFreshAllSolvers(t *testing.T) {
-	registerTestSolvers()
 	for _, spec := range engine.Specs() {
 		if spec.Kind != engine.KindSolution || strings.HasPrefix(spec.Name, "cachetest-") {
 			continue
@@ -125,7 +99,6 @@ func TestCachedVsFreshAllSolvers(t *testing.T) {
 // permuted-but-identical instance is served from the cache, and the
 // re-indexed solution verifies against the permuted labeling.
 func TestPermutedRequestHits(t *testing.T) {
-	registerTestSolvers()
 	c := New(Config{})
 	in := instance.MustNew(2, []int64{9, 6, 5, 3}, nil, []int{0, 0, 0, 1})
 	p := engine.Params{K: 2, Workers: 1}
@@ -156,14 +129,28 @@ func TestPermutedRequestHits(t *testing.T) {
 // requests (run under -race in CI) and asserts exactly one engine
 // invocation with every caller sharing its result.
 func TestSingleFlightCoalesce(t *testing.T) {
-	registerTestSolvers()
+	const callers = 16
+	var calls atomic.Int64
+	started := make(chan struct{}, callers)
+	release := make(chan struct{})
+	engine.RegisterTest(t, engine.Spec{
+		Name: "cachetest-gate", Summary: "counts invocations, parks until released", Guarantee: "-",
+		Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			calls.Add(1)
+			started <- struct{}{}
+			select {
+			case <-release:
+				return instance.NewSolution(in, in.Assign), nil
+			case <-ctx.Done():
+				return instance.Solution{}, ctx.Err()
+			}
+		},
+	})
 	sink := obs.New()
 	c := New(Config{Obs: sink})
 	ext := testExt()
 	p := engine.Params{Workers: 1}
-	before := solveCount.Load()
 
-	const callers = 16
 	outcomes := make([]Outcome, callers)
 	sols := make([]instance.Solution, callers)
 	errs := make([]error, callers)
@@ -175,7 +162,7 @@ func TestSingleFlightCoalesce(t *testing.T) {
 			sols[i], outcomes[i], errs[i] = solveOutcome(c, context.Background(), "cachetest-gate", ext, p)
 		}(i)
 	}
-	<-gateStarted // one flight is running
+	<-started // one flight is running
 	// Give stragglers a moment to attach to the flight, then release.
 	deadline := time.After(2 * time.Second)
 	for sink.Reg.Counter("cache.coalesced").Value() < callers-1 {
@@ -185,10 +172,10 @@ func TestSingleFlightCoalesce(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	close(gateRelease)
+	close(release)
 	wg.Wait()
 
-	if got := solveCount.Load() - before; got != 1 {
+	if got := calls.Load(); got != 1 {
 		t.Fatalf("%d engine invocations for %d identical requests, want 1", got, callers)
 	}
 	var miss, coalesced int
@@ -224,10 +211,9 @@ func TestSingleFlightCoalesce(t *testing.T) {
 // mid-flight: the waiter returns its ctx error promptly, the flight
 // completes for the surviving callers, and the cache entry lands.
 func TestWaiterCancelDoesNotPoisonFlight(t *testing.T) {
-	registerTestSolvers()
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	engine.Register(engine.Spec{
+	engine.RegisterTest(t, engine.Spec{
 		Name: "cachetest-waiter", Summary: "parks until released", Guarantee: "-",
 		Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
 			started <- struct{}{}
@@ -287,11 +273,10 @@ func TestWaiterCancelDoesNotPoisonFlight(t *testing.T) {
 // the flights map so the next identical request starts fresh, and the
 // panic is never cached.
 func TestPanicDoesNotPoisonFlight(t *testing.T) {
-	registerTestSolvers()
 	var calls atomic.Int64
 	started := make(chan struct{}, 8)
 	boom := make(chan struct{})
-	engine.Register(engine.Spec{
+	engine.RegisterTest(t, engine.Spec{
 		Name: "cachetest-panic", Summary: "panics on first call, then succeeds", Guarantee: "-",
 		Run: func(_ context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
 			if calls.Add(1) == 1 {
@@ -362,11 +347,10 @@ func TestPanicDoesNotPoisonFlight(t *testing.T) {
 // the initiator only — an attached waiter with more time still gets the
 // real result from the same single engine invocation.
 func TestWaiterOutlivesInitiatorDeadline(t *testing.T) {
-	registerTestSolvers()
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
 	var calls atomic.Int64
-	engine.Register(engine.Spec{
+	engine.RegisterTest(t, engine.Spec{
 		Name: "cachetest-outlive", Summary: "parks until released", Guarantee: "-",
 		Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
 			calls.Add(1)
@@ -447,11 +431,10 @@ func TestWaiterOutlivesInitiatorDeadline(t *testing.T) {
 // (it would inherit context.Canceled despite a live ctx) — it replaces
 // the dead flight and solves fresh.
 func TestAttachToDeadFlightStartsFresh(t *testing.T) {
-	registerTestSolvers()
 	var calls atomic.Int64
 	started := make(chan struct{}, 8)
 	holdFinalize := make(chan struct{})
-	engine.Register(engine.Spec{
+	engine.RegisterTest(t, engine.Spec{
 		Name: "cachetest-dead", Summary: "first call wedges its teardown", Guarantee: "-",
 		Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
 			if calls.Add(1) == 1 {
@@ -504,9 +487,8 @@ func TestAttachToDeadFlightStartsFresh(t *testing.T) {
 // ctx fires, the flight context is cancelled so the solve stops, and
 // the error is not cached.
 func TestAllPartiesGoneCancelsFlight(t *testing.T) {
-	registerTestSolvers()
 	started := make(chan struct{}, 8)
-	engine.Register(engine.Spec{
+	engine.RegisterTest(t, engine.Spec{
 		Name: "cachetest-abandon", Summary: "parks until its ctx fires", Guarantee: "-",
 		Run: func(ctx context.Context, _ *instance.Instance, _ engine.Params) (instance.Solution, error) {
 			started <- struct{}{}
@@ -538,7 +520,7 @@ func TestAllPartiesGoneCancelsFlight(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	registerTestSolvers()
+	registerCountSolver(t)
 	sink := obs.New()
 	c := New(Config{MaxEntries: 2, Obs: sink})
 	p := engine.Params{Workers: 1}
@@ -571,7 +553,7 @@ func TestLRUEviction(t *testing.T) {
 // TestLRUTouchOnHit pins recency updates: touching the oldest entry
 // saves it from the next eviction.
 func TestLRUTouchOnHit(t *testing.T) {
-	registerTestSolvers()
+	registerCountSolver(t)
 	c := New(Config{MaxEntries: 2})
 	p := engine.Params{Workers: 1}
 	mk := func(first int64) *instance.Extended {
@@ -592,7 +574,6 @@ func TestLRUTouchOnHit(t *testing.T) {
 // TestInfeasibleCached: ErrInfeasible is a deterministic property of
 // the instance, so it is cached like a success.
 func TestInfeasibleCached(t *testing.T) {
-	registerTestSolvers()
 	c := New(Config{})
 	// k=0 with an imbalanced start: exact cannot move anything, but that
 	// is feasible; instead use conflict with an over-full clique, which
@@ -613,7 +594,6 @@ func TestInfeasibleCached(t *testing.T) {
 // TestSweepBypasses: sweep-kind entries are not cacheable through this
 // surface and must pass through untouched.
 func TestSweepBypasses(t *testing.T) {
-	registerTestSolvers()
 	c := New(Config{})
 	_, out, err := solveOutcome(c, context.Background(), "frontier", testExt(), engine.Params{})
 	if out != Bypass {
@@ -632,13 +612,10 @@ func TestSweepBypasses(t *testing.T) {
 // the flight context, and the returned error is DeadlineExceeded (not
 // the flight's internal Canceled), preserving the server's 504 mapping.
 func TestDeadlineErrorSurfaces(t *testing.T) {
-	registerTestSolvers()
 	c := New(Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	// cachetest-gate parks until ctx fires (gateRelease is already closed
-	// by the coalesce test only within its own run; use a fresh solver).
-	engine.Register(engine.Spec{
+	engine.RegisterTest(t, engine.Spec{
 		Name: "cachetest-deadline", Summary: "parks until its ctx fires", Guarantee: "-",
 		Run: func(ctx context.Context, _ *instance.Instance, _ engine.Params) (instance.Solution, error) {
 			<-ctx.Done()

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -15,27 +14,25 @@ import (
 // hook before the engine, caches what the peer returns, and falls back
 // to the engine on a peer miss.
 
-var (
-	pfOnce  sync.Once
-	pfRuns  atomic.Int64
-	pfPanic atomic.Bool
-)
-
-func registerPeerFillSolver() {
-	pfOnce.Do(func() {
-		engine.Register(engine.Spec{
-			Name: "cache-peerfill", Summary: "identity solver counting runs", Guarantee: "-",
-			Kind: engine.KindSolution, Caps: engine.Caps{K: true},
-			Run: func(ctx context.Context, in *instance.Instance, p engine.Params) (instance.Solution, error) {
-				pfRuns.Add(1)
-				if pfPanic.Load() {
-					panic("peer-fill test solver must not run")
-				}
-				assign := append([]int(nil), in.Assign...)
-				return instance.Solution{Assign: assign, Makespan: in.InitialMakespan()}, nil
-			},
-		})
+// registerPeerFillSolver registers "cache-peerfill", an identity
+// solver, for the duration of the test and returns its run counter.
+// With mustNotRun the solver panics instead, for tests whose answer
+// must come from the peer.
+func registerPeerFillSolver(t *testing.T, mustNotRun bool) *atomic.Int64 {
+	runs := new(atomic.Int64)
+	engine.RegisterTest(t, engine.Spec{
+		Name: "cache-peerfill", Summary: "identity solver counting runs", Guarantee: "-",
+		Kind: engine.KindSolution, Caps: engine.Caps{K: true},
+		Run: func(ctx context.Context, in *instance.Instance, p engine.Params) (instance.Solution, error) {
+			runs.Add(1)
+			if mustNotRun {
+				panic("peer-fill test solver must not run")
+			}
+			assign := append([]int(nil), in.Assign...)
+			return instance.Solution{Assign: assign, Makespan: in.InitialMakespan()}, nil
+		},
 	})
+	return runs
 }
 
 func peerFillInstance(sizes ...int64) *instance.Extended {
@@ -49,7 +46,7 @@ func peerFillInstance(sizes ...int64) *instance.Extended {
 }
 
 func TestPeerFillHitSkipsEngine(t *testing.T) {
-	registerPeerFillSolver()
+	registerPeerFillSolver(t, true)
 	sink := obs.New()
 	var asked atomic.Int64
 	want := instance.Solution{Assign: []int{1, 0}, Makespan: 7, Moves: 1, MoveCost: 1}
@@ -63,8 +60,6 @@ func TestPeerFillHitSkipsEngine(t *testing.T) {
 		}
 		return want, true
 	}})
-	pfPanic.Store(true)
-	defer pfPanic.Store(false)
 
 	ext := peerFillInstance(5, 2)
 	sol, st, err := c.Solve(context.Background(), "cache-peerfill", ext, engine.Params{K: 3}, "http://owner.example", nil)
@@ -95,12 +90,11 @@ func TestPeerFillHitSkipsEngine(t *testing.T) {
 }
 
 func TestPeerFillMissFallsBackToEngine(t *testing.T) {
-	registerPeerFillSolver()
+	runs := registerPeerFillSolver(t, false)
 	sink := obs.New()
 	c := New(Config{Obs: sink, Fill: func(context.Context, string, string, *instance.Extended, engine.Params) (instance.Solution, bool) {
 		return instance.Solution{}, false
 	}})
-	before := pfRuns.Load()
 	ext := peerFillInstance(9, 4, 1)
 	_, st, err := c.Solve(context.Background(), "cache-peerfill", ext, engine.Params{K: 1}, "http://owner.example", nil)
 	if err != nil {
@@ -109,7 +103,7 @@ func TestPeerFillMissFallsBackToEngine(t *testing.T) {
 	if st.Outcome != Miss || st.PeerFill != "miss" {
 		t.Fatalf("stats = %+v, want miss + peer miss", st)
 	}
-	if pfRuns.Load() != before+1 {
+	if runs.Load() != 1 {
 		t.Fatal("engine did not run after the peer missed")
 	}
 	if got := sink.Reg.Counter("cache.peer_fill_misses").Value(); got != 1 {
@@ -118,7 +112,7 @@ func TestPeerFillMissFallsBackToEngine(t *testing.T) {
 }
 
 func TestNoPeerNoFillCall(t *testing.T) {
-	registerPeerFillSolver()
+	registerPeerFillSolver(t, false)
 	var asked atomic.Int64
 	c := New(Config{Fill: func(context.Context, string, string, *instance.Extended, engine.Params) (instance.Solution, bool) {
 		asked.Add(1)

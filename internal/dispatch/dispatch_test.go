@@ -17,39 +17,25 @@ import (
 	"repro/internal/obs"
 )
 
-// Test-only solvers, registered once per test binary (the registry has
-// no removal — registration is init-time wiring).
-var registerOnce sync.Once
-
-func registerTestSolvers() {
-	registerOnce.Do(func() {
-		engine.Register(engine.Spec{
-			Name: "dispatch-test-gate", Summary: "reports its k, then parks until released or cancelled", Guarantee: "-",
-			Run: func(ctx context.Context, in *instance.Instance, p engine.Params) (instance.Solution, error) {
-				gateStarted <- p.K
-				select {
-				case <-gateRelease:
-				case <-ctx.Done():
-				}
-				return instance.NewSolution(in, in.Assign), nil
-			},
-		})
-		engine.Register(engine.Spec{
-			Name: "dispatch-test-hang", Summary: "parks until cancelled", Guarantee: "-",
-			Run: func(ctx context.Context, _ *instance.Instance, _ engine.Params) (instance.Solution, error) {
-				<-ctx.Done()
-				return instance.Solution{}, ctx.Err()
-			},
-		})
+// registerGate registers "dispatch-test-gate" for the duration of the
+// test. Each solve announces its k on started and holds its slot until
+// one token arrives on release.
+func registerGate(t *testing.T) (started chan int, release chan struct{}) {
+	started = make(chan int, 64)
+	release = make(chan struct{})
+	engine.RegisterTest(t, engine.Spec{
+		Name: "dispatch-test-gate", Summary: "reports its k, then parks until released or cancelled", Guarantee: "-",
+		Run: func(ctx context.Context, in *instance.Instance, p engine.Params) (instance.Solution, error) {
+			started <- p.K
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return instance.NewSolution(in, in.Assign), nil
+		},
 	})
+	return started, release
 }
-
-// The gate solver announces each solve's k on gateStarted and holds its
-// slot until one token arrives on gateRelease.
-var (
-	gateStarted = make(chan int, 64)
-	gateRelease = make(chan struct{})
-)
 
 func coreReq(k int) *Request {
 	in := instance.MustNew(2, []int64{5, 4, 3, 2}, nil, []int{0, 0, 0, 0})
@@ -125,9 +111,9 @@ func TestCoreValidateTaxonomy(t *testing.T) {
 // finish one at a time the waiters take the freed slots in arrival
 // order.
 func TestCoreQueueFull(t *testing.T) {
-	registerTestSolvers()
 	for _, tc := range []struct{ workers, depth int }{{1, 1}, {2, 2}} {
 		t.Run(fmt.Sprintf("workers=%d,depth=%d", tc.workers, tc.depth), func(t *testing.T) {
+			gateStarted, gateRelease := registerGate(t)
 			c := New(Config{Workers: tc.workers, QueueDepth: tc.depth, CacheEntries: -1, Obs: obs.New()})
 			t.Cleanup(c.Close)
 			gateReq := func(k int) *Request {
@@ -258,7 +244,13 @@ func TestCoreDrainRace(t *testing.T) {
 // TestCoreDeadline pins that a request-supplied timeout cancels the
 // solve mid-search and surfaces context.DeadlineExceeded.
 func TestCoreDeadline(t *testing.T) {
-	registerTestSolvers()
+	engine.RegisterTest(t, engine.Spec{
+		Name: "dispatch-test-hang", Summary: "parks until cancelled", Guarantee: "-",
+		Run: func(ctx context.Context, _ *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			<-ctx.Done()
+			return instance.Solution{}, ctx.Err()
+		},
+	})
 	c := New(Config{Workers: 1, CacheEntries: -1})
 	t.Cleanup(c.Close)
 

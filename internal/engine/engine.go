@@ -58,8 +58,9 @@ type Params struct {
 	// Eps is the approximation parameter (capability Eps); zero means
 	// the solver's documented default.
 	Eps float64
-	// Workers bounds internally parallel surfaces (capability Workers);
-	// ≤ 0 means runtime.GOMAXPROCS(0), 1 forces the sequential path.
+	// Workers mirrors capability Workers. No solution-kind solver reads
+	// it: every solve runs on its caller's goroutine. Only the frontier
+	// sweep is concurrent, through its own FrontierOptions.Workers.
 	Workers int
 	// Obs threads an observability sink through the run; nil disables
 	// instrumentation.
@@ -76,8 +77,12 @@ type Params struct {
 // consumes and which structural properties it has. CLI flag validation,
 // usage text and the README tables derive from it.
 type Caps struct {
-	// K, Budget, Eps, Workers mirror the Params fields of the same name.
-	K, Budget, Eps, Workers bool
+	// K, Budget, Eps mirror the Params fields of the same name.
+	K, Budget, Eps bool
+	// Workers marks the -workers flag as consumed. Only the frontier
+	// sweep sets it: its FrontierOptions.Workers is the one concurrent
+	// surface, and no solution-kind solver reads Params.Workers.
+	Workers bool
 	// NeedsExtended marks solvers that read Params.Allowed or
 	// Params.Conflicts (the §5 extended instance format).
 	NeedsExtended bool
@@ -191,6 +196,19 @@ func Register(s Spec) {
 		panic("engine: duplicate solver " + s.Name)
 	}
 	registry[s.Name] = s
+}
+
+// RegisterTest registers s for the duration of one test: t.Cleanup
+// removes it again, so a test that brings its own solver can repeat
+// (go test -count=N) in one process. Tests that use it must not run
+// in parallel with others registering the same name.
+func RegisterTest(t interface{ Cleanup(func()) }, s Spec) {
+	Register(s)
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		delete(registry, s.Name)
+	})
 }
 
 // Lookup returns the spec registered under name.

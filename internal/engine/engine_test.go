@@ -161,6 +161,26 @@ func TestRegisterRejectsDuplicatesAndMalformed(t *testing.T) {
 	mustPanic("nil run", Spec{Name: "no-run"})
 }
 
+// TestRegisterTestUnregistersOnCleanup pins the scoped registration
+// tests use: the spec is live for the test that registered it and gone
+// after, so the same test can run again in one process.
+func TestRegisterTestUnregistersOnCleanup(t *testing.T) {
+	spec := Spec{Name: "enginetest-scoped", Run: func(_ context.Context, in *instance.Instance, _ Params) (instance.Solution, error) {
+		return instance.NewSolution(in, in.Assign), nil
+	}}
+	for run := 0; run < 2; run++ {
+		t.Run("", func(t *testing.T) {
+			RegisterTest(t, spec)
+			if _, ok := Lookup(spec.Name); !ok {
+				t.Fatal("spec not registered inside its test")
+			}
+		})
+		if _, ok := Lookup(spec.Name); ok {
+			t.Fatalf("run %d: spec still registered after its test ended", run)
+		}
+	}
+}
+
 func TestListTextCoversRegistry(t *testing.T) {
 	text := ListText()
 	for _, name := range Names() {

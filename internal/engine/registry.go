@@ -51,9 +51,9 @@ func init() {
 		Name:      "ptas",
 		Summary:   "§4 approximation scheme over the budget model",
 		Guarantee: "1+eps",
-		Caps:      Caps{Budget: true, Eps: true, Workers: true, Exponential: true},
+		Caps:      Caps{Budget: true, Eps: true, Exponential: true},
 		Run: func(ctx context.Context, in *instance.Instance, p Params) (instance.Solution, error) {
-			return ptas.Solve(ctx, in, p.Budget, ptas.Options{Eps: p.Eps, Workers: p.Workers, Obs: p.Obs})
+			return ptas.Solve(ctx, in, p.Budget, ptas.Options{Eps: p.Eps, Obs: p.Obs})
 		},
 	})
 	Register(Spec{

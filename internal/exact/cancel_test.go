@@ -72,20 +72,6 @@ func TestMinMovesCanceled(t *testing.T) {
 	}
 }
 
-func TestSolveParallelDeadline(t *testing.T) {
-	in := hardInstance()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := SolveParallel(ctx, in, in.N(), Limits{MaxNodes: 1 << 40})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SolveParallel under expired deadline: err = %v, want DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("SolveParallel took %v to notice a 30ms deadline", elapsed)
-	}
-}
-
 // TestSolveNoDeadlineUnaffected pins that threading a context through
 // the searcher did not change results: a background context returns the
 // same optimum the pre-context solver did.

@@ -192,8 +192,7 @@ func dpForward[K comparable](ctx context.Context, pr *dpProblem, codec dpCodec[K
 				// recorded back-pointer — and therefore the reconstructed
 				// assignment — canonical even though the frontier is
 				// iterated in randomized map order. Without them, equal-
-				// cost solutions would flip between runs and the
-				// Workers>1 path could not promise byte-identical results.
+				// cost solutions would flip between runs.
 				if old, exists := next[nk]; !exists || tot < old.cost ||
 					(tot == old.cost && (int32(ci) < old.cfgIdx ||
 						(int32(ci) == old.cfgIdx && codec.less(key, old.prev)))) {

@@ -35,11 +35,9 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/instance"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // ErrTooLarge is returned when the DP exceeds the configured limits.
@@ -54,15 +52,6 @@ type Options struct {
 	MaxStates int
 	// MaxJobs rejects larger instances outright (default 64).
 	MaxJobs int
-	// Workers bounds the concurrency of the guess-ladder evaluation:
-	// each guess runs its DP independently on the internal/par pool.
-	// ≤ 0 means runtime.GOMAXPROCS(0); 1 forces the sequential path.
-	// The accepted guess — and therefore the returned solution — is
-	// identical at every worker count; only the ptas.* metric totals
-	// and trace interleaving vary, because the parallel path may probe
-	// guesses beyond the accepted one (and skips guesses a cheaper
-	// accepted guess makes moot).
-	Workers int
 	// Obs receives guess / dp_setup / dp_layer trace events and the
 	// ptas.* metrics; nil disables instrumentation.
 	Obs *obs.Sink
@@ -112,7 +101,14 @@ func Solve(ctx context.Context, in *instance.Instance, budget int64, opts Option
 	}
 	guesses = append(guesses, hi)
 
-	eval := func(g int64) ([]int, int64, error) {
+	// Walk the ladder upward and stop at the first guess whose DP cost
+	// fits the budget: every guess above it would be evaluated only to
+	// be discarded, so the walk runs on the caller's goroutine.
+	var lastErr error
+	for _, g := range guesses {
+		if err := ctx.Err(); err != nil {
+			return instance.Solution{}, err
+		}
 		assign, cost, err := solveAt(ctx, in, g, delta, opts)
 		if opts.Obs != nil {
 			opts.Obs.Count("ptas.guesses", 1)
@@ -127,127 +123,41 @@ func Solve(ctx context.Context, in *instance.Instance, budget int64, opts Option
 				opts.Obs.Emit("guess", f)
 			}
 		}
-		return assign, cost, err
-	}
-	// accept finalizes a within-budget guess, preferring the do-nothing
-	// fallback when the reconstructed assignment is no better.
-	accept := func(assign []int) (instance.Solution, error) {
-		sol := instance.NewSolution(in, assign)
-		if sol.Makespan >= hi {
-			return instance.NewSolution(in, in.Assign), nil
-		}
-		return sol, nil
-	}
-
-	if par.Workers(opts.Workers, len(guesses)) == 1 {
-		// Sequential path: walk the ladder upward and stop at the first
-		// guess whose DP cost fits the budget.
-		var lastErr error
-		for _, g := range guesses {
-			if err := ctx.Err(); err != nil {
+		if err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return instance.Solution{}, err
 			}
-			assign, cost, err := eval(g)
-			if err != nil {
-				if isCtxErr(err) {
-					return instance.Solution{}, err
-				}
-				if errors.Is(err, errInfeasibleGuess) {
-					continue
-				}
+			if !errors.Is(err, errInfeasibleGuess) {
 				lastErr = err
-				continue
 			}
-			if cost <= budget {
-				return accept(assign)
-			}
-		}
-		if lastErr != nil {
-			return instance.Solution{}, lastErr
-		}
-		// The hi guess keeping everything in place costs 0 ≤ budget, so
-		// this is unreachable; kept as a defensive fallback.
-		return instance.NewSolution(in, in.Assign), nil
-	}
-
-	// Parallel path: evaluate the ladder on the worker pool, then reduce
-	// in ladder order, which reproduces the sequential acceptance
-	// exactly. `lowest` tracks the best accepted index so far, letting
-	// workers skip guesses the sequential path would never reach; a skip
-	// can only occur above an accepted index, so the reduce below never
-	// reads a skipped slot.
-	type outcome struct {
-		assign []int
-		cost   int64
-		err    error
-		done   bool // evaluated (not skipped)
-	}
-	outcomes := make([]outcome, len(guesses))
-	var lowest atomic.Int64
-	lowest.Store(int64(len(guesses)))
-	// Eval failures are data, not task errors — except context errors,
-	// which are returned as task errors so the pool cancels the remaining
-	// guesses and the caller's deadline interrupts the whole ladder. Task
-	// panics propagate via the pool.
-	if err := par.Do(ctx, len(guesses), opts.Workers, func(i int) error {
-		if int64(i) > lowest.Load() {
-			return nil
-		}
-		assign, cost, err := eval(guesses[i])
-		if isCtxErr(err) {
-			return err
-		}
-		outcomes[i] = outcome{assign: assign, cost: cost, err: err, done: true}
-		if err == nil && cost <= budget {
-			for {
-				cur := lowest.Load()
-				if int64(i) >= cur || lowest.CompareAndSwap(cur, int64(i)) {
-					break
-				}
-			}
-		}
-		return nil
-	}); err != nil {
-		return instance.Solution{}, err
-	}
-	var lastErr error
-	for i := range outcomes {
-		o := &outcomes[i]
-		if !o.done {
 			continue
 		}
-		if o.err != nil {
-			if errors.Is(o.err, errInfeasibleGuess) {
-				continue
+		if cost <= budget {
+			// Prefer the do-nothing fallback when the reconstructed
+			// assignment is no better.
+			sol := instance.NewSolution(in, assign)
+			if sol.Makespan >= hi {
+				return instance.NewSolution(in, in.Assign), nil
 			}
-			lastErr = o.err
-			continue
-		}
-		if o.cost <= budget {
-			return accept(o.assign)
+			return sol, nil
 		}
 	}
 	if lastErr != nil {
 		return instance.Solution{}, lastErr
 	}
+	// The hi guess keeping everything in place costs 0 ≤ budget, so
+	// this is unreachable; kept as a defensive fallback.
 	return instance.NewSolution(in, in.Assign), nil
 }
 
 var errInfeasibleGuess = errors.New("ptas: guess below a lower bound")
 
-// isCtxErr reports whether err is a context cancellation or deadline
-// error — the class that must abort the whole ladder instead of being
-// treated as per-guess data.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // dpCostPool recycles the per-DP-layer cost slices (one COST(C, C')
 // value per configuration, recomputed for every processor of every
-// guess). The guess ladder runs the DP O(log OPT / δ) times and the
-// parallel path runs several DPs at once, so pooling these — the
-// largest repeatedly-allocated slices in the scheme — keeps the
-// steady-state allocation rate flat in the number of guesses.
+// guess). The guess ladder runs the DP O(log OPT / δ) times per solve,
+// so pooling these — the largest repeatedly-allocated slices in the
+// scheme — keeps the steady-state allocation rate flat in the number of
+// guesses and across solves.
 var dpCostPool = sync.Pool{New: func() any { return new([]int64) }}
 
 // solveAt runs the discretized DP at guess g and returns the

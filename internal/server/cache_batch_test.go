@@ -15,33 +15,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Gate solver for the coalescing test: counts engine invocations and
-// parks until released, so concurrent duplicates pile onto one flight.
-var (
-	gateOnce    sync.Once
-	gateCount   atomic.Int64
-	gateStarted = make(chan struct{}, 64)
-	gateRelease = make(chan struct{})
-)
-
-func registerGateSolver() {
-	gateOnce.Do(func() {
-		engine.Register(engine.Spec{
-			Name: "srvcache-gate", Summary: "counts invocations, parks until released", Guarantee: "-",
-			Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
-				gateCount.Add(1)
-				gateStarted <- struct{}{}
-				select {
-				case <-gateRelease:
-					return instance.NewSolution(in, in.Assign), nil
-				case <-ctx.Done():
-					return instance.Solution{}, ctx.Err()
-				}
-			},
-		})
-	})
-}
-
 // stripVolatile zeroes the per-call fields (timings, cache outcome) so
 // two responses for the same logical result compare byte-identical.
 func stripVolatile(t *testing.T, body []byte) []byte {
@@ -129,12 +102,28 @@ func TestCacheDisabled(t *testing.T) {
 // TestConcurrentDuplicatesCoalesce pins the acceptance criterion:
 // N concurrent identical solves cost exactly one engine invocation.
 func TestConcurrentDuplicatesCoalesce(t *testing.T) {
-	registerGateSolver()
-	sink := obs.New()
 	const dup = 8
+	// The gate solver counts engine invocations and parks until
+	// released, so concurrent duplicates pile onto one flight.
+	var calls atomic.Int64
+	started := make(chan struct{}, dup)
+	release := make(chan struct{})
+	engine.RegisterTest(t, engine.Spec{
+		Name: "srvcache-gate", Summary: "counts invocations, parks until released", Guarantee: "-",
+		Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			calls.Add(1)
+			started <- struct{}{}
+			select {
+			case <-release:
+				return instance.NewSolution(in, in.Assign), nil
+			case <-ctx.Done():
+				return instance.Solution{}, ctx.Err()
+			}
+		},
+	})
+	sink := obs.New()
 	_, ts := newTestServer(t, Config{Workers: dup, QueueDepth: 2 * dup, Obs: sink})
 	req := solveRequest("srvcache-gate", testInstance())
-	before := gateCount.Load()
 
 	type result struct {
 		status int
@@ -150,7 +139,7 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 			results[i] = result{resp.StatusCode, body}
 		}(i)
 	}
-	<-gateStarted // the single flight is running
+	<-started // the single flight is running
 	deadline := time.After(5 * time.Second)
 	for sink.Reg.Counter("cache.coalesced").Value() < dup-1 {
 		select {
@@ -159,10 +148,10 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	close(gateRelease)
+	close(release)
 	wg.Wait()
 
-	if got := gateCount.Load() - before; got != 1 {
+	if got := calls.Load(); got != 1 {
 		t.Fatalf("%d engine invocations for %d concurrent duplicates, want 1", got, dup)
 	}
 	outcomes := map[string]int{}

@@ -476,7 +476,6 @@ func TestServerTracingDisabledAllocs(t *testing.T) {
 // queue → worker → cache → engine) with instrumentation off and fully
 // on; compare allocs/op to see the tracing overhead.
 func BenchmarkSolveServing(b *testing.B) {
-	registerTestSolvers()
 	req := solveRequest("greedy", testInstance())
 	req.K = 2
 	run := func(b *testing.B, cfg Config) {
@@ -505,8 +504,7 @@ func BenchmarkSolveServing(b *testing.B) {
 // side (Server.Shutdown is idempotent enough via Close).
 func newLocalServer(t *testing.T, s *Server) string {
 	t.Helper()
-	registerTestSolvers()
-	drainStarted()
+	registerTestSolvers(t)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

@@ -87,10 +87,10 @@ type Config struct {
 	// running concurrently, each on its handler's goroutine. ≤ 0 means
 	// runtime.GOMAXPROCS(0) (the internal/par resolution rule).
 	Workers int
-	// SolverWorkers is the internal parallelism handed to each solve
-	// (engine Params.Workers). ≤ 0 means 1: with the slots providing
-	// across-request parallelism, single-threaded solver internals keep
-	// the machine share per request deterministic.
+	// SolverWorkers is handed to each solve as engine Params.Workers
+	// and to frontier sweeps as FrontierOptions.Workers. ≤ 0 means 1.
+	// No solution-kind solver reads it: only the frontier sweep is
+	// concurrent, and the slots already parallelize across requests.
 	SolverWorkers int
 	// QueueDepth bounds the solves waiting for a slot; a request
 	// arriving with that many waiting is rejected with 429. ≤ 0 means

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,54 +18,46 @@ import (
 	"repro/internal/obs"
 )
 
-// Test-only solvers registered once per test binary: "test-block" parks
-// until its context fires (deadline/drain tests) and "test-sleep" works
-// for a bounded time while honoring cancellation (graceful-drain test).
-// Both signal on testStarted when a worker picks them up.
-var (
-	registerOnce sync.Once
-	testStarted  = make(chan struct{}, 64)
-)
+// Test-only solvers, registered for one test by newTestServer and
+// newLocalServer: "test-block" parks until its context fires
+// (deadline/drain tests), "test-sleep" works for a bounded time while
+// honoring cancellation (graceful-drain test) and "test-panic" panics.
+// The first two signal on testStarted, made afresh for each test, when
+// a solve starts.
+var testStarted chan struct{}
 
-func registerTestSolvers() {
-	registerOnce.Do(func() {
-		engine.Register(engine.Spec{
-			Name: "test-block", Summary: "blocks until cancelled", Guarantee: "-",
-			Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
-				testStarted <- struct{}{}
-				<-ctx.Done()
-				return instance.Solution{}, ctx.Err()
-			},
-		})
-		engine.Register(engine.Spec{
-			Name: "test-sleep", Summary: "solves after a short sleep", Guarantee: "-",
-			Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
-				testStarted <- struct{}{}
-				select {
-				case <-time.After(100 * time.Millisecond):
-					return instance.NewSolution(in, in.Assign), nil
-				case <-ctx.Done():
-					return instance.Solution{}, ctx.Err()
-				}
-			},
-		})
-		engine.Register(engine.Spec{
-			Name: "test-panic", Summary: "panics", Guarantee: "-",
-			Run: func(context.Context, *instance.Instance, engine.Params) (instance.Solution, error) {
-				panic("kaboom")
-			},
-		})
-	})
-}
-
-func drainStarted() {
-	for {
-		select {
-		case <-testStarted:
-		default:
-			return
-		}
+func registerTestSolvers(t *testing.T) {
+	if _, ok := engine.Lookup("test-block"); ok {
+		return // already registered for this test or its parent
 	}
+	started := make(chan struct{}, 64)
+	testStarted = started
+	engine.RegisterTest(t, engine.Spec{
+		Name: "test-block", Summary: "blocks until cancelled", Guarantee: "-",
+		Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			return instance.Solution{}, ctx.Err()
+		},
+	})
+	engine.RegisterTest(t, engine.Spec{
+		Name: "test-sleep", Summary: "solves after a short sleep", Guarantee: "-",
+		Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			started <- struct{}{}
+			select {
+			case <-time.After(100 * time.Millisecond):
+				return instance.NewSolution(in, in.Assign), nil
+			case <-ctx.Done():
+				return instance.Solution{}, ctx.Err()
+			}
+		},
+	})
+	engine.RegisterTest(t, engine.Spec{
+		Name: "test-panic", Summary: "panics", Guarantee: "-",
+		Run: func(context.Context, *instance.Instance, engine.Params) (instance.Solution, error) {
+			panic("kaboom")
+		},
+	})
 }
 
 func testInstance() *instance.Instance {
@@ -77,8 +68,7 @@ func testInstance() *instance.Instance {
 // them with a cleanup that closes both.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	registerTestSolvers()
-	drainStarted()
+	registerTestSolvers(t)
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -247,7 +237,6 @@ func TestSolvePanicIsolated(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panic solver: status %d, want 500 (body %s)", resp.StatusCode, body)
 	}
-	drainStarted()
 	ok := solveRequest("greedy", in)
 	ok.K = 2
 	resp, _ = postSolve(t, ts.URL, ok)
