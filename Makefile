@@ -151,6 +151,7 @@ fuzz-short:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzMPartitionInvariants -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPartitionBudgetInvariants -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzMoveReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzServerSolve -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzDecodeSolve -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -run '^$$' -fuzz FuzzSessionDeltas -fuzztime $(FUZZTIME)

@@ -72,6 +72,7 @@ func main() {
 	timeout := flag.Duration("timeout", server.DefaultTimeout, "default per-request deadline (queue wait + solve)")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout, "clamp on request-supplied timeout_ms")
 	cacheEntries := flag.Int("cache", server.DefaultCacheEntries, "solution cache LRU entries (0: default, negative: disable caching)")
+	cacheBytes := flag.Int64("cache-bytes", server.DefaultCacheBytes, "solution cache LRU memory bound in bytes; evicts on this or -cache, whichever binds first (<=0: default)")
 	maxBatch := flag.Int("max-batch", server.DefaultMaxBatch, "max requests per /v1/batch call")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "max live rebalancing sessions; beyond it creates get 429")
 	sessionTTL := flag.Duration("session-ttl", server.DefaultSessionTTL, "idle lifetime of a rebalancing session before eviction")
@@ -148,6 +149,7 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		CacheEntries:   *cacheEntries,
+		CacheBytes:     *cacheBytes,
 		MaxBatch:       *maxBatch,
 		MaxSessions:    *maxSessions,
 		SessionTTL:     *sessionTTL,

@@ -1,12 +1,14 @@
 package cache
 
 // Allocation and equivalence guards for the pooled canonicalization
-// scratch: CanonScratch must produce byte-identical keys and identical
-// permutations to the allocating Canonicalize, and with warmed buffers
-// it must not touch the heap.
+// scratch and the move-list replay: CanonScratch must produce
+// byte-identical keys and identical orders to the allocating
+// Canonicalize, and with warmed buffers neither it nor applyMoves may
+// touch the heap.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -40,13 +42,8 @@ func TestCanonScratchMatchesCanonicalize(t *testing.T) {
 		if got.Key != want.Key {
 			t.Fatalf("trial %d: scratch key differs from Canonicalize", trial)
 		}
-		if (got.perm == nil) != (want.perm == nil) || len(got.perm) != len(want.perm) {
-			t.Fatalf("trial %d: perm shape differs: %v vs %v", trial, got.perm, want.perm)
-		}
-		for i := range want.perm {
-			if got.perm[i] != want.perm[i] {
-				t.Fatalf("trial %d: perm differs: %v vs %v", trial, got.perm, want.perm)
-			}
+		if (got.order == nil) != (want.order == nil) || !slices.Equal(got.order, want.order) {
+			t.Fatalf("trial %d: order differs: %v vs %v", trial, got.order, want.order)
 		}
 	}
 }
@@ -67,7 +64,11 @@ func TestCanonScratchZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestFromCanonicalIntoMatchesFromCanonical(t *testing.T) {
+// TestApplyMovesMatchesReindex checks the move-list replay against the
+// full-assignment re-index it replaces, into destination buffers of
+// every capacity: encoding a solution on one request and applying it
+// on a permuted twin places every twin job where the reference does.
+func TestApplyMovesMatchesReindex(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	spec, _ := engine.Lookup("greedy")
 	for trial := 0; trial < 50; trial++ {
@@ -79,37 +80,32 @@ func TestFromCanonicalIntoMatchesFromCanonical(t *testing.T) {
 			sizes[j] = 1 + rng.Int63n(20)
 			assign[j] = rng.Intn(m)
 		}
-		var ext instance.Extended
-		ext.Instance = *instance.MustNew(m, sizes, nil, assign)
-		can := Canonicalize("greedy", spec.Caps, &ext, engine.Params{K: 1})
-		sol := instance.Solution{Assign: make([]int, n), Makespan: 7, Moves: 1, MoveCost: 2}
-		for j := range sol.Assign {
-			sol.Assign[j] = rng.Intn(m)
+		in := instance.MustNew(m, sizes, nil, assign)
+		twin, _ := shuffled(in, rng)
+		can := Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: 1})
+		canTwin := Canonicalize("greedy", spec.Caps, extOf(twin), engine.Params{K: 1})
+		sol := instance.NewSolution(in, randomAssign(in, rng))
+		moves, ok := can.encodeMoves(in, sol)
+		if !ok || len(moves) != 2*sol.Moves {
+			t.Fatalf("trial %d: encodeMoves gave %d ints (ok %v) for %d moves", trial, len(moves), ok, sol.Moves)
 		}
-		want := can.FromCanonical(sol)
+		want := reindex(can, canTwin, sol.Assign)
 		dst := make([]int, rng.Intn(2*n)) // any capacity must work
-		got := can.FromCanonicalInto(dst, sol)
-		if got.Makespan != want.Makespan || got.Moves != want.Moves || got.MoveCost != want.MoveCost {
-			t.Fatalf("trial %d: metrics differ", trial)
-		}
-		for j := range want.Assign {
-			if got.Assign[j] != want.Assign[j] {
-				t.Fatalf("trial %d: assign[%d] = %d, want %d", trial, j, got.Assign[j], want.Assign[j])
-			}
+		if got := canTwin.applyMoves(dst, twin, moves); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: replay %v, reference %v", trial, got, want)
 		}
 	}
 }
 
-func TestFromCanonicalIntoZeroAllocs(t *testing.T) {
+func TestApplyMovesZeroAllocs(t *testing.T) {
 	spec, _ := engine.Lookup("greedy")
-	var ext instance.Extended
-	ext.Instance = *instance.MustNew(2, []int64{5, 4, 3}, nil, []int{1, 0, 0})
-	can := Canonicalize("greedy", spec.Caps, &ext, engine.Params{K: 1})
-	sol := instance.Solution{Assign: []int{0, 1, 0}, Makespan: 5}
+	in := instance.MustNew(2, []int64{5, 4, 3}, nil, []int{1, 0, 0})
+	can := Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: 1})
+	moves, _ := can.encodeMoves(in, instance.NewSolution(in, []int{0, 1, 0}))
 	dst := make([]int, 3)
 	if n := testing.AllocsPerRun(100, func() {
-		can.FromCanonicalInto(dst, sol)
+		can.applyMoves(dst, in, moves)
 	}); n != 0 {
-		t.Fatalf("FromCanonicalInto allocates %.1f/op, want 0", n)
+		t.Fatalf("applyMoves allocates %.1f/op, want 0", n)
 	}
 }

@@ -13,9 +13,13 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultMaxEntries is the LRU size bound applied when Config.MaxEntries
-// is unset.
-const DefaultMaxEntries = 4096
+// Defaults applied by New to unset Config bounds.
+const (
+	// DefaultMaxEntries bounds the LRU's entry count.
+	DefaultMaxEntries = 4096
+	// DefaultMaxBytes bounds the LRU's charged bytes (see Config.MaxBytes).
+	DefaultMaxBytes = 64 << 20
+)
 
 // Outcome classifies how the cache served one Solve call.
 type Outcome int
@@ -73,19 +77,25 @@ type Stats struct {
 // return ok=false on any error, timeout, or peer miss, in which case
 // the flight falls through to the local engine. The returned solution
 // must be on the request's own job order — a /v1/peek response already
-// is — and is re-indexed and cached locally like an engine result.
+// is — and is stored as a move list locally like an engine result.
 type FillFunc func(ctx context.Context, peer, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, bool)
 
 // Config tunes a Cache.
 type Config struct {
-	// MaxEntries bounds the LRU; ≤ 0 means DefaultMaxEntries.
+	// MaxEntries bounds the LRU's entry count; ≤ 0 means
+	// DefaultMaxEntries.
 	MaxEntries int
+	// MaxBytes bounds the LRU's memory; ≤ 0 means DefaultMaxBytes. Each
+	// entry is charged a fixed overhead plus 4 B per int32 of its move
+	// list. The LRU evicts on whichever bound is reached first, and a
+	// result charged more than MaxBytes alone is served but not stored.
+	MaxBytes int64
 	// BaseCtx is the context in-flight solves run under — typically the
 	// server's root context, so a drain cancels flights. Nil means
 	// context.Background(). Per-call deadlines are layered on top.
 	BaseCtx context.Context
 	// Obs receives the cache.* counters (hits, misses, coalesced,
-	// evictions, size); nil disables instrumentation.
+	// evictions, size, bytes); nil disables instrumentation.
 	Obs *obs.Sink
 	// Fill is the peer cache-fill hook consulted by flights whose
 	// request names a peer (Solve's peer argument): before running the
@@ -101,8 +111,13 @@ type Config struct {
 // waiters); when it reaches zero the flight's context is cancelled so
 // an abandoned solve stops promptly.
 type flight struct {
-	done     chan struct{}     // closed when sol/err are final
-	sol      instance.Solution // canonical job order
+	done chan struct{}     // closed when sol/res/err are final
+	sol  instance.Solution // the solver's own solution, for the initiator
+	// res is the outcome as an LRU entry, for coalesced waiters to
+	// replay on their own job order; nil when the outcome is not
+	// cacheable or does not fit the move-list form (see
+	// Canonical.encodeMoves).
+	res      *entry
 	err      error
 	engineNS int64  // measured spec.Solve time; final once done closes
 	peerFill string // peer fill outcome ("hit"/"miss"/""); final once done closes
@@ -232,6 +247,9 @@ func New(cfg Config) *Cache {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = DefaultMaxEntries
 	}
+	if cfg.MaxBytes <= 0 {
+		cfg.MaxBytes = DefaultMaxBytes
+	}
 	if cfg.BaseCtx == nil {
 		cfg.BaseCtx = context.Background()
 	}
@@ -239,7 +257,7 @@ func New(cfg Config) *Cache {
 		base:    cfg.BaseCtx,
 		sink:    cfg.Obs,
 		fill:    cfg.Fill,
-		entries: newLRU(cfg.MaxEntries),
+		entries: newLRU(cfg.MaxEntries, cfg.MaxBytes),
 		flights: make(map[Key]*flight),
 	}
 	if c.sink != nil {
@@ -269,15 +287,15 @@ func (c *Cache) Len() int {
 }
 
 // TryGet is the zero-allocation pure-hit probe for callers that have
-// already canonicalized the request (the server's fast path). On a hit
-// it bumps the hit counters and re-indexes the stored assignment into
-// dst (reused when its capacity suffices, grown otherwise); the returned
-// solution's Assign is that buffer, so the caller may keep it for the
-// next request. A cached infeasibility is a hit with its error. On a
-// miss nothing is counted — the caller is expected to fall back to
-// Solve, which performs its own hit/miss accounting after re-checking
-// the LRU.
-func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Solution, bool, error) {
+// already canonicalized the request in, on can (the server's fast
+// path). On a hit it bumps the hit counters and replays the stored
+// move list onto in's initial assignment in dst (reused when its
+// capacity suffices, grown otherwise); the returned solution's Assign
+// is that buffer, so the caller may keep it for the next request. A
+// cached infeasibility is a hit with its error. On a miss nothing is
+// counted — the caller is expected to fall back to Solve, which
+// performs its own hit/miss accounting after re-checking the LRU.
+func (c *Cache) TryGet(can Canonical, in *instance.Instance, solver string, dst []int) (instance.Solution, bool, error) {
 	c.mu.Lock()
 	e, ok := c.entries.get(can.Key)
 	c.mu.Unlock()
@@ -288,16 +306,17 @@ func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Soluti
 	if e.err != nil {
 		return instance.Solution{}, true, e.err
 	}
-	return can.FromCanonicalInto(dst, e.sol), true, nil
+	return e.solution(dst, can, in), true, nil
 }
 
 // Solve runs the named solver through the cache: a canonical-form hit
-// returns the stored result re-indexed onto this request's job order
-// with no engine call; a request identical to one already in flight
-// waits for that flight and shares its outcome; otherwise this call
-// becomes the flight, solves, and populates the cache. Stats reports
-// the outcome and the engine compute time behind the result, for
-// callers that split per-phase latency on the wire.
+// replays the stored move list onto this request's job order with no
+// engine call; a request identical to one already in flight waits for
+// that flight and shares its outcome the same way; otherwise this call
+// becomes the flight, solves, populates the cache, and returns the
+// solver's own solution. Stats reports the outcome and the engine
+// compute time behind the result, for callers that split per-phase
+// latency on the wire.
 //
 // Peer fill: when this call initiates a flight (a local miss) and both
 // peer and the configured Fill hook are present, the flight first asks
@@ -312,8 +331,8 @@ func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Soluti
 // already computed it — the shard's hit probe keys every strict body
 // before it misses — and Solve uses it instead of keying the request
 // again. It must be the Canonicalize of exactly these arguments and
-// own its permutation (see Canonical.Owned): a flight keeps it. Nil
-// means Solve computes the key itself.
+// own its order (see Canonical.Owned): a flight keeps it. Nil means
+// Solve computes the key itself.
 //
 // Cancellation semantics: a waiter whose ctx fires detaches and returns
 // ctx.Err() without killing the in-flight solve — remaining waiters
@@ -326,7 +345,9 @@ func (c *Cache) TryGet(can Canonical, solver string, dst []int) (instance.Soluti
 // an error delivered to every attached party instead of leaving the
 // flight open. Only successes and ErrInfeasible (a deterministic
 // property of the instance) are cached; contextual errors never poison
-// the cache.
+// the cache. A success that does not fit the move-list form is served
+// to the initiator but neither cached nor shared: its waiters retry,
+// each as a flight of its own if need be.
 func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended, p engine.Params, peer string, key *Canonical) (instance.Solution, Stats, error) {
 	spec, ok := engine.Lookup(solver)
 	if !ok || spec.Kind != engine.KindSolution {
@@ -351,7 +372,7 @@ func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended
 			if e.err != nil {
 				return instance.Solution{}, Stats{Outcome: Hit}, e.err
 			}
-			return can.FromCanonical(e.sol), Stats{Outcome: Hit}, nil
+			return e.solution(nil, can, &ext.Instance), Stats{Outcome: Hit}, nil
 		}
 		if f, ok := c.flights[can.Key]; ok && f.attach(ctx) {
 			c.mu.Unlock()
@@ -360,7 +381,10 @@ func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended
 			case <-f.done:
 				f.detach() // balance the attach; the flight is already final
 				if f.err == nil {
-					return can.FromCanonical(f.sol), Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
+					if f.res == nil {
+						continue // not storable (see encodeMoves): solve it afresh
+					}
+					return f.res.solution(nil, can, &ext.Instance), Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
 				}
 				// The flight died of a context error that was not ours
 				// (e.g. it lost all its other parties between our cache
@@ -408,7 +432,7 @@ func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended
 			if err != nil {
 				return instance.Solution{}, Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}, err
 			}
-			return can.FromCanonical(f.sol), Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
+			return f.sol, Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
 		case <-ctx.Done():
 			f.detach()
 			return instance.Solution{}, Stats{Outcome: Miss}, ctx.Err()
@@ -418,7 +442,7 @@ func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended
 
 // runFlight executes the flight's engine call and finalizes the flight
 // exactly once: remove it from the flights map, populate the LRU when
-// the outcome is cacheable, publish sol/err, and close done. The
+// the outcome is cacheable, publish sol/res/err, and close done. The
 // finalizer runs in a defer so a solver panic cannot skip it — an open
 // flight whose done channel never closes would wedge every future
 // request for the key. The panic is converted into the error each
@@ -440,24 +464,30 @@ func (c *Cache) runFlight(fctx context.Context, spec engine.Spec, solver string,
 		if err != nil && errors.Is(err, context.Canceled) && f.deadlineFired.Load() {
 			err = context.DeadlineExceeded
 		}
+		var res *entry
+		switch {
+		case err == nil:
+			if moves, ok := can.encodeMoves(&ext.Instance, sol); ok {
+				res = &entry{key: can.Key, solver: solver, moves: moves,
+					sol: instance.Solution{Makespan: sol.Makespan, Moves: sol.Moves, MoveCost: sol.MoveCost}}
+			}
+		case errors.Is(err, instance.ErrInfeasible):
+			res = &entry{key: can.Key, solver: solver, err: err}
+		}
 		c.mu.Lock()
 		// Guarded delete: a successor flight may already own the key if
 		// this one was abandoned (refs 0) and replaced before finalizing.
 		if c.flights[can.Key] == f {
 			delete(c.flights, can.Key)
 		}
-		if err == nil || errors.Is(err, instance.ErrInfeasible) {
-			e := &entry{key: can.Key, solver: solver, err: err}
-			if err == nil {
-				e.sol = can.ToCanonical(sol)
-			}
-			for _, ev := range c.entries.add(e) {
+		if res != nil {
+			for _, ev := range c.entries.add(res) {
 				c.count("cache.evictions", ev.solver)
 			}
 			c.gaugeSize()
 		}
 		c.mu.Unlock()
-		f.sol, f.err = can.ToCanonical(sol), err
+		f.sol, f.res, f.err = sol, res, err
 		close(f.done)
 		f.cancel() // release the flight context's resources
 	}()
@@ -516,10 +546,12 @@ func (c *Cache) count(name, solver string) {
 	c.sink.Count(name+"."+solver, 1)
 }
 
-// gaugeSize publishes the entry count; the caller holds c.mu.
+// gaugeSize publishes the entry count and the charged bytes; the caller
+// holds c.mu.
 func (c *Cache) gaugeSize() {
 	if c.sink == nil {
 		return
 	}
 	c.sink.Reg.Gauge("cache.size").Set(int64(c.entries.len()))
+	c.sink.Reg.Gauge("cache.bytes").Set(c.entries.bytes)
 }

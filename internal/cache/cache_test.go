@@ -571,6 +571,76 @@ func TestLRUTouchOnHit(t *testing.T) {
 	}
 }
 
+// TestLRUEvictsByBytes fills a byte-bounded cache with 10^5-job
+// solutions that move every job: each is charged the entry overhead
+// plus two int32 per job, so the byte bound binds long before the entry
+// bound, and cache.bytes tracks the sum of the charges. A solution
+// charged more than the whole bound is served but never stored.
+func TestLRUEvictsByBytes(t *testing.T) {
+	const n = 100_000
+	engine.RegisterTest(t, engine.Spec{
+		Name: "cachetest-moveall", Summary: "moves every job one processor on", Guarantee: "-",
+		Run: func(_ context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			assign := make([]int, in.N())
+			for j, p := range in.Assign {
+				assign[j] = (p + 1) % in.M
+			}
+			return instance.NewSolution(in, assign), nil
+		},
+	})
+	mk := func(first int64) *instance.Extended {
+		sizes := make([]int64, n)
+		for j := range sizes {
+			sizes[j] = 1 + int64(j%7)
+		}
+		sizes[0] = first
+		return extOf(instance.MustNew(2, sizes, nil, make([]int, n)))
+	}
+	const charge = entryOverhead + 4*2*n
+	sink := obs.New()
+	c := New(Config{MaxBytes: 3*charge + charge/2, Obs: sink})
+	p := engine.Params{Workers: 1}
+	for s := int64(100); s < 105; s++ {
+		sol, out, err := solveOutcome(c, context.Background(), "cachetest-moveall", mk(s), p)
+		if err != nil || out != Miss || sol.Moves != n {
+			t.Fatalf("size %d: outcome %v, %d moves, err %v", s, out, sol.Moves, err)
+		}
+	}
+	if c.Len() != 3 {
+		t.Fatalf("cache holds %d entries, the byte bound fits 3", c.Len())
+	}
+	if got := sink.Reg.Counter("cache.evictions").Value(); got != 2 {
+		t.Fatalf("eviction counter %d, want 2", got)
+	}
+	var sum int64
+	c.mu.Lock()
+	for el := c.entries.order.Front(); el != nil; el = el.Next() {
+		sum += el.Value.(*entry).charge()
+	}
+	c.mu.Unlock()
+	if got := sink.Reg.Gauge("cache.bytes").Value(); got != sum || sum != 3*charge {
+		t.Fatalf("cache.bytes %d, charges sum to %d, want %d", got, sum, 3*charge)
+	}
+	// The oldest two were evicted; the newest three still hit.
+	if _, out, _ := solveOutcome(c, context.Background(), "cachetest-moveall", mk(101), p); out != Miss {
+		t.Errorf("evicted entry 101: outcome %v, want Miss", out)
+	}
+	if _, out, _ := solveOutcome(c, context.Background(), "cachetest-moveall", mk(104), p); out != Hit {
+		t.Errorf("entry 104: outcome %v, want Hit", out)
+	}
+
+	small := New(Config{MaxBytes: charge - 1, Obs: obs.New()})
+	for i := 0; i < 2; i++ {
+		sol, out, err := solveOutcome(small, context.Background(), "cachetest-moveall", mk(100), p)
+		if err != nil || out != Miss || sol.Moves != n {
+			t.Fatalf("oversized solve %d: outcome %v, %d moves, err %v; want a served Miss", i, out, sol.Moves, err)
+		}
+	}
+	if small.Len() != 0 {
+		t.Fatalf("an entry larger than the whole byte bound was stored")
+	}
+}
+
 // TestInfeasibleCached: ErrInfeasible is a deterministic property of
 // the instance, so it is cached like a success.
 func TestInfeasibleCached(t *testing.T) {
@@ -635,7 +705,7 @@ func TestDeadlineErrorSurfaces(t *testing.T) {
 // caller has not: a handed key is used as is. Solving request a under
 // request b's key stores a's solution where b's lookups find it, which
 // a recomputed key would not. (b is already sorted, so its key carries
-// the identity permutation, which fits a's six jobs too.)
+// the identity order, which fits a's six jobs too.)
 func TestSolveUsesHandedKey(t *testing.T) {
 	c := New(Config{})
 	spec, _ := engine.Lookup("greedy")
@@ -646,10 +716,10 @@ func TestSolveUsesHandedKey(t *testing.T) {
 	if _, st, err := c.Solve(context.Background(), "greedy", a, p, "", &bKey); err != nil || st.Outcome != Miss {
 		t.Fatalf("first solve: outcome %v, err %v (want a miss)", st.Outcome, err)
 	}
-	if _, hit, _ := c.TryGet(Canonicalize("greedy", spec.Caps, a, p), "greedy", nil); hit {
+	if _, hit, _ := c.TryGet(Canonicalize("greedy", spec.Caps, a, p), &a.Instance, "greedy", nil); hit {
 		t.Fatal("the solve was stored under a key Solve computed, not the handed one")
 	}
-	if _, hit, _ := c.TryGet(bKey, "greedy", nil); !hit {
+	if _, hit, _ := c.TryGet(bKey, &b.Instance, "greedy", nil); !hit {
 		t.Fatal("the solve was not stored under the handed key")
 	}
 }

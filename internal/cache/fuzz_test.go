@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -58,7 +60,7 @@ func relabel(in *instance.Instance, perm []int) *instance.Instance {
 
 // FuzzCanonicalHash fuzzes the canonical-form hasher's two defining
 // properties: permutation invariance (relabeled jobs collide on the
-// same key, and the recorded permutation re-indexes solutions
+// same key, and the recorded order replays a solution's move list
 // correctly) and injectivity under mutation (changing any semantic
 // field of the request — a size, a cost, an assignment, m, or a
 // caps-relevant parameter — changes the key).
@@ -77,6 +79,16 @@ func FuzzCanonicalHash(f *testing.F) {
 		spec, _ := engine.Lookup("greedy")
 		p := engine.Params{K: int(kRaw % 16)}
 		base := Canonicalize("greedy", spec.Caps, extOf(in), p)
+		// The solution whose move list the twins replay: greedy with at
+		// least one move, so a mis-indexed move has something to break.
+		sol, err := engine.Solve(context.Background(), "greedy", in, engine.Params{K: 1 + p.K})
+		if err != nil {
+			t.Fatalf("greedy: %v", err)
+		}
+		moves, ok := base.encodeMoves(in, sol)
+		if !ok {
+			t.Fatalf("greedy's solution does not fit the move-list form")
+		}
 
 		// Permutation invariance: rotation and reversal of the job list.
 		rot := make([]int, n)
@@ -86,18 +98,18 @@ func FuzzCanonicalHash(f *testing.F) {
 			rot[i] = (i + shift) % n
 			rev[i] = n - 1 - i
 		}
+		want := placements(in, sol.Assign)
 		for _, perm := range [][]int{rot, rev} {
 			twin := relabel(in, perm)
 			got := Canonicalize("greedy", spec.Caps, extOf(twin), p)
 			if got.Key != base.Key {
 				t.Fatalf("relabeled instance hashed differently\noriginal: %+v\ntwin: %+v", in, twin)
 			}
-			// The permutation must re-index a solution onto the twin's
-			// labeling with identical loads.
-			sol := instance.NewSolution(in, in.Assign)
-			mapped := got.FromCanonical(base.ToCanonical(sol))
-			if ms := twin.Makespan(mapped.Assign); ms != sol.Makespan {
-				t.Fatalf("re-indexed solution scores %d, original %d", ms, sol.Makespan)
+			// The replayed moves must put the same jobs — by (size,
+			// cost, initial processor) — on the same processors.
+			mapped := got.applyMoves(nil, twin, moves)
+			if pl := placements(twin, mapped); !slices.Equal(pl, want) {
+				t.Fatalf("replayed placements %v, original %v", pl, want)
 			}
 		}
 
@@ -141,4 +153,17 @@ func FuzzCanonicalHash(f *testing.F) {
 			}
 		}
 	})
+}
+
+// placements returns every job of in as a (size, cost, initial
+// processor, assigned processor) tuple, sorted: the labeling-free view
+// of an assignment under which a permuted twin's replay must equal the
+// original.
+func placements(in *instance.Instance, assign []int) [][4]int64 {
+	out := make([][4]int64, in.N())
+	for j, job := range in.Jobs {
+		out[j] = [4]int64{job.Size, job.Cost, int64(in.Assign[j]), int64(assign[j])}
+	}
+	slices.SortFunc(out, func(a, b [4]int64) int { return slices.Compare(a[:], b[:]) })
+	return out
 }

@@ -9,11 +9,12 @@
 // same multiset of (size, cost, initial processor) triples on the same
 // processor count. The hasher sorts jobs into a canonical order before
 // encoding, so permuted-but-identical requests collide on the same key,
-// and it records the permutation so a cached solution (stored in
-// canonical job order) can be re-indexed onto any requester's ordering.
+// and it records that order so a cached solution — stored as a list of
+// moves in canonical coordinates — can be replayed onto any
+// requester's ordering.
 // Instances carrying §5 extension fields (allowed sets, conflicts) are
-// hashed as-given under the identity permutation: the extension data is
-// per-job, so equal-triple jobs are no longer interchangeable.
+// hashed in their own job order: the extension data is per-job, so
+// equal-triple jobs are no longer interchangeable.
 //
 // Only parameters the solver's capability metadata advertises enter the
 // key (caps-relevant flags): a greedy key ignores Budget and Eps, a
@@ -47,14 +48,13 @@ func (k Key) Point() uint64 {
 }
 
 // Canonical is the canonicalized identity of one solve request: the
-// cache key plus the job permutation that maps the request's ordering
-// onto canonical order.
+// cache key plus the canonical order of the request's jobs.
 type Canonical struct {
 	// Key is the cache key.
 	Key Key
-	// perm[j] is the canonical slot of request job j; nil means the
-	// identity (already canonical, or an extended instance).
-	perm []int
+	// order[slot] is the request job in canonical slot slot; nil means
+	// the identity (already canonical, or an extended instance).
+	order []int
 }
 
 // keyVersion stamps the encoding layout; bump it whenever the canonical
@@ -63,7 +63,7 @@ const keyVersion = "rebalance-cache-v1\x00"
 
 // jobsCanonicallySorted reports whether the request's own job order is
 // already canonical — (size, cost, initial processor) nondecreasing —
-// in which case no permutation is needed.
+// in which case it is its own canonical order.
 func jobsCanonicallySorted(in *instance.Instance) bool {
 	jobs, assign := in.Jobs, in.Assign
 	for j := 1; j < len(jobs); j++ {
@@ -170,50 +170,70 @@ func appendCanonical(dst []byte, solver string, caps engine.Caps, ext *instance.
 	return dst
 }
 
-// Owned returns c with a private copy of its permutation, safe to keep
-// after the scratch that computed it is reused.
+// Owned returns c with a private copy of its order, safe to keep after
+// the scratch that computed it is reused.
 func (c Canonical) Owned() Canonical {
-	c.perm = slices.Clone(c.perm)
+	c.order = slices.Clone(c.order)
 	return c
 }
 
-// ToCanonical re-indexes a solution computed on the request's job
-// ordering into canonical job order for storage. The scalar metrics
-// (makespan, moves, move cost) are invariant under the relabeling.
-func (c Canonical) ToCanonical(sol instance.Solution) instance.Solution {
-	out := sol
-	out.Assign = make([]int, len(sol.Assign))
-	if c.perm == nil {
-		copy(out.Assign, sol.Assign)
-		return out
+// job returns the request job in canonical slot slot.
+func (c Canonical) job(slot int) int {
+	if c.order == nil {
+		return slot
 	}
+	return c.order[slot]
+}
+
+// encodeMoves returns sol as a move list in canonical coordinates: one
+// (canonical slot, processor) pair per job sol places off its initial
+// processor in in, the request sol was computed for, in slot order. The
+// slice is sized exactly. ok is false when sol does not fit the form —
+// an assignment of the wrong length, or a slot or processor beyond
+// int32 (Validate does not bound m) — and the result must then not be
+// stored.
+func (c Canonical) encodeMoves(in *instance.Instance, sol instance.Solution) (moves []int32, ok bool) {
+	n := in.N()
+	if len(sol.Assign) != n || n > math.MaxInt32 {
+		return nil, false
+	}
+	moved := 0
 	for j, p := range sol.Assign {
-		out.Assign[c.perm[j]] = p
+		if p != in.Assign[j] {
+			moved++
+		}
 	}
-	return out
+	if moved == 0 {
+		return nil, true
+	}
+	moves = make([]int32, 0, 2*moved)
+	for slot := 0; slot < n; slot++ {
+		j := c.job(slot)
+		p := sol.Assign[j]
+		if p == in.Assign[j] {
+			continue
+		}
+		if uint(p) > math.MaxInt32 {
+			return nil, false
+		}
+		moves = append(moves, int32(slot), int32(p))
+	}
+	return moves, true
 }
 
-// FromCanonical re-indexes a canonical-order solution onto this
-// request's job ordering. For the request that populated the entry the
-// round trip reproduces the solver's output exactly.
-func (c Canonical) FromCanonical(sol instance.Solution) instance.Solution {
-	return c.FromCanonicalInto(make([]int, len(sol.Assign)), sol)
-}
-
-// FromCanonicalInto is FromCanonical writing the re-indexed assignment
-// into dst, reusing its capacity when it suffices. The returned
-// solution's Assign is the (possibly grown) buffer: callers that loop
-// should keep it for the next call; callers that publish the solution
-// must not reuse it afterwards.
-func (c Canonical) FromCanonicalInto(dst []int, sol instance.Solution) instance.Solution {
-	out := sol
-	out.Assign = instance.GrowSlice(dst, len(sol.Assign))
-	if c.perm == nil {
-		copy(out.Assign, sol.Assign)
-		return out
+// applyMoves writes into dst — reused when its capacity suffices, grown
+// otherwise — the assignment a move list describes for in, the request
+// c keys: in's initial assignment with each (canonical slot, processor)
+// pair applied to the job in that slot. The key fixes every slot's
+// (size, cost, initial processor), so this is the stored solution on
+// in's own job order. The returned slice is the (possibly grown)
+// buffer: callers that loop should keep it for the next call; callers
+// that publish it must not reuse it afterwards.
+func (c Canonical) applyMoves(dst []int, in *instance.Instance, moves []int32) []int {
+	dst = instance.GrowSlice(dst, in.N())
+	copy(dst, in.Assign)
+	for i := 0; i < len(moves); i += 2 {
+		dst[c.job(int(moves[i]))] = int(moves[i+1])
 	}
-	for j := range out.Assign {
-		out.Assign[j] = sol.Assign[c.perm[j]]
-	}
-	return out
+	return dst
 }

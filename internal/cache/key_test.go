@@ -158,13 +158,13 @@ func TestExtendedInstanceHashing(t *testing.T) {
 	}
 }
 
-// identity reports whether the canonical permutation is the identity.
-func (c Canonical) identity() bool { return c.perm == nil }
+// identity reports whether the canonical order is the request's own.
+func (c Canonical) identity() bool { return c.order == nil }
 
-// TestSolutionRoundTrip checks that ToCanonical/FromCanonical invert
-// each other for the request that produced the permutation, and that a
+// TestSolutionRoundTrip checks that encodeMoves/applyMoves invert each
+// other for the request that produced the order, and that a
 // differently-permuted request of the same instance recovers a solution
-// with identical metrics and per-job placement.
+// with identical metrics.
 func TestSolutionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	spec, _ := engine.Lookup("greedy")
@@ -181,23 +181,30 @@ func TestSolutionRoundTrip(t *testing.T) {
 		can := Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: n})
 
 		sol := instance.NewSolution(in, randomAssign(in, rng))
-		got := can.FromCanonical(can.ToCanonical(sol))
+		moves, ok := can.encodeMoves(in, sol)
+		if !ok {
+			t.Fatalf("trial %d: solution does not fit the move-list form", trial)
+		}
+		got := can.applyMoves(nil, in, moves)
 		for j := range sol.Assign {
-			if got.Assign[j] != sol.Assign[j] {
-				t.Fatalf("trial %d: round trip changed job %d: %v -> %v", trial, j, sol.Assign, got.Assign)
+			if got[j] != sol.Assign[j] {
+				t.Fatalf("trial %d: round trip changed job %d: %v -> %v", trial, j, sol.Assign, got)
 			}
 		}
 
-		// A permuted twin shares the key; its FromCanonical view of the
-		// stored solution must score identically under its own labeling.
+		// A permuted twin shares the key; its replay of the stored moves
+		// must score identically under its own labeling.
 		sh, perm := shuffled(in, rng)
 		can2 := Canonicalize("greedy", spec.Caps, extOf(sh), engine.Params{K: n})
 		if can2.Key != can.Key {
 			t.Fatalf("trial %d: permuted twin hashed differently", trial)
 		}
-		twin := can2.FromCanonical(can.ToCanonical(sol))
-		if ms := sh.Makespan(twin.Assign); ms != in.Makespan(sol.Assign) {
-			t.Fatalf("trial %d: twin makespan %d, want %d (perm %v)", trial, ms, in.Makespan(sol.Assign), perm)
+		twin := can2.applyMoves(nil, sh, moves)
+		if ms := sh.Makespan(twin); ms != sol.Makespan {
+			t.Fatalf("trial %d: twin makespan %d, want %d (perm %v)", trial, ms, sol.Makespan, perm)
+		}
+		if mv, mc := sh.MoveCount(twin), sh.MoveCost(twin); mv != sol.Moves || mc != sol.MoveCost {
+			t.Fatalf("trial %d: twin moves (%d, cost %d), want (%d, cost %d)", trial, mv, mc, sol.Moves, sol.MoveCost)
 		}
 	}
 }

@@ -6,24 +6,46 @@ import (
 	"repro/internal/instance"
 )
 
-// entry is one cached solver outcome, stored in canonical job order.
+// entryOverhead is the fixed number of bytes charged to every cache
+// entry against Config.MaxBytes, on top of 4 B per int32 of its move
+// list: an estimate of the entry struct, its list element and its map
+// slot.
+const entryOverhead = 256
+
+// entry is one cached solver outcome: the scalar metrics plus the move
+// list in canonical coordinates (see Canonical.encodeMoves).
 type entry struct {
 	key    Key
-	solver string // for per-solver eviction counters
-	sol    instance.Solution
-	err    error // nil, or a deterministic semantic error (ErrInfeasible)
+	solver string            // for per-solver eviction counters
+	sol    instance.Solution // Makespan, Moves and MoveCost; Assign is nil
+	moves  []int32           // (canonical slot, processor) pairs
+	err    error             // nil, or a deterministic semantic error (ErrInfeasible)
 }
 
-// lru is a size-bounded least-recently-used map of cache entries. It is
-// not safe for concurrent use; Cache serializes access under its mutex.
+// solution replays the entry onto in, the request can keys, writing
+// the assignment into dst as Canonical.applyMoves does.
+func (e *entry) solution(dst []int, can Canonical, in *instance.Instance) instance.Solution {
+	sol := e.sol
+	sol.Assign = can.applyMoves(dst, in, e.moves)
+	return sol
+}
+
+// charge is the entry's size against the byte bound.
+func (e *entry) charge() int64 { return entryOverhead + 4*int64(len(e.moves)) }
+
+// lru is a least-recently-used map of cache entries bounded both in
+// entry count and in charged bytes. It is not safe for concurrent use;
+// Cache serializes access under its mutex.
 type lru struct {
-	max   int
-	order *list.List // front = most recently used; values are *entry
-	byKey map[Key]*list.Element
+	max      int
+	maxBytes int64
+	bytes    int64      // sum of the held entries' charges
+	order    *list.List // front = most recently used; values are *entry
+	byKey    map[Key]*list.Element
 }
 
-func newLRU(max int) *lru {
-	return &lru{max: max, order: list.New(), byKey: make(map[Key]*list.Element)}
+func newLRU(max int, maxBytes int64) *lru {
+	return &lru{max: max, maxBytes: maxBytes, order: list.New(), byKey: make(map[Key]*list.Element)}
 }
 
 // get returns the entry under key and marks it most recently used.
@@ -37,20 +59,27 @@ func (l *lru) get(key Key) (*entry, bool) {
 }
 
 // add inserts (or refreshes) an entry and returns the entries evicted
-// to stay within the size bound.
+// to stay within both bounds, whichever binds first. An entry whose
+// charge alone exceeds the byte bound is not stored at all.
 func (l *lru) add(e *entry) []*entry {
-	if el, ok := l.byKey[e.key]; ok {
-		el.Value = e
-		l.order.MoveToFront(el)
+	if e.charge() > l.maxBytes {
 		return nil
 	}
-	l.byKey[e.key] = l.order.PushFront(e)
+	if el, ok := l.byKey[e.key]; ok {
+		l.bytes += e.charge() - el.Value.(*entry).charge()
+		el.Value = e
+		l.order.MoveToFront(el)
+	} else {
+		l.byKey[e.key] = l.order.PushFront(e)
+		l.bytes += e.charge()
+	}
 	var evicted []*entry
-	for l.order.Len() > l.max {
+	for l.order.Len() > l.max || l.bytes > l.maxBytes {
 		back := l.order.Back()
 		ev := back.Value.(*entry)
 		l.order.Remove(back)
 		delete(l.byKey, ev.key)
+		l.bytes -= ev.charge()
 		evicted = append(evicted, ev)
 	}
 	return evicted

@@ -10,12 +10,11 @@ import (
 
 // CanonScratch holds the reusable buffers behind a zero-allocation
 // Canonicalize: the canonical encoding, the radix sort's two job-order
-// buffers and its keys, and the inverse permutation. One scratch serves
-// one request at a time; the server's hit probe and the router's keying
-// pool them.
+// buffers and its keys. One scratch serves one request at a time; the
+// server's hit probe and the router's keying pool them.
 //
 // Retention rules: the Canonical returned by CanonScratch.Canonicalize
-// aliases the scratch's perm buffer, so it is only valid until the next
+// aliases the scratch's order buffer, so it is only valid until the next
 // Canonicalize on the same scratch — use it for an immediate TryGet, or
 // take an owned copy with Canonical.Owned. The package-level
 // Canonicalize returns an owned Canonical.
@@ -24,7 +23,6 @@ type CanonScratch struct {
 	order []int
 	tmp   []int    // the radix sort's other order buffer
 	keys  []uint64 // one attribute's order-preserving keys, by job index
-	perm  []int
 }
 
 // Canonicalize computes the canonical identity of a solve request (see
@@ -34,18 +32,10 @@ type CanonScratch struct {
 func (sc *CanonScratch) Canonicalize(solver string, caps engine.Caps, ext *instance.Extended, p engine.Params) Canonical {
 	order := sc.canonicalOrder(ext)
 	sc.enc = appendCanonical(sc.enc[:0], solver, caps, ext, p, order)
-	c := Canonical{Key: sha256.Sum256(sc.enc)}
-	if order != nil {
-		sc.perm = instance.GrowSlice(sc.perm, len(order))
-		for slot, j := range order {
-			sc.perm[j] = slot
-		}
-		c.perm = sc.perm
-	}
-	return c
+	return Canonical{Key: sha256.Sum256(sc.enc), order: order}
 }
 
-// canonPool backs the allocating Canonicalize: only the permutation it
+// canonPool backs the allocating Canonicalize: only the order it
 // returns is copied out, so a call allocates once.
 var canonPool = sync.Pool{New: func() any { return new(CanonScratch) }}
 

@@ -21,7 +21,7 @@ const (
 	DefaultRate         = 1000 // arrivals per second
 	DefaultSolver       = "mpartition"
 	DefaultN            = 200
-	DefaultHitNS        = 20_000  // cache-hit service cost (decode + LRU + re-index)
+	DefaultHitNS        = 20_000  // cache-hit service cost (decode + LRU + move replay)
 	DefaultPeerNS       = 300_000 // peer /v1/peek round trip + store-through
 	DefaultProbeDelayMS = 200     // router readyz probe lag
 	DefaultFillWindowMS = 2000    // rebalanced -peer-fill default window shape

@@ -53,6 +53,7 @@ const (
 	DefaultTimeout      = 30 * time.Second
 	DefaultMaxTimeout   = 5 * time.Minute
 	DefaultCacheEntries = cache.DefaultMaxEntries
+	DefaultCacheBytes   = cache.DefaultMaxBytes
 )
 
 // FillFunc is the peer cache-fill hook threaded through to the
@@ -85,6 +86,10 @@ type Config struct {
 	// CacheEntries bounds the solution cache's LRU. 0 means
 	// DefaultCacheEntries; negative disables caching entirely.
 	CacheEntries int
+	// CacheBytes bounds the solution cache's memory, as charged by
+	// cache.Config.MaxBytes; the LRU evicts on whichever of the two
+	// bounds binds first. ≤ 0 means DefaultCacheBytes.
+	CacheBytes int64
 	// Obs receives the serving metrics (request counts, latency
 	// histograms, queue depth, rejections) and is threaded into every
 	// solve; nil disables instrumentation. The metric names keep the
@@ -178,7 +183,8 @@ func New(cfg Config) *Core {
 	if cfg.CacheEntries >= 0 {
 		// Flights run under rootCtx so a drain timeout cancels them.
 		c.cache = cache.New(cache.Config{
-			MaxEntries: cfg.CacheEntries, BaseCtx: ctx, Obs: cfg.Obs, Fill: cfg.Fill,
+			MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes,
+			BaseCtx: ctx, Obs: cfg.Obs, Fill: cfg.Fill,
 		})
 	}
 	c.solvers = make(map[string]*Solver)

@@ -89,7 +89,7 @@ func (c *Core) TryCachedSolve(hs *HitScratch, ent *Solver, ext *instance.Extende
 		Workers: c.cfg.SolverWorkers, Obs: c.cfg.Obs,
 	}
 	can := hs.can.Canonicalize(ent.name, ent.spec.Caps, ext, p)
-	sol, ok, err = c.cache.TryGet(can, ent.name, hs.assign)
+	sol, ok, err = c.cache.TryGet(can, &ext.Instance, ent.name, hs.assign)
 	if !ok {
 		hs.missed = probedKey{can: can, ns: time.Since(start).Nanoseconds(), keyed: true}
 		return sol, false, nil

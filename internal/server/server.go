@@ -70,6 +70,7 @@ const (
 	DefaultTimeout      = dispatch.DefaultTimeout
 	DefaultMaxTimeout   = dispatch.DefaultMaxTimeout
 	DefaultCacheEntries = dispatch.DefaultCacheEntries
+	DefaultCacheBytes   = dispatch.DefaultCacheBytes
 	DefaultMaxBodySize  = 64 << 20
 	DefaultMaxBatch     = 256
 	DefaultMaxSessions  = dispatch.DefaultMaxSessions
@@ -108,6 +109,10 @@ type Config struct {
 	// CacheEntries bounds the solution cache's LRU. 0 means
 	// DefaultCacheEntries; negative disables caching entirely.
 	CacheEntries int
+	// CacheBytes bounds the solution cache's memory, as charged by
+	// cache.Config.MaxBytes; the LRU evicts on whichever of the two
+	// bounds binds first. ≤ 0 means DefaultCacheBytes.
+	CacheBytes int64
 	// MaxBatch bounds the number of requests in one /v1/batch call.
 	// ≤ 0 means DefaultMaxBatch.
 	MaxBatch int
@@ -186,6 +191,7 @@ func New(cfg Config) *Server {
 		DefaultTimeout: cfg.DefaultTimeout,
 		MaxTimeout:     cfg.MaxTimeout,
 		CacheEntries:   cfg.CacheEntries,
+		CacheBytes:     cfg.CacheBytes,
 		Obs:            cfg.Obs,
 		Fill:           cfg.PeerFill,
 		MaxSessions:    cfg.MaxSessions,
