@@ -7,8 +7,7 @@
 // false — every request without a tracer, and all but SampleRate of
 // them with one — then gets the allocation-free hit probe: validation,
 // pooled canonicalization, LRU probe, response encode, on reused
-// buffers, unless its request ID or the shard ID would need JSON
-// escaping. A sampled request skips the probe, so that its trace shows
+// buffers. A sampled request skips the probe, so that its trace shows
 // the full span tree of the admitted path. Every other disposition (a
 // miss, a fallback-decoded body, an unknown solver, invalid parameters,
 // a sampled trace) takes the admitted path on a heap copy of the
@@ -19,13 +18,21 @@
 // once, hit or miss, and the admitted root span carries the decision
 // already drawn.
 //
+// Every solve and peek success body, fast or admitted, is built by
+// buildResponse and encoded by the scratch's one json.Encoder into the
+// scratch's reused buffer, so the two paths answer byte-identically and
+// each body goes out with an exact Content-Length.
+//
 // The cache-facing halves (solver table lookup, canonical probe, hit
 // accounting) live on the dispatch core; this file owns only the byte-
 // level decode and encode.
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
+	"net/http"
 	"slices"
 	"strconv"
 	"sync"
@@ -43,7 +50,9 @@ type solveScratch struct {
 	req   SolveRequest
 	hit   dispatch.HitScratch
 	loads []int64
-	out   []byte
+	resp  SolveResponse
+	out   bytes.Buffer
+	enc   *json.Encoder // writes to out
 }
 
 var solveScratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
@@ -87,149 +96,111 @@ func readBody(dst []byte, r io.Reader) ([]byte, error) {
 type fastOutcome int
 
 const (
-	// fastFallback: the request is outside the fast path; the caller
-	// detaches the decoded request and admits it.
+	// fastFallback: the probe cannot answer the request (an unknown or
+	// sweep solver, an invalid instance, or a parameter the solver does
+	// not take); the caller detaches the decoded request and admits it,
+	// and the admitted path answers it.
 	fastFallback fastOutcome = iota
 	// fastMiss: the probe keyed the request and missed; the caller
 	// admits it as for fastFallback, handing on the probe's key
 	// (HitScratch.KeyInto).
 	fastMiss
-	// fastHit: sc.out holds the complete 200 response body.
+	// fastHit: the returned result is the cached solution; the caller
+	// encodes it like any other 200.
 	fastHit
 	// fastCachedError: the cache holds a deterministic error for this
-	// request (an infeasibility); respond with it.
+	// request (an infeasibility), in the returned result's Err; respond
+	// with it.
 	fastCachedError
 )
 
 // fastSolve attempts the allocation-free hit probe on sc.req, which
 // the strict decoder has filled; the caller has already ruled out a
-// sampled trace. On fastHit the response body is in sc.out; on
-// fastCachedError the returned error is the cached one. It performs the
-// same counter accounting an admitted hit would (request/latency/phase
-// metrics, cache.hits), so a served hit is indistinguishable from the
-// slow path in /metrics.
-func (s *Server) fastSolve(sc *solveScratch, rid string) (fastOutcome, error) {
-	if !s.shardSafe || !plainJSONSafe(rid) {
-		return fastFallback, nil
-	}
+// sampled trace. On fastHit the result's solution aliases sc.hit, so
+// the caller encodes it before the scratch goes back to the pool. It
+// performs the same counter accounting an admitted hit would
+// (request/latency/phase metrics, cache.hits), so a served hit is
+// indistinguishable from the slow path in /metrics.
+func (s *Server) fastSolve(sc *solveScratch) (fastOutcome, dispatch.Result) {
 	start := time.Now()
 	req := &sc.req
 	ent := s.core.LookupSolver(req.Solver)
 	if ent == nil || !ent.Solution() {
-		return fastFallback, nil
+		return fastFallback, dispatch.Result{}
 	}
-	in := &req.Instance.Instance
-	if in.Validate() != nil {
-		return fastFallback, nil
+	if req.Instance.Instance.Validate() != nil {
+		return fastFallback, dispatch.Result{}
 	}
 	// Tuning flags the solver does not consume reject with 400 on the
 	// slow path; nonzero counts as set, mirroring Validate.
 	if !ent.AcceptsParams(req.K, req.Budget, req.Eps) {
-		return fastFallback, nil
+		return fastFallback, dispatch.Result{}
 	}
 	sol, hit, err := s.core.TryCachedSolve(&sc.hit, ent, &req.Instance, req.K, req.Budget, req.Eps)
 	if !hit {
-		return fastMiss, nil
+		return fastMiss, dispatch.Result{}
 	}
 	totalNS := time.Since(start).Nanoseconds()
 	s.core.ObserveHit(ent, totalNS, err)
 	if err != nil {
-		return fastCachedError, err
+		return fastCachedError, dispatch.Result{Err: err}
 	}
-	initial, lower := sc.initialStats(in)
-	sc.out = appendSolveResponse(sc.out[:0], ent.Name(), rid, s.cfg.ShardID, sol, initial, lower, totalNS)
-	return fastHit, nil
+	return fastHit, dispatch.Result{Sol: sol, Cache: "hit", CacheNS: totalNS}
+}
+
+// encode renders resp into sc.out on the scratch's encoder: the one
+// encoder of every /v1/solve and /v1/peek success body. resp is held
+// on the scratch while it encodes, so passing it to the encoder boxes
+// nothing, and dropped afterwards, so the pool retains no solution.
+func (sc *solveScratch) encode(resp SolveResponse) {
+	if sc.enc == nil {
+		sc.enc = json.NewEncoder(&sc.out)
+	}
+	sc.out.Reset()
+	sc.resp = resp
+	_ = sc.enc.Encode(&sc.resp)
+	sc.resp = SolveResponse{}
+}
+
+// chunkingThreshold is net/http's bufferBeforeChunkingSize: a handler
+// that writes no more than this and sets no Content-Length gets an
+// exact one from the server, computed without allocating; a longer body
+// goes out chunked unless the handler sets the header itself.
+const chunkingThreshold = 2048
+
+// writeOK answers 200 with the body encode left in sc.out. The body is
+// complete before the first byte goes out, so it always carries an
+// exact Content-Length: written here for a body net/http would chunk,
+// and left to net/http (which sets it for free) for a shorter one, such
+// as a typical cache hit.
+func (sc *solveScratch) writeOK(w http.ResponseWriter) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if sc.out.Len() > chunkingThreshold {
+		h.Set("Content-Length", strconv.Itoa(sc.out.Len()))
+	}
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.out.Bytes())
 }
 
 // initialStats computes the initial makespan and the packing lower
-// bound on scratch loads, avoiding Instance.Loads' allocation.
-func (sc *solveScratch) initialStats(in *instance.Instance) (initial, lower int64) {
-	sc.loads = instance.GrowSlice(sc.loads, in.M)
-	for i := range sc.loads {
-		sc.loads[i] = 0
-	}
+// bound, max(ceil(total/m), largest job), summing the per-processor
+// loads in *loads (grown as needed) rather than allocating them as
+// Instance.Loads would.
+func initialStats(in *instance.Instance, loads *[]int64) (initial, lower int64) {
+	ls := instance.GrowSlice(*loads, in.M)
+	*loads = ls
+	clear(ls)
 	var total, maxSize int64
 	for j := range in.Jobs {
 		sz := in.Jobs[j].Size
-		sc.loads[in.Assign[j]] += sz
+		ls[in.Assign[j]] += sz
 		total += sz
-		if sz > maxSize {
-			maxSize = sz
-		}
+		maxSize = max(maxSize, sz)
 	}
-	for _, l := range sc.loads {
-		if l > initial {
-			initial = l
-		}
+	for _, l := range ls {
+		initial = max(initial, l)
 	}
-	lower = (total + int64(in.M) - 1) / int64(in.M)
-	if maxSize > lower {
-		lower = maxSize
-	}
+	lower = max((total+int64(in.M)-1)/int64(in.M), maxSize)
 	return initial, lower
-}
-
-// plainJSONSafe reports whether s encodes into a JSON string verbatim
-// under encoding/json's escaper (printable ASCII, no quote, backslash,
-// or HTML-escaped characters). Anything else routes to the slow path
-// rather than replicating the escaper.
-func plainJSONSafe(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
-// appendSolveResponse encodes the hit response exactly as
-// writeJSON(w, 200, buildResponse(...)) would: same field order, same
-// omitempty behaviour, trailing newline from json.Encoder included.
-// Only plainJSONSafe strings reach it, so no escaping is needed. A hit
-// never has a peer_fill (the peer is consulted only on a miss), so that
-// field is always omitted here.
-func appendSolveResponse(dst []byte, solver, rid, shardID string, sol instance.Solution, initial, lower, cacheNS int64) []byte {
-	dst = append(dst, `{"solver":"`...)
-	dst = append(dst, solver...)
-	dst = append(dst, `","request_id":"`...)
-	dst = append(dst, rid...)
-	dst = append(dst, '"')
-	if len(sol.Assign) > 0 {
-		dst = append(dst, `,"assign":[`...)
-		for i, p := range sol.Assign {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(p), 10)
-		}
-		dst = append(dst, ']')
-	}
-	if sol.Makespan != 0 {
-		dst = append(dst, `,"makespan":`...)
-		dst = strconv.AppendInt(dst, sol.Makespan, 10)
-	}
-	if sol.Moves != 0 {
-		dst = append(dst, `,"moves":`...)
-		dst = strconv.AppendInt(dst, int64(sol.Moves), 10)
-	}
-	if sol.MoveCost != 0 {
-		dst = append(dst, `,"move_cost":`...)
-		dst = strconv.AppendInt(dst, sol.MoveCost, 10)
-	}
-	dst = append(dst, `,"initial_makespan":`...)
-	dst = strconv.AppendInt(dst, initial, 10)
-	dst = append(dst, `,"lower_bound":`...)
-	dst = strconv.AppendInt(dst, lower, 10)
-	dst = append(dst, `,"cache":"hit"`...)
-	if shardID != "" {
-		dst = append(dst, `,"shard_id":"`...)
-		dst = append(dst, shardID...)
-		dst = append(dst, '"')
-	}
-	dst = append(dst, `,"timing":{"queue_ns":0,"cache_ns":`...)
-	dst = strconv.AppendInt(dst, cacheNS, 10)
-	dst = append(dst, `,"solve_ns":0}}`...)
-	dst = append(dst, '\n')
-	return dst
 }

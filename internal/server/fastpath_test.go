@@ -8,18 +8,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"slices"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/dispatch"
 	"repro/internal/obs"
 	"repro/internal/server/servertest"
+	"repro/internal/workload"
 )
 
 func TestFastDecodeMatchesEncodingJSON(t *testing.T) {
@@ -75,23 +79,33 @@ func TestFastDecodeMatchesEncodingJSONRandom(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go: under the race detector sync.Pool
+// drops a random share of Puts, so allocation counts that pass through
+// one are not stable.
+var raceEnabled bool
+
 // TestFastSolveHitZeroAllocs is the serving-path allocation guard: a
 // warmed scratch answering a repeat request from the cache must not
 // allocate (net/http internals excluded — fastSolve is called directly),
-// without a tracer and under the daemon's default one, whose unsampled
-// requests take this path too.
+// without a tracer, under the daemon's default one, whose unsampled
+// requests take this path too, and with a shard ID to encode. The
+// decode, probe and books are counted in every build; the response
+// encode keeps its state in encoding/json's sync.Pool, so it is counted
+// in normal builds only.
 func TestFastSolveHitZeroAllocs(t *testing.T) {
-	for _, traced := range []bool{false, true} {
-		name := "untraced"
-		cfg := Config{Workers: 1}
-		if traced {
-			name = "daemon tracer"
-			cfg.Obs = obs.New()
-			cfg.Trace = obs.NewSpanTracer(obs.SpanConfig{
-				SampleRate: 0.01, SlowThreshold: 500 * time.Millisecond, Obs: cfg.Obs,
-			})
-		}
-		t.Run(name, func(t *testing.T) {
+	sink := obs.New()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"untraced", Config{Workers: 1}},
+		{"daemon tracer", Config{Workers: 1, Obs: sink, Trace: obs.NewSpanTracer(obs.SpanConfig{
+			SampleRate: 0.01, SlowThreshold: 500 * time.Millisecond, Obs: sink,
+		})}},
+		{"shard id", Config{Workers: 1, ShardID: "s7"}},
+	} {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
 			s := New(cfg)
 			defer s.Close()
 			h := s.Handler()
@@ -104,28 +118,46 @@ func TestFastSolveHitZeroAllocs(t *testing.T) {
 
 			sc := new(solveScratch)
 			sc.body = append(sc.body, hitBody...)
-			// One served hit is the handler's decode, the probe, and the
-			// books the handler closes on it.
-			serve := func() (fastOutcome, error) {
+			var res dispatch.Result
+			// probe is the handler's decode, the hit probe, and the books
+			// the handler closes on it; encode renders the hit's body.
+			probe := func() error {
 				if strict, err := s.decodeSolve(sc.body, &sc.req); !strict || err != nil {
-					return fastFallback, fmt.Errorf("strict decode rejected the body (err %v)", err)
+					return fmt.Errorf("strict decode rejected the body (err %v)", err)
 				}
 				start := time.Now()
-				out, err := s.fastSolve(sc, "alloc-guard")
+				out, fres := s.fastSolve(sc)
 				s.endFast("alloc-guard", sc.req.Solver, start, http.StatusOK)
-				return out, err
+				if out != fastHit {
+					return fmt.Errorf("fastSolve outcome %v (err %v), want hit", out, fres.Err)
+				}
+				res = fres
+				return nil
 			}
-			out, err := serve()
-			if err != nil || out != fastHit {
-				t.Fatalf("warm-up fastSolve: outcome %v, err %v (want hit)", out, err)
+			encode := func() {
+				sc.encode(s.buildResponse(sc.req.Solver, &sc.req.Instance.Instance, &sc.loads, res, "alloc-guard"))
 			}
+			if err := probe(); err != nil {
+				t.Fatalf("warm-up: %v", err)
+			}
+			encode()
 			if n := testing.AllocsPerRun(200, func() {
-				out, err := serve()
-				if err != nil || out != fastHit {
-					panic(fmt.Sprintf("outcome %v err %v", out, err))
+				if err := probe(); err != nil {
+					panic(err)
 				}
 			}); n != 0 {
-				t.Fatalf("decode + fastSolve hit path allocates %.1f/op, want 0", n)
+				t.Fatalf("decode + fastSolve hit probe allocates %.1f/op, want 0", n)
+			}
+			if raceEnabled {
+				return
+			}
+			if n := testing.AllocsPerRun(200, func() {
+				if err := probe(); err != nil {
+					panic(err)
+				}
+				encode()
+			}); n != 0 {
+				t.Fatalf("decode + fastSolve hit + response encode allocates %.1f/op, want 0", n)
 			}
 		})
 	}
@@ -323,105 +355,142 @@ func TestProbedMissServesLaterHits(t *testing.T) {
 	}
 }
 
-// TestFastPathResponseMatchesSlowPath pins the append-based encoder to
-// encoding/json: the second (fast-path) response must byte-equal the
-// first hit served before the fast path existed — both are compared to
-// a re-marshal of the decoded struct, neutralizing the timing field.
-func TestFastPathResponseMatchesSlowPath(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	h := s.Handler()
-	body := []byte(`{"solver":"greedy","instance":{"m":2,"jobs":[{"id":0,"size":7},{"id":1,"size":4},{"id":2,"size":3}],"assign":[0,0,0]},"k":1}`)
-	post := func(rid string) *httptest.ResponseRecorder {
-		r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
-		r.Header.Set("X-Request-ID", rid)
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
-		return w
-	}
-	post("parity") // miss: slow path computes and caches
-	// A request ID the append encoder cannot emit verbatim forces the
-	// original encoding/json hit path even though the cache is warm.
-	slowHit := post("parity<slow>")
-	if !bytes.Contains(slowHit.Body.Bytes(), []byte(`"cache":"hit"`)) {
-		t.Fatalf("second request was not a cache hit: %s", slowHit.Body.String())
-	}
-	fastHitResp := post("parity")
-	if !bytes.Contains(fastHitResp.Body.Bytes(), []byte(`"cache":"hit"`)) {
-		t.Fatalf("third request was not a cache hit: %s", fastHitResp.Body.String())
-	}
-	norm := func(raw []byte) SolveResponse {
-		var resp SolveResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatalf("bad response %s: %v", raw, err)
+// parityBody is the strict greedy body the parity tests post twice:
+// the first post misses, the second is a cache hit.
+var parityBody = []byte(`{"solver":"greedy","instance":{"m":2,"jobs":[{"id":0,"size":7},{"id":1,"size":4},{"id":2,"size":3}],"assign":[0,0,0]},"k":1}`)
+
+// timingField matches a response's timing object, the one part of a
+// hit's body that differs from run to run.
+var timingField = regexp.MustCompile(`"timing":\{"queue_ns":\d+,"cache_ns":\d+,"solve_ns":\d+\}`)
+
+// parityHits serves parityBody's cache hit under request ID rid twice:
+// once from a server built on cfg, where the allocation-free path
+// answers it, and once from the same server with a SampleRate 1
+// tracer, where every request is sampled and so admitted. It returns
+// both bodies with their timing zeroed.
+func parityHits(t *testing.T, cfg Config, rid string) (fast, admitted []byte) {
+	t.Helper()
+	tr := obs.NewSpanTracer(obs.SpanConfig{SampleRate: 1})
+	var bodies [2][]byte
+	for i, trace := range []*obs.SpanTracer{nil, tr} {
+		cfg.Trace = trace
+		s := New(cfg)
+		defer s.Close()
+		h := s.Handler()
+		var w *httptest.ResponseRecorder
+		for _, id := range []string{rid + "-miss", rid} {
+			r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(parityBody))
+			r.Header.Set("X-Request-ID", id)
+			w = httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", id, w.Code, w.Body.String())
+			}
 		}
-		resp.Timing = Timing{}
-		resp.RequestID = ""
-		return resp
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("hit Content-Type = %q", ct)
+		}
+		bodies[i] = w.Body.Bytes()
 	}
-	a, b := norm(slowHit.Body.Bytes()), norm(fastHitResp.Body.Bytes())
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fast hit diverges from slow hit\nslow: %+v\nfast: %+v", a, b)
+	if !bytes.Contains(bodies[0], []byte(`"cache":"hit"`)) || !bytes.Contains(bodies[0], []byte(`"queue_ns":0,`)) {
+		t.Fatalf("untraced hit was not served by the probe: %s", bodies[0])
 	}
-	// Field order and structure must match encoding/json exactly.
-	var generic map[string]any
-	if err := json.Unmarshal(fastHitResp.Body.Bytes(), &generic); err != nil {
-		t.Fatalf("fast response is not valid JSON: %v", err)
+	if !bytes.Contains(bodies[1], []byte(`"cache":"hit"`)) || traceByID(tr, rid) == nil {
+		t.Fatalf("sampled hit was not admitted: %s", bodies[1])
 	}
-	if ct := fastHitResp.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("fast response Content-Type = %q", ct)
+	zero := []byte(`"timing":{"queue_ns":0,"cache_ns":0,"solve_ns":0}`)
+	return timingField.ReplaceAll(bodies[0], zero), timingField.ReplaceAll(bodies[1], zero)
+}
+
+// TestFastPathResponseMatchesSlowPath: the allocation-free path and the
+// admitted path answer the same hit with the same bytes, timing aside.
+func TestFastPathResponseMatchesSlowPath(t *testing.T) {
+	fast, admitted := parityHits(t, Config{Workers: 1}, "parity")
+	if !bytes.Equal(fast, admitted) {
+		t.Fatalf("fast hit diverges from admitted hit\nadmitted: %s\nfast:     %s", admitted, fast)
 	}
 }
 
-// TestFastPathShardIDParity: with a fleet identity configured, the
-// append encoder emits shard_id exactly where encoding/json puts it —
-// between cache and timing — on both serving paths, and an unsafe
-// shard ID disables the fast path rather than emitting broken JSON.
+// TestFastPathShardIDParity: with a fleet identity configured, both
+// serving paths emit the same bytes with shard_id where encoding/json
+// puts it, between cache and timing. A request ID and a shard ID that
+// need JSON escaping are served by the probe too, and decode back
+// exactly.
 func TestFastPathShardIDParity(t *testing.T) {
-	s := New(Config{Workers: 1, ShardID: "s7"})
-	defer s.Close()
-	h := s.Handler()
-	body := []byte(`{"solver":"greedy","instance":{"m":2,"jobs":[{"id":0,"size":7},{"id":1,"size":4},{"id":2,"size":3}],"assign":[0,0,0]},"k":1}`)
-	post := func(rid string) *httptest.ResponseRecorder {
-		r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
-		r.Header.Set("X-Request-ID", rid)
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
-		return w
+	fast, admitted := parityHits(t, Config{Workers: 1, ShardID: "s7"}, "shard-parity")
+	if !bytes.Equal(fast, admitted) {
+		t.Fatalf("fast hit diverges from admitted hit\nadmitted: %s\nfast:     %s", admitted, fast)
 	}
-	post("shard-parity") // miss: slow path computes and caches
-	slowHit := post("shard-parity<slow>")
-	fastHit := post("shard-parity")
-	want := []byte(`,"cache":"hit","shard_id":"s7","timing":{`)
-	for _, resp := range []*httptest.ResponseRecorder{slowHit, fastHit} {
-		if !bytes.Contains(resp.Body.Bytes(), want) {
-			t.Fatalf("response missing shard_id in canonical position: %s", resp.Body.String())
-		}
-	}
-	var generic map[string]any
-	if err := json.Unmarshal(fastHit.Body.Bytes(), &generic); err != nil {
-		t.Fatalf("fast response is not valid JSON: %v", err)
+	if want := []byte(`,"cache":"hit","shard_id":"s7","timing":{`); !bytes.Contains(fast, want) {
+		t.Fatalf("response missing shard_id in canonical position: %s", fast)
 	}
 
-	// A shard ID that needs JSON escaping must force the slow path; the
-	// response still carries it, escaped by encoding/json.
-	esc := New(Config{Workers: 1, ShardID: `s"0`})
-	defer esc.Close()
-	eh := esc.Handler()
-	postEsc := func(rid string) *httptest.ResponseRecorder {
-		r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
-		r.Header.Set("X-Request-ID", rid)
-		w := httptest.NewRecorder()
-		eh.ServeHTTP(w, r)
-		return w
+	const rid, shard = "a\"b<c>&\u2028", `s"0`
+	fast, admitted = parityHits(t, Config{Workers: 1, ShardID: shard}, rid)
+	if !bytes.Equal(fast, admitted) {
+		t.Fatalf("escaped IDs: fast hit diverges from admitted hit\nadmitted: %s\nfast:     %s", admitted, fast)
 	}
-	postEsc("esc")
-	hit := postEsc("esc")
+	s := New(Config{Workers: 1, ShardID: shard})
+	defer s.Close()
+	h := s.Handler()
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(parityBody)))
+	sc := new(solveScratch)
+	if strict, err := s.decodeSolve(parityBody, &sc.req); !strict || err != nil {
+		t.Fatalf("strict decode rejected the body (err %v)", err)
+	}
+	out, res := s.fastSolve(sc)
+	if out != fastHit {
+		t.Fatalf("fastSolve: outcome %v, err %v (want hit)", out, res.Err)
+	}
+	sc.encode(s.buildResponse(sc.req.Solver, &sc.req.Instance.Instance, &sc.loads, res, rid))
 	var resp SolveResponse
-	if err := json.Unmarshal(hit.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("escaped-shard response: %v", err)
+	if err := json.Unmarshal(sc.out.Bytes(), &resp); err != nil {
+		t.Fatalf("escaped-ID response %s: %v", sc.out.Bytes(), err)
 	}
-	if resp.Cache != "hit" || resp.ShardID != `s"0` {
-		t.Fatalf("escaped-shard hit: cache=%q shard=%q", resp.Cache, resp.ShardID)
+	if resp.Cache != "hit" || resp.RequestID != rid || resp.ShardID != shard {
+		t.Fatalf("escaped-ID hit: cache %q, request_id %q, shard_id %q", resp.Cache, resp.RequestID, resp.ShardID)
+	}
+}
+
+// TestSolveContentLength: solve and peek bodies are encoded in full
+// before the response starts, so even a 2000-job answer, far past what
+// net/http buffers before switching to chunked encoding, goes out with
+// an exact Content-Length. A short cache hit, whose header net/http
+// sets itself, carries an exact one too.
+func TestSolveContentLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	in := workload.Generate(workload.Config{N: 2000, M: 16, Sizes: workload.SizeZipf, Placement: workload.PlaceSkewed, Seed: 5})
+	req := solveRequest("mpartition", in)
+	req.K = 50
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, post := range []struct {
+		path string
+		body []byte
+		long bool
+	}{
+		{"/v1/solve", body, true},
+		{"/v1/peek", body, true},
+		{"/v1/solve", hitBody, false}, // the miss that primes the hit
+		{"/v1/solve", hitBody, false},
+	} {
+		path := post.path
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(post.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v: %.200s", path, resp.StatusCode, err, got)
+		}
+		if long := len(got) > chunkingThreshold; long != post.long {
+			t.Fatalf("%s: body of %d bytes, want it longer than %d: %v", path, len(got), chunkingThreshold, post.long)
+		}
+		if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v, body %d bytes", path, resp.ContentLength, resp.TransferEncoding, len(got))
+		}
 	}
 }

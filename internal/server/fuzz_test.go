@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // fuzzHandler builds one shared server for the whole fuzz run: tight
@@ -47,26 +48,36 @@ var fuzzStatuses = map[int]bool{
 	http.StatusInternalServerError: true, // unclassified solver error
 }
 
-// FuzzServerSolve throws arbitrary bytes at POST /v1/solve: the
-// handler must never panic, must always answer with a status from the
-// typed set, and must always produce a JSON body (a SolveResponse on
-// 200, an ErrorResponse otherwise).
+// FuzzServerSolve throws arbitrary bytes at POST /v1/solve, under an
+// arbitrary X-Request-ID: the handler must never panic, must always
+// answer with a status from the typed set, and must always produce a
+// JSON body (a SolveResponse on 200, an ErrorResponse otherwise). A 200
+// must echo the request ID, clamped to maxRequestIDLen, exactly: a
+// repeated body is a cache hit, so IDs that need JSON escaping reach
+// the allocation-free hit path as well as the admitted one.
 func FuzzServerSolve(f *testing.F) {
-	f.Add([]byte(`{"solver":"greedy","k":2,"instance":{"m":2,"jobs":[{"size":5},{"size":4},{"size":3}],"assign":[0,0,0]}}`))
-	f.Add([]byte(`{"solver":"exact-budget","budget":3,"instance":{"m":2,"jobs":[{"size":5,"cost":1},{"size":4,"cost":2}],"assign":[0,0]}}`))
-	f.Add([]byte(`{"solver":"conflict","instance":{"m":2,"jobs":[{"size":5},{"size":4}],"assign":[0,0],"allowed":[[0],[0,1]],"conflicts":[[0,1]]}}`))
-	f.Add([]byte(`{"solver":"frontier","ks":[0,1,2],"instance":{"m":2,"jobs":[{"size":5},{"size":4}],"assign":[0,0]}}`))
-	f.Add([]byte(`{"solver":"nope","instance":{"m":1,"jobs":[{"size":1}],"assign":[0]}}`))
-	f.Add([]byte(`{"solver":"greedy","k":-7,"instance":{"m":0,"jobs":[],"assign":[]}}`))
-	f.Add([]byte(`{"solver":"greedy","instance":{"m":2,"jobs":[{"size":5}`)) // truncated
-	f.Add([]byte(`{"solver":"ptas","eps":1e308,"timeout_ms":99999999,"instance":{"m":2,"jobs":[{"size":9223372036854775807}],"assign":[0]}}`))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{"solver":"greedy","k":1,"instance":{"m":3,"jobs":[{"size":1},{"size":1}],"assign":[0,9]}}`))
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Add([]byte(`{"solver":"greedy","k":2,"instance":{"m":2,"jobs":[{"size":5},{"size":4},{"size":3}],"assign":[0,0,0]}}`), "")
+	f.Add([]byte(`{"solver":"exact-budget","budget":3,"instance":{"m":2,"jobs":[{"size":5,"cost":1},{"size":4,"cost":2}],"assign":[0,0]}}`), "")
+	f.Add([]byte(`{"solver":"conflict","instance":{"m":2,"jobs":[{"size":5},{"size":4}],"assign":[0,0],"allowed":[[0],[0,1]],"conflicts":[[0,1]]}}`), "")
+	f.Add([]byte(`{"solver":"frontier","ks":[0,1,2],"instance":{"m":2,"jobs":[{"size":5},{"size":4}],"assign":[0,0]}}`), "")
+	f.Add([]byte(`{"solver":"nope","instance":{"m":1,"jobs":[{"size":1}],"assign":[0]}}`), "")
+	f.Add([]byte(`{"solver":"greedy","k":-7,"instance":{"m":0,"jobs":[],"assign":[]}}`), "")
+	f.Add([]byte(`{"solver":"greedy","instance":{"m":2,"jobs":[{"size":5}`), "") // truncated
+	f.Add([]byte(`{"solver":"ptas","eps":1e308,"timeout_ms":99999999,"instance":{"m":2,"jobs":[{"size":9223372036854775807}],"assign":[0]}}`), "")
+	f.Add([]byte(`[1,2,3]`), "")
+	f.Add([]byte(``), "")
+	f.Add([]byte(`{"solver":"greedy","k":1,"instance":{"m":3,"jobs":[{"size":1},{"size":1}],"assign":[0,9]}}`), "")
+	f.Add(hitBody, `say "hi"`)
+	f.Add(hitBody, `<script>&amp;</script>`)
+	f.Add(hitBody, "line\u2028sep\u2029")
+	f.Add(hitBody, "grüße-日本-☃")
+	f.Fuzz(func(t *testing.T, body []byte, rid string) {
 		h := fuzzServer()
 		req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
+		if rid != "" {
+			req.Header.Set("X-Request-ID", rid)
+		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req) // a panic here fails the fuzz run
 
@@ -81,6 +92,10 @@ func FuzzServerSolve(f *testing.F) {
 			var resp SolveResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				t.Fatalf("200 body does not decode as SolveResponse: %v (%q)", err, rec.Body.Bytes())
+			}
+			want := rid[:min(len(rid), maxRequestIDLen)]
+			if want != "" && utf8.ValidString(want) && resp.RequestID != want {
+				t.Fatalf("request_id %q, want %q (body %q)", resp.RequestID, want, rec.Body.Bytes())
 			}
 		} else {
 			var eresp ErrorResponse

@@ -20,8 +20,9 @@
 //
 // This package owns ONLY the HTTP concerns: decoding bodies, request
 // IDs and trace roots, mapping the core's typed errors onto status
-// codes, and rendering responses (including the allocation-free
-// cache-hit encoder in fastpath.go). Admission, deadlines, the
+// codes, and rendering responses (every solve and peek success body on
+// the pooled encoder in fastpath.go, which the allocation-free cache-hit
+// path shares with the admitted one). Admission, deadlines, the
 // solution cache, and the engine call live in the core; the import
 // boundary — no internal/cache, no internal/engine from this package —
 // is pinned by TestServerImportBoundary. A shard router or any future
@@ -170,9 +171,8 @@ const peerFillHeader = "X-Peer-Fill"
 // Handler on an http.Server, and call Shutdown to drain; a Server must
 // be Shutdown (or Close) to stop the core's session janitor.
 type Server struct {
-	cfg       Config
-	core      *dispatch.Core
-	shardSafe bool // ShardID encodes verbatim in JSON (fast path eligible)
+	cfg  Config
+	core *dispatch.Core
 }
 
 // New normalizes cfg, builds the dispatch core, and returns the
@@ -197,7 +197,7 @@ func New(cfg Config) *Server {
 		MaxSessions:    cfg.MaxSessions,
 		SessionTTL:     cfg.SessionTTL,
 	})
-	return &Server{cfg: cfg, core: core, shardSafe: plainJSONSafe(cfg.ShardID)}
+	return &Server{cfg: cfg, core: core}
 }
 
 // Handler returns the API mux. It may be wrapped (logging, auth) before
@@ -274,14 +274,15 @@ func statusFor(err error) int {
 	}
 }
 
-// buildResponse shapes a core result into the wire response.
-func (s *Server) buildResponse(req *SolveRequest, res dispatch.Result, rid string) SolveResponse {
-	in := &req.Instance.Instance
+// buildResponse shapes a core result for solver on instance in into the
+// wire response; loads is initialStats' reusable buffer.
+func (s *Server) buildResponse(solver string, in *instance.Instance, loads *[]int64, res dispatch.Result, rid string) SolveResponse {
+	initial, lower := initialStats(in, loads)
 	resp := SolveResponse{
-		Solver:          req.Solver,
+		Solver:          solver,
 		RequestID:       rid,
-		InitialMakespan: in.InitialMakespan(),
-		LowerBound:      in.LowerBound(),
+		InitialMakespan: initial,
+		LowerBound:      lower,
 		Cache:           res.Cache,
 		ShardID:         s.cfg.ShardID,
 		PeerFill:        res.PeerFill,
@@ -306,7 +307,7 @@ func (s *Server) buildResponse(req *SolveRequest, res dispatch.Result, rid strin
 // request.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set("X-Request-ID", rid)
+	w.Header().Set(requestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
@@ -324,17 +325,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	probed := false
 	if strict && !sampled {
 		fstart := time.Now()
-		out, ferr := s.fastSolve(sc, rid)
+		out, fres := s.fastSolve(sc)
 		switch out {
 		case fastHit:
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(sc.out)
+			sc.encode(s.buildResponse(sc.req.Solver, &sc.req.Instance.Instance, &sc.loads, fres, rid))
+			sc.writeOK(w)
 			s.endFast(rid, sc.req.Solver, fstart, http.StatusOK)
 			return
 		case fastCachedError:
-			writeError(w, statusFor(ferr), "%v", ferr)
-			s.endFast(rid, sc.req.Solver, fstart, statusFor(ferr))
+			writeError(w, statusFor(fres.Err), "%v", fres.Err)
+			s.endFast(rid, sc.req.Solver, fstart, statusFor(fres.Err))
 			return
 		}
 		probed = out == fastMiss
@@ -374,7 +374,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.noteSlow(rid, req.Solver, res, time.Since(start), http.StatusOK)
-	writeJSON(w, http.StatusOK, s.buildResponse(req, res, rid))
+	sc.encode(s.buildResponse(req.Solver, &req.Instance.Instance, &sc.loads, res, rid))
+	sc.writeOK(w)
 }
 
 // handleBatch is POST /v1/batch: decode a slice of solve requests, fan
@@ -384,7 +385,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // would have produced.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set("X-Request-ID", rid)
+	w.Header().Set(requestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
@@ -458,7 +459,8 @@ func (s *Server) batchItem(parent context.Context, req *SolveRequest, rid string
 		return BatchItem{Status: statusFor(res.Err), Error: res.Err.Error()}
 	}
 	s.noteSlow(rid, req.Solver, res, time.Since(start), http.StatusOK)
-	resp := s.buildResponse(req, res, rid)
+	var loads []int64
+	resp := s.buildResponse(req.Solver, &req.Instance.Instance, &loads, res, rid)
 	return BatchItem{Status: http.StatusOK, Result: &resp}
 }
 
@@ -470,7 +472,7 @@ func (s *Server) batchItem(parent context.Context, req *SolveRequest, rid string
 // change the new owner of a key peeks the previous owner.
 func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set("X-Request-ID", rid)
+	w.Header().Set(requestIDHeader, rid)
 	// Nothing outlives the handler here: the probe runs on the scratch's
 	// HitScratch, and the hit's Assign, which aliases it, is encoded
 	// before the scratch goes back to the pool.
@@ -495,7 +497,8 @@ func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := dispatch.Result{Sol: sol, Cache: "hit"}
-	writeJSON(w, http.StatusOK, s.buildResponse(req, res, rid))
+	sc.encode(s.buildResponse(req.Solver, &req.Instance.Instance, &sc.loads, res, rid))
+	sc.writeOK(w)
 }
 
 // readSolve buffers a solve or peek body into sc and decodes it into
