@@ -10,6 +10,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/instance"
@@ -44,8 +46,8 @@ type Result struct {
 // probe of the same instance: a flat struct-of-arrays view of the
 // instance (instance.Flat) and a CSR per-processor job index whose rows
 // are sorted by decreasing size. M-PARTITION probes O(log C) targets,
-// so hoisting the O(n log n) sort out of the probe is the difference
-// between O(n log n + n log C) and O(n log n · log C).
+// so building the ordered rows once, outside the probe (an O(n · bytes)
+// radix build, DESIGN.md §12), keeps that cost from repeating per probe.
 //
 // A solver also owns all per-probe scratch, so repeated probes (the
 // bisection and incremental-scan loops) run with zero steady-state heap
@@ -88,7 +90,6 @@ type solver struct {
 	removed      []bool  // job-indexed removed-small membership (Step 6)
 	heapItems    []int32 // Step 6 min-load heap backing array
 	orderSorter  procCSorter
-	smallSorter  instance.SizeDescSorter
 
 	// Light-probe outputs (valid after probeFlat returns true).
 	lastRemovals   int
@@ -110,14 +111,12 @@ func newSolver(in *instance.Instance, sink *obs.Sink) *solver {
 		s.removalsTotal = sink.Reg.Counter("core.removals")
 		s.probeRemovals = sink.Reg.Histogram("core.probe_removals")
 	}
-	s.flat.Reset(in)
-	s.csr.Reset(in.M, s.flat.Assign)
-	s.smallSorter.Sizes = s.flat.Sizes
-	for p := 0; p < in.M; p++ {
-		s.smallSorter.IDs = s.csr.Row(p)
-		sort.Sort(&s.smallSorter)
-	}
 	n, m := in.N(), in.M
+	s.flat.Reset(in)
+	// The working assignment is overwritten by every probe, so it lends
+	// the row build its scratch.
+	s.assign = make([]int32, n)
+	s.csr.Reset(m, s.flat.Assign, s.flat.Sizes, s.assign)
 	s.rowPrefix = make([]int64, n)
 	for p := 0; p < m; p++ {
 		var sum int64
@@ -130,7 +129,6 @@ func newSolver(in *instance.Instance, sink *obs.Sink) *solver {
 	s.aArr = make([]int32, m)
 	s.bArr = make([]int32, m)
 	s.cArr = make([]int32, m)
-	s.assign = make([]int32, n)
 	s.order = make([]int32, m)
 	s.selected = make([]bool, m)
 	s.loads = make([]int64, m)
@@ -427,8 +425,12 @@ func (s *solver) probeFlat(target int64) bool {
 	for _, j := range removedSmall {
 		removedSet[j] = false
 	}
-	s.smallSorter.IDs = removedSmall
-	sort.Sort(&s.smallSorter)
+	slices.SortFunc(removedSmall, func(a, b int32) int {
+		if c := cmp.Compare(sizes[b], sizes[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	items := s.heapItems
 	for p := range items {
 		items[p] = int32(p)

@@ -271,7 +271,6 @@ func (w *Warm) refresh() {
 			s.rowPrefix[int(s.csr.Start[p])+i] = sum
 		}
 	}
-	s.smallSorter.Sizes = s.flat.Sizes
 	// Per-probe scratch tracks the (possibly grown) dimensions. The
 	// boolean scratch keeps its all-false steady-state invariant:
 	// probeFlat resets every entry it sets, and fresh allocations from
@@ -289,7 +288,7 @@ func (w *Warm) refresh() {
 }
 
 // rowLess is the canonical row order: size descending, index ascending
-// — exactly instance.SizeDescSorter over the live sizes.
+// — exactly the order instance.CSR.Reset builds over the live sizes.
 func (w *Warm) rowLess(a, b int32) bool {
 	sa, sb := w.in.Jobs[a].Size, w.in.Jobs[b].Size
 	if sa != sb {

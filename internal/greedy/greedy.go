@@ -50,7 +50,7 @@ type Scratch struct {
 	loads     []int64
 	heapItems []int32
 	removed   []int32
-	rowSorter instance.SizeDescSorter
+	order     []int32 // row-build scratch for csr.Reset
 	ordSorter stableSizeSorter
 
 	// Assign is the result assignment of the last RebalanceFlat call.
@@ -138,13 +138,11 @@ func RebalanceFlat(f *instance.Flat, k int, order Order, sc *Scratch, sink *obs.
 
 	// Per-processor job rows sorted by decreasing size; heads[p] is the
 	// absolute cursor of the next (largest remaining) job of row p.
-	sc.csr.Reset(m, assign)
-	sc.rowSorter.Sizes = f.Sizes
+	sc.order = instance.GrowSlice(sc.order, n)
+	sc.csr.Reset(m, assign, f.Sizes, sc.order)
 	heads := instance.GrowSlice(sc.heads, m)
 	loads := instance.GrowSlice(sc.loads, m)
 	for p := 0; p < m; p++ {
-		sc.rowSorter.IDs = sc.csr.Row(p)
-		sort.Sort(&sc.rowSorter)
 		heads[p] = sc.csr.Start[p]
 		loads[p] = 0
 	}

@@ -1,8 +1,7 @@
 // Flat-memory (struct-of-arrays) view of an instance, plus the shared
 // low-level machinery the solver kernels run on: a CSR per-processor
-// job index, concrete sort.Interface implementations (the closure-based
-// sort.Slice variants allocate per call; these do not), and an
-// int32-indexed binary heap over processor loads.
+// job index built in size order, and an int32-indexed binary heap over
+// processor loads.
 //
 // The kernels in internal/core and internal/greedy operate exclusively
 // on Flat + caller-owned scratch so that a steady-state probe performs
@@ -59,33 +58,81 @@ func grow[T any](s []T, n int) []T {
 func GrowSlice[T any](s []T, n int) []T { return grow(s, n) }
 
 // CSR is a compressed per-processor job index: Row(p) lists the jobs an
-// assignment places on processor p. Built by counting sort, so each row
-// initially comes out in increasing job order; kernels re-sort rows in
-// place with the sorters below.
+// assignment places on processor p, in (size desc, id asc) order — the
+// canonical per-processor order every kernel reads.
 type CSR struct {
-	Start []int32 // len m+1, row p is JobIdx[Start[p]:Start[p+1]]
+	Start []int32 // len m+1, row p is Jobs[Start[p]:Start[p+1]]
 	Jobs  []int32 // len n, job IDs grouped by processor
 }
 
 // Reset rebuilds the index for assign over m processors, reusing
-// backing capacity.
-func (c *CSR) Reset(m int, assign []int32) {
+// backing capacity. sizes is indexed by job; tmp is caller scratch of
+// length at least len(assign), and its contents are overwritten.
+//
+// The build sorts once for all rows, in O(n · bytes): a stable LSD
+// radix sort of the job IDs on an order-reversing size key, one pass
+// per byte in which some two sizes differ, then one stable counting
+// pass by processor. Stability makes ties come out in ID order.
+func (c *CSR) Reset(m int, assign []int32, sizes []int64, tmp []int32) {
+	n := len(assign)
 	c.Start = grow(c.Start, m+1)
-	c.Jobs = grow(c.Jobs, len(assign))
-	for p := 0; p <= m; p++ {
-		c.Start[p] = 0
+	c.Jobs = grow(c.Jobs, n)
+	tmp = tmp[:n]
+
+	// Keys differ exactly where sizes do, so the skipped bytes come from
+	// the sizes directly.
+	var diff uint64
+	for _, s := range sizes[:n] {
+		diff |= uint64(s ^ sizes[0])
 	}
+	passes := 0
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(diff>>shift) != 0 {
+			passes++
+		}
+	}
+	// Start in the buffer that leaves the sorted IDs in tmp.
+	src, dst := tmp, c.Jobs
+	if passes%2 == 1 {
+		src, dst = c.Jobs, tmp
+	}
+	for j := range src {
+		src[j] = int32(j)
+	}
+	var count [256]int32
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		clear(count[:])
+		for _, s := range sizes[:n] {
+			count[byte(descKey(s)>>shift)]++
+		}
+		at := int32(0)
+		for b, k := range count {
+			count[b] = at
+			at += k
+		}
+		for _, j := range src {
+			b := byte(descKey(sizes[j]) >> shift)
+			dst[count[b]] = j
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+
+	clear(c.Start)
 	for _, p := range assign {
 		c.Start[p+1]++
 	}
 	for p := 0; p < m; p++ {
 		c.Start[p+1] += c.Start[p]
 	}
-	// Start temporarily holds the next write cursor per processor; the
-	// second pass restores it to row offsets by construction (cursor p
-	// ends exactly at Start[p+1]'s final value), rebuilt cheaply below.
-	for j, p := range assign {
-		c.Jobs[c.Start[p]] = int32(j)
+	// Start temporarily holds the next write cursor per processor; cursor
+	// p ends exactly at row p+1's offset, so shifting restores the rows.
+	for _, j := range tmp {
+		p := assign[j]
+		c.Jobs[c.Start[p]] = j
 		c.Start[p]++
 	}
 	for p := m; p > 0; p-- {
@@ -94,29 +141,12 @@ func (c *CSR) Reset(m int, assign []int32) {
 	c.Start[0] = 0
 }
 
+// descKey maps a size to a radix key whose ascending order is the
+// size's descending order.
+func descKey(s int64) uint64 { return ^(uint64(s) ^ 1<<63) }
+
 // Row returns the job IDs on processor p.
 func (c *CSR) Row(p int) []int32 { return c.Jobs[c.Start[p]:c.Start[p+1]] }
-
-// SizeDescSorter orders a job-ID slice by decreasing size with
-// increasing-ID tie-break — the canonical per-processor order every
-// kernel uses. It is a concrete sort.Interface so sorting allocates
-// nothing; store it in scratch and pass its address to sort.Sort.
-type SizeDescSorter struct {
-	IDs   []int32
-	Sizes []int64
-}
-
-func (s *SizeDescSorter) Len() int { return len(s.IDs) }
-
-func (s *SizeDescSorter) Less(a, b int) bool {
-	sa, sb := s.Sizes[s.IDs[a]], s.Sizes[s.IDs[b]]
-	if sa != sb {
-		return sa > sb
-	}
-	return s.IDs[a] < s.IDs[b]
-}
-
-func (s *SizeDescSorter) Swap(a, b int) { s.IDs[a], s.IDs[b] = s.IDs[b], s.IDs[a] }
 
 // HeapInit establishes the binary-heap invariant over processor indices
 // in items, ordered by loads with index tie-break (min-heap, or

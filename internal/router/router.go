@@ -363,7 +363,7 @@ func (rt *Router) proxySolve(w http.ResponseWriter, r *http.Request, path string
 		return
 	}
 	rt.cfg.Obs.Count("router.requests", 1)
-	status, hdr, respBody, err := rt.forward(r.Context(), path, body, r.Header.Get("X-Request-ID"))
+	status, hdr, respBody, err := rt.forward(r.Context(), path, body, r.Header.Get(server.RequestIDHeader))
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "no shard could serve the request: %v", err)
 		return
@@ -374,7 +374,7 @@ func (rt *Router) proxySolve(w http.ResponseWriter, r *http.Request, path string
 }
 
 func relayHeaders(w http.ResponseWriter, hdr http.Header) {
-	for _, k := range []string{"Content-Type", "X-Request-ID", "Retry-After"} {
+	for _, k := range []string{"Content-Type", server.RequestIDHeader, "Retry-After"} {
 		if v := hdr.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
@@ -451,7 +451,7 @@ func (rt *Router) send(ctx context.Context, shard, path string, body []byte, rid
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if rid != "" {
-		req.Header.Set("X-Request-ID", rid)
+		req.Header.Set(server.RequestIDHeader, rid)
 	}
 	if peer != "" && peer != shard {
 		req.Header.Set("X-Peer-Fill", peer)
@@ -475,7 +475,7 @@ func (rt *Router) send(ctx context.Context, shard, path string, body []byte, rid
 // land on the same shard and coalesce in its cache, preserving the
 // single-daemon batch semantics fleet-wide.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-ID")
+	rid := r.Header.Get(server.RequestIDHeader)
 	var breq server.BatchRequest
 	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&breq); err != nil {

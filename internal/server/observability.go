@@ -19,15 +19,16 @@ import (
 // hostile header cannot bloat logs, traces, or response bodies.
 const maxRequestIDLen = 128
 
-// requestIDHeader is X-Request-ID in its canonical MIME form, which
+// RequestIDHeader is X-Request-ID in its canonical MIME form, which
 // Header.Get and Header.Set take as is instead of canonicalizing a copy.
-const requestIDHeader = "X-Request-Id"
+// The router relays it under the same constant.
+const RequestIDHeader = "X-Request-Id"
 
 // requestID adopts the client's X-Request-ID (clamped) or mints one.
 // The ID doubles as the trace ID, so adopted IDs let a caller correlate
 // its own logs with /debug/traces.
 func requestID(r *http.Request) string {
-	if id := r.Header.Get(requestIDHeader); id != "" {
+	if id := r.Header.Get(RequestIDHeader); id != "" {
 		if len(id) > maxRequestIDLen {
 			id = id[:maxRequestIDLen]
 		}

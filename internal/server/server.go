@@ -307,7 +307,7 @@ func (s *Server) buildResponse(solver string, in *instance.Instance, loads *[]in
 // request.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set(requestIDHeader, rid)
+	w.Header().Set(RequestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
@@ -385,7 +385,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // would have produced.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set(requestIDHeader, rid)
+	w.Header().Set(RequestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
@@ -472,7 +472,7 @@ func (s *Server) batchItem(parent context.Context, req *SolveRequest, rid string
 // change the new owner of a key peeks the previous owner.
 func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set(requestIDHeader, rid)
+	w.Header().Set(RequestIDHeader, rid)
 	// Nothing outlives the handler here: the probe runs on the scratch's
 	// HitScratch, and the hit's Assign, which aliases it, is encoded
 	// before the scratch goes back to the pool.

@@ -147,6 +147,31 @@ func TestSolveMatchesEngine(t *testing.T) {
 				c.name, got.InitialMakespan, got.LowerBound, in.InitialMakespan(), in.LowerBound())
 		}
 	}
+
+	// A zero-job instance is valid: both kernels build empty rows and
+	// answer with the empty solution, whose assign field is omitted.
+	for _, name := range []string{"greedy", "mpartition"} {
+		body := `{"solver":"` + name + `","k":2,"instance":{"m":2,"jobs":[],"assign":[]}}`
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]json.RawMessage
+		err = json.NewDecoder(resp.Body).Decode(&raw)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("empty %s: decode: %v", name, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("empty %s: status %d, body %v", name, resp.StatusCode, raw)
+		}
+		if got := string(raw["initial_makespan"]); got != "0" {
+			t.Errorf("empty %s: initial_makespan %s, want 0", name, got)
+		}
+		if a, ok := raw["assign"]; ok {
+			t.Errorf("empty %s: assign field %s present, want omitted", name, a)
+		}
+	}
 }
 
 // TestSolveSweep pins that sweep-kind solvers are servable with zero

@@ -15,7 +15,7 @@ import (
 // when the bounded session table is full and 503 while draining.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set(requestIDHeader, rid)
+	w.Header().Set(RequestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
@@ -45,7 +45,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // (draining the last processor) 422; draining 503.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set(requestIDHeader, rid)
+	w.Header().Set(RequestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
@@ -71,7 +71,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 // drained-away sessions answer 404.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
-	w.Header().Set(requestIDHeader, rid)
+	w.Header().Set(RequestIDHeader, rid)
 	st, err := s.core.SessionGet(r.PathValue("id"))
 	if err != nil {
 		writeError(w, statusFor(err), "%s", err.Error())
