@@ -17,11 +17,10 @@ race:
 # race-fast covers only the concurrency-bearing packages (the worker
 # pool, the shared metric sinks, the engine registry, the solution
 # cache's single-flight layer, the dispatch core and its session table,
-# the hash ring, the routing tier, the session and online layers, and
-# the serving layer) — the quick pre-push check; `ci` and `race` sweep
-# the module.
+# the hash ring, the routing tier, the session layer, and the serving
+# layer) — the quick pre-push check; `ci` and `race` sweep the module.
 race-fast:
-	$(GO) test -race ./internal/par ./internal/obs ./internal/engine ./internal/cache ./internal/dispatch ./internal/ring ./internal/router ./internal/session ./internal/online ./internal/server/...
+	$(GO) test -race ./internal/par ./internal/obs ./internal/engine ./internal/cache ./internal/dispatch ./internal/ring ./internal/router ./internal/session ./internal/server/...
 
 vet:
 	$(GO) vet ./...

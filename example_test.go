@@ -1,6 +1,7 @@
 package rebalance_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -79,11 +80,12 @@ func ExampleMinMovesBicriteria() {
 }
 
 func ExampleNewBalancer() {
+	ctx := context.Background()
 	b, _ := rebalance.NewBalancer(2)
-	_ = b.Add(1, 8, 1, 0)
-	_ = b.Add(2, 5, 1, 0)
-	_ = b.Add(3, 4, 1, 0)
-	moves := b.Rebalance(1)
+	for id, size := range []int64{8, 5, 4} {
+		_, _ = b.Apply(ctx, rebalance.BalancerDelta{Op: rebalance.Arrive, Job: id + 1, Size: size, Cost: 1, Proc: 0})
+	}
+	moves, _ := b.Rebalance(ctx, 1)
 	fmt.Println(len(moves), b.Makespan())
 	// Output: 1 9
 }

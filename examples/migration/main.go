@@ -3,10 +3,11 @@
 // Balter & Downey exploit process lifetimes). Processes arrive on the
 // least-loaded CPU, grow or shrink while they run, and exit; every tick
 // the scheduler may migrate at most k processes. Uses the online
-// Balancer, the incremental front-end to M-PARTITION.
+// Balancer, whose warm M-PARTITION state survives between ticks.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,6 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	rng := workload.NewRNG(1994) // Rudolph et al.'s era
 
 	nextPID := 0
@@ -39,7 +41,8 @@ func main() {
 			if rng.Float64() < 0.1 {
 				size *= 20 // occasional CPU hog
 			}
-			if err := b.Add(nextPID, size, 1, -1); err != nil {
+			arrive := rebalance.BalancerDelta{Op: rebalance.Arrive, Job: nextPID, Size: size, Cost: 1, Proc: -1}
+			if _, err := b.Apply(ctx, arrive); err != nil {
 				log.Fatal(err)
 			}
 			live = append(live, nextPID)
@@ -49,7 +52,7 @@ func main() {
 		for i := 0; i < len(live); {
 			pid := live[i]
 			if rng.Float64() < 0.05 {
-				if err := b.Remove(pid); err != nil {
+				if _, err := b.Apply(ctx, rebalance.BalancerDelta{Op: rebalance.Depart, Job: pid}); err != nil {
 					log.Fatal(err)
 				}
 				live[i] = live[len(live)-1]
@@ -59,7 +62,10 @@ func main() {
 			i++
 		}
 
-		moves := b.Rebalance(k)
+		moves, err := b.Rebalance(ctx, k)
+		if err != nil {
+			log.Fatal(err)
+		}
 		migrations += len(moves)
 		ms := int(b.Makespan())
 		if ms > peak {
@@ -68,13 +74,12 @@ func main() {
 		sumMakespan += float64(ms)
 	}
 
-	in, _ := b.Snapshot()
 	fmt.Printf("after %d ticks: %d live processes on %d CPUs\n", ticks, b.Len(), cpus)
 	fmt.Printf("makespan now %d (lower bound %d), peak %d, mean %.0f\n",
-		b.Makespan(), in.LowerBound(), peak, sumMakespan/ticks)
+		b.Makespan(), b.LowerBound(), peak, sumMakespan/ticks)
 	fmt.Printf("migrations: %d total (budget allowed %d)\n", migrations, ticks*k)
 	fmt.Printf("balance: loads %v\n", b.Loads())
 	fmt.Printf("makespan within %.2fx of the packing lower bound (M-PARTITION guarantees 1.5x\n",
-		float64(b.Makespan())/float64(in.LowerBound()))
+		float64(b.Makespan())/float64(b.LowerBound()))
 	fmt.Println("of the best k-move rebalancing while spending very few migrations — Lemma 4)")
 }

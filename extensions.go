@@ -10,7 +10,7 @@ import (
 	"repro/internal/gap"
 	"repro/internal/hardness"
 	"repro/internal/movemin"
-	"repro/internal/online"
+	"repro/internal/session"
 )
 
 // Extensions beyond the core k-move / budget solvers: the §5 problem
@@ -142,11 +142,26 @@ func TwoCostGadget(d *ThreeDM, p, q int64) (*TwoCostGAP, error) {
 // Online balancing (dynamic loads, the intro's motivating regime).
 
 // Balancer maintains a live assignment under job arrival, growth and
-// departure, with bounded-move rebalancing on demand.
-type Balancer = online.Balancer
+// departure, with bounded-move rebalancing on demand: Apply takes one
+// BalancerDelta, Rebalance(ctx, k) migrates at most k jobs with the
+// M-PARTITION guarantee, and the state is kept warm between calls. It
+// is the session the daemon's /v1/session endpoints serve.
+type Balancer = session.Session
+
+// BalancerDelta is one state change applied by Balancer.Apply.
+type BalancerDelta = session.Delta
 
 // BalancerMove is one migration produced by Balancer.Rebalance.
-type BalancerMove = online.Move
+type BalancerMove = session.Move
+
+// BalancerDelta kinds.
+const (
+	Arrive    = session.OpArrive    // job arrives (Proc -1: least-loaded processor)
+	Depart    = session.OpDepart    // job departs
+	Resize    = session.OpResize    // job's size changes
+	ProcAdd   = session.OpProcAdd   // one more processor
+	ProcDrain = session.OpProcDrain // processor Proc is emptied and removed
+)
 
 // NewBalancer creates an online balancer over m processors.
-func NewBalancer(m int) (*Balancer, error) { return online.New(m) }
+func NewBalancer(m int) (*Balancer, error) { return session.New(session.Config{M: m}) }

@@ -1,6 +1,7 @@
 package rebalance
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -145,17 +146,24 @@ func TestGadgetAPIs(t *testing.T) {
 }
 
 func TestBalancerAPI(t *testing.T) {
+	if _, err := NewBalancer(0); err == nil {
+		t.Fatal("NewBalancer(0) accepted")
+	}
 	b, err := NewBalancer(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	for id := 0; id < 20; id++ {
-		if err := b.Add(id, int64(1+id%7), 1, 0); err != nil {
+		if _, err := b.Apply(ctx, BalancerDelta{Op: Arrive, Job: id, Size: int64(1 + id%7), Cost: 1, Proc: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := b.Makespan()
-	moves := b.Rebalance(6)
+	moves, err := b.Rebalance(ctx, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(moves) > 6 || b.Makespan() >= before {
 		t.Fatalf("rebalance: %d moves, %d -> %d", len(moves), before, b.Makespan())
 	}

@@ -71,16 +71,6 @@ func (t *JSONLTracer) Err() error {
 	return t.err
 }
 
-// MultiTracer fans events out to several tracers.
-type MultiTracer []Tracer
-
-// Emit implements Tracer.
-func (m MultiTracer) Emit(event string, fields Fields) {
-	for _, t := range m {
-		t.Emit(event, fields)
-	}
-}
-
 // CollectTracer buffers events in memory, for tests and programmatic
 // inspection of a solver run.
 type CollectTracer struct {

@@ -131,12 +131,3 @@ func TestCollectTracer(t *testing.T) {
 		t.Fatalf("event 1 = %+v", evs[1])
 	}
 }
-
-func TestMultiTracer(t *testing.T) {
-	var a, b CollectTracer
-	m := MultiTracer{&a, &b}
-	m.Emit("e", Fields{"v": 9})
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Fatalf("fan-out failed: %d/%d", len(a.Events()), len(b.Events()))
-	}
-}

@@ -1,7 +1,9 @@
 // Package par is the repository's worker-pool engine for embarrassingly
 // parallel aggregation: the frontier k-sweep, the experiment suite
-// fan-out, simulation policy comparisons, the PTAS guess ladder, and the
-// adversary hunt all funnel through it. Stdlib-only, like everything
+// fan-out, simulation policy comparisons, the adversary hunt, the
+// router's health probes, and the server's and router's /v1/batch
+// fan-outs all funnel through it. A single solve never does: every
+// solver runs on its caller's goroutine. Stdlib-only, like everything
 // else in this repository.
 //
 // Design contract (DESIGN.md §7):

@@ -27,6 +27,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -365,7 +366,8 @@ func (rt *Router) proxySolve(w http.ResponseWriter, r *http.Request, path string
 	rt.cfg.Obs.Count("router.requests", 1)
 	status, hdr, respBody, err := rt.forward(r.Context(), path, body, r.Header.Get(server.RequestIDHeader))
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "no shard could serve the request: %v", err)
+		status, msg := forwardFailure(err)
+		writeError(w, status, "%s", msg)
 		return
 	}
 	relayHeaders(w, hdr)
@@ -381,16 +383,31 @@ func relayHeaders(w http.ResponseWriter, hdr http.Header) {
 	}
 }
 
+// errNoHealthyShard is forward's answer when the ring is empty.
+var errNoHealthyShard = errors.New("no healthy shards")
+
+// forwardFailure maps a forward error to the status and message the
+// client sees: 503 when no shard is in the ring, 502 when every
+// attempt failed at the transport level.
+func forwardFailure(err error) (int, string) {
+	if errors.Is(err, errNoHealthyShard) {
+		return http.StatusServiceUnavailable, err.Error()
+	}
+	return http.StatusBadGateway, "no shard could serve the request: " + err.Error()
+}
+
 // forward sends body to the key's owner, rotating to ring successors
 // on transport errors and 503s (a draining shard's keys belong to its
 // successor — the same shard the ring promotes once the prober
-// notices). The returned error means every attempt failed at the
+// notices). The last successor's answer is relayed whatever its
+// status. The returned error is errNoHealthyShard for an empty ring,
+// or the last transport error when every attempt failed at the
 // transport level.
 func (rt *Router) forward(ctx context.Context, path string, body []byte, rid string) (int, http.Header, []byte, error) {
 	rg := rt.ring.Load()
 	if rg == nil || rg.Len() == 0 {
 		rt.cfg.Obs.Count("router.no_healthy_shard", 1)
-		return http.StatusServiceUnavailable, nil, errorBody("no healthy shards"), nil
+		return 0, nil, nil, errNoHealthyShard
 	}
 	point := rt.routePoint(body)
 	succ := rg.Successors(point, rg.Len())
@@ -421,16 +438,8 @@ func (rt *Router) forward(ctx context.Context, path string, body []byte, rid str
 		}
 		return status, hdr, respBody, nil
 	}
-	if lastErr != nil {
-		return 0, nil, nil, lastErr
-	}
-	// Every shard answered 503.
-	return http.StatusServiceUnavailable, nil, errorBody("all shards draining"), nil
-}
-
-func errorBody(msg string) []byte {
-	b, _ := json.Marshal(server.ErrorResponse{Error: msg})
-	return append(b, '\n')
+	// Only a transport error on the last successor gets here.
+	return 0, nil, nil, lastErr
 }
 
 // memberFor maps a ring member name back to its probe state.
@@ -475,7 +484,8 @@ func (rt *Router) send(ctx context.Context, shard, path string, body []byte, rid
 // land on the same shard and coalesce in its cache, preserving the
 // single-daemon batch semantics fleet-wide.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get(server.RequestIDHeader)
+	rid := server.RequestID(r)
+	w.Header().Set(server.RequestIDHeader, rid)
 	var breq server.BatchRequest
 	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&breq); err != nil {
@@ -514,13 +524,10 @@ func (rt *Router) batchItem(ctx context.Context, req *server.SolveRequest, rid s
 	if err != nil {
 		return server.BatchItem{Status: http.StatusBadRequest, Error: "encode item: " + err.Error()}
 	}
-	itemRID := ""
-	if rid != "" {
-		itemRID = fmt.Sprintf("%s-%d", rid, i)
-	}
-	status, _, respBody, err := rt.forward(ctx, "/v1/solve", body, itemRID)
+	status, _, respBody, err := rt.forward(ctx, "/v1/solve", body, fmt.Sprintf("%s-%d", rid, i))
 	if err != nil {
-		return server.BatchItem{Status: http.StatusBadGateway, Error: "no shard could serve the request: " + err.Error()}
+		status, msg := forwardFailure(err)
+		return server.BatchItem{Status: status, Error: msg}
 	}
 	if status == http.StatusOK {
 		var resp server.SolveResponse

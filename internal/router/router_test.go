@@ -1,9 +1,11 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -215,6 +217,36 @@ func TestFleetBatchThroughRouter(t *testing.T) {
 		}
 		shardOf[key] = it.Result.ShardID
 	}
+
+	// The batch keeps the request ID exactly as a shard does: the
+	// client's ID (or a minted one) on the response, "<id>-<i>" on the
+	// items.
+	body, _ := json.Marshal(server.BatchRequest{Requests: reqs[:2]})
+	for _, sent := range []string{"R", ""} {
+		hreq, _ := http.NewRequest(http.MethodPost, rts.URL+"/v1/batch", bytes.NewReader(body))
+		if sent != "" {
+			hreq.Header.Set(server.RequestIDHeader, sent)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br server.BatchResponse
+		err = json.NewDecoder(resp.Body).Decode(&br)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rid := resp.Header.Get(server.RequestIDHeader)
+		if rid == "" || (sent != "" && rid != sent) {
+			t.Fatalf("sent request ID %q, batch answered %q", sent, rid)
+		}
+		for i, it := range br.Items {
+			if want := fmt.Sprintf("%s-%d", rid, i); it.Result == nil || it.Result.RequestID != want {
+				t.Fatalf("sent %q: item %d = %+v, want request ID %q", sent, i, it, want)
+			}
+		}
+	}
 }
 
 // TestRouterReroutesAroundDrainingShard pins request-level failover:
@@ -394,6 +426,20 @@ func TestRouterEmptyRing(t *testing.T) {
 	}
 	if rt.cfg.Obs.Reg.Counter("router.no_healthy_shard").Value() == 0 {
 		t.Fatal("router.no_healthy_shard not incremented")
+	}
+	// The 503 is a JSON error body, like every other error the API returns.
+	body, _ := json.Marshal(testReq(0))
+	resp, err := http.Post(rts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb server.ErrorResponse
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("503 Content-Type = %q, want application/json", ct)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error != "no healthy shards" {
+		t.Fatalf("503 body: %+v, %v", eb, err)
 	}
 }
 

@@ -24,10 +24,11 @@ const maxRequestIDLen = 128
 // The router relays it under the same constant.
 const RequestIDHeader = "X-Request-Id"
 
-// requestID adopts the client's X-Request-ID (clamped) or mints one.
+// RequestID adopts the client's X-Request-ID (clamped) or mints one.
 // The ID doubles as the trace ID, so adopted IDs let a caller correlate
-// its own logs with /debug/traces.
-func requestID(r *http.Request) string {
+// its own logs with /debug/traces. The router names its batches with it
+// too, so a batch's items are "<id>-<i>" through either tier.
+func RequestID(r *http.Request) string {
 	if id := r.Header.Get(RequestIDHeader); id != "" {
 		if len(id) > maxRequestIDLen {
 			id = id[:maxRequestIDLen]

@@ -306,7 +306,7 @@ func (s *Server) buildResponse(solver string, in *instance.Instance, loads *[]in
 // cannot serve takes the admitted path on a heap copy of the decoded
 // request.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := RequestID(r)
 	w.Header().Set(RequestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -384,7 +384,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // own status, result, or error, exactly as the sequential single solves
 // would have produced.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := RequestID(r)
 	w.Header().Set(RequestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -471,7 +471,7 @@ func (s *Server) batchItem(parent context.Context, req *SolveRequest, rid string
 // side of the fleet's peer cache-fill protocol: after a membership
 // change the new owner of a key peeks the previous owner.
 func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := RequestID(r)
 	w.Header().Set(RequestIDHeader, rid)
 	// Nothing outlives the handler here: the probe runs on the scratch's
 	// HitScratch, and the hit's Assign, which aliases it, is encoded

@@ -14,7 +14,7 @@ import (
 // or seeded with an instance) and return its id and state. Answers 429
 // when the bounded session table is full and 503 while draining.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := RequestID(r)
 	w.Header().Set(RequestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -44,7 +44,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // expired sessions answer 404; invalid deltas 400; infeasible ones
 // (draining the last processor) 422; draining 503.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := RequestID(r)
 	w.Header().Set(RequestIDHeader, rid)
 	if s.core.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -70,7 +70,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 // consistent until Shutdown closes the table); unknown, expired, and
 // drained-away sessions answer 404.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := RequestID(r)
 	w.Header().Set(RequestIDHeader, rid)
 	st, err := s.core.SessionGet(r.PathValue("id"))
 	if err != nil {

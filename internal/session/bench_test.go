@@ -63,7 +63,8 @@ func benchDeltas(b *testing.B, s *Session, rng *workload.RNG, n int) {
 
 // BenchmarkSessionDelta measures one delta through the warm path: the
 // retained solver state makes the re-solve skip materialization,
-// validation, the O(n log n) sort, and all scratch allocation.
+// validation, the radix build of the size-ordered rows, and all scratch
+// allocation.
 func BenchmarkSessionDelta(b *testing.B) {
 	const n, m, k = 240, 8, 8
 	s, rng := benchSession(b, n, m, k, false)

@@ -262,8 +262,8 @@ func (s *Session) Apply(ctx context.Context, d Delta) (Outcome, error) {
 }
 
 // Rebalance runs one explicit budget-mode rebalance with move budget k
-// (the online auto-rebalancer's entry point) and returns the applied
-// migrations.
+// (the entry point of rebalance.Balancer, and of sessions that do not
+// auto-rebalance) and returns the applied migrations.
 func (s *Session) Rebalance(ctx context.Context, k int) ([]Move, error) {
 	moves, _, err := s.rebalance(ctx, k, 0)
 	if len(moves) > 0 {

@@ -161,6 +161,10 @@ func TestSessionExplicitRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An empty session has nothing to move and keeps its revision.
+	if moves, err := s.Rebalance(context.Background(), 5); err != nil || moves != nil || s.Rev() != 0 {
+		t.Fatalf("empty rebalance: moves=%v err=%v rev=%d", moves, err, s.Rev())
+	}
 	for i := 0; i < 16; i++ {
 		mustApply(t, s, Delta{Op: OpArrive, Job: i, Size: 10, Proc: 0})
 	}
@@ -177,6 +181,11 @@ func TestSessionExplicitRebalance(t *testing.T) {
 	}
 	if s.Rev() != rev+1 {
 		t.Fatalf("rev %d, want %d", s.Rev(), rev+1)
+	}
+	for _, mv := range moves {
+		if p, ok := s.ProcOf(mv.Job); !ok || p != mv.To {
+			t.Fatalf("move %+v not applied: job on %d", mv, p)
+		}
 	}
 	// k = 0 is a no-op with no revision bump.
 	rev = s.Rev()
@@ -209,13 +218,13 @@ func TestSessionSnapshotIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustApply(t, s, Delta{Op: OpArrive, Job: 50, Size: 5, Proc: 0})
-	mustApply(t, s, Delta{Op: OpArrive, Job: 51, Size: 7, Proc: 1})
+	mustApply(t, s, Delta{Op: OpArrive, Job: 51, Size: 7, Cost: 3, Proc: 1})
 	mustApply(t, s, Delta{Op: OpDepart, Job: 50}) // 51 swaps into slot 0
 	snap, ids := s.Snapshot()
 	if snap.N() != 1 || len(ids) != 1 || ids[0] != 51 {
 		t.Fatalf("snapshot: n=%d ids=%v", snap.N(), ids)
 	}
-	if snap.Jobs[0].Size != 7 || snap.Assign[0] != 1 {
+	if snap.Jobs[0] != (instance.Job{Size: 7, Cost: 3}) || snap.Assign[0] != 1 {
 		t.Fatalf("snapshot slot 0: %+v @%d", snap.Jobs[0], snap.Assign[0])
 	}
 	if err := snap.Validate(); err != nil {
