@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race race-fast vet bench bench-json bench-diff bench-profile serve loadtest lint-metrics metrics-smoke sim-validate hypotheses hypotheses-check fuzz-short ci check clean
+.PHONY: build test short race race-fast vet bench bench-json bench-diff bench-profile serve loadtest lint-metrics metrics-smoke sim-validate hypotheses hypotheses-check fuzz-short perfbench-smoke ci check clean
 
 build:
 	$(GO) build ./...
@@ -156,6 +156,22 @@ fuzz-short:
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzDecodeSolve -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -run '^$$' -fuzz FuzzSessionDeltas -fuzztime $(FUZZTIME)
 
+# perfbench-smoke runs each serving-benchmark workload for 2 s and
+# fails unless perfbench's per-response verifier accepted every
+# response: the report's last line must carry "correct":true and
+# "failed":0. It checks no performance figure; the benchmark's bounds
+# compare runs on one host and are not a CI gate.
+PERFBENCH_WORKLOADS = hot-fleet cold-solve session-churn
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+		if echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -q '"failed":0[,}]'; then \
+			echo "perfbench-smoke: $$w verified"; \
+		else \
+			echo "perfbench-smoke: $$w failed verification: $$last"; exit 1; \
+		fi; \
+	done
+
 # ci is the single gate: formatting (gofmt must list no file), static
 # checks, the full suite, and the race
 # detector over the whole module — which includes the server's admission
@@ -165,7 +181,8 @@ fuzz-short:
 # narrow subset). The serving benchmark under perfbench/ is a module of
 # its own (a `replace` points it at this checkout, so it builds offline);
 # vetting and testing it here makes an API change that breaks the
-# benchmark's build fail CI. The drain and admission tests then repeat
+# benchmark's build fail CI, and perfbench-smoke makes its per-response
+# verifier a correctness gate. The drain and admission tests then repeat
 # under the race detector: a race between joining the drain group and
 # Shutdown's wait shows up in only some runs, so one pass is not enough
 # to catch a regression. The single-flight tests repeat the same way:
@@ -178,6 +195,7 @@ ci:
 	$(GO) build ./...
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
+	$(MAKE) perfbench-smoke
 	$(MAKE) lint-metrics
 	$(GO) test ./...
 	$(GO) test -race ./...

@@ -34,14 +34,17 @@
 // burstiness) instead of the closed-loop as-fast-as-possible default;
 // pacing uses workload.ArrivalTimes, again shared with the simulator.
 //
-// Fleet mode: -fleet takes a comma-separated shard list and replaces
-// the single-daemon client with the consistent-hash fleet client
-// (client.Fleet), so every request goes straight to its owning shard —
-// the same placement rebalrouter computes — and the report adds a
-// per-shard breakdown of requests and cache hit rates. Because
-// duplicate requests collide on one shard's cache, the aggregate hit
-// rate in fleet mode should match the single-daemon rate for the same
-// -dup, which is exactly what sharding by canonical key buys.
+// Fleet mode: -fleet takes a comma-separated shard list and routes
+// in-process instead of through -addr: loadgen builds a router over the
+// shards (internal/router, the code rebalrouter serves) and sends every
+// request through the router's Transport, so it lands on its owning
+// shard with the router's own placement, failover and membership but
+// without the router hop. The report adds a per-shard breakdown of
+// requests and cache hit rates, keyed by each response's shard_id (run
+// the shards with -shard-id). Because duplicate requests collide on one
+// shard's cache, the aggregate hit rate in fleet mode should match the
+// single-daemon rate for the same -dup, which is exactly what sharding
+// by canonical key buys.
 package main
 
 import (
@@ -64,6 +67,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/workload"
@@ -211,11 +215,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// solve abstracts over the two client shapes: a single daemon (the
-	// shard label is -addr) or a consistent-hash fleet, which reports
-	// the shard that actually served each request.
-	var solve func(context.Context, server.SolveRequest) (*server.SolveResponse, string, error)
-	var cl *client.Client
+	// Fleet mode routes in-process: the client's transport is a router
+	// over the shards, so each request reaches its owning shard without
+	// a router hop.
+	cl := client.New(*addr, nil)
+	target := *addr
 	if *fleet != "" {
 		var shards []string
 		for _, s := range strings.Split(*fleet, ",") {
@@ -223,20 +227,14 @@ func main() {
 				shards = append(shards, s)
 			}
 		}
-		fc := client.NewFleet(shards, nil)
-		if err := fc.Ready(ctx); err != nil {
-			log.Fatalf("no fleet shard ready among %s: %v", *fleet, err)
-		}
-		solve = fc.SolveShard
-	} else {
-		cl = client.New(*addr, nil)
-		if err := cl.Ready(ctx); err != nil {
-			log.Fatalf("daemon not ready at %s: %v", *addr, err)
-		}
-		solve = func(ctx context.Context, req server.SolveRequest) (*server.SolveResponse, string, error) {
-			resp, err := cl.Solve(ctx, req)
-			return resp, *addr, err
-		}
+		rt := router.New(router.Config{Shards: shards})
+		rt.ProbeNow(ctx)
+		defer rt.Close()
+		cl = client.New("http://fleet", &http.Client{Transport: rt.Transport()})
+		target = "fleet [" + *fleet + "]"
+	}
+	if err := cl.Ready(ctx); err != nil {
+		log.Fatalf("%s not ready: %v", target, err)
 	}
 
 	// Bracket the run with /metrics scrapes: the daemon refreshes its
@@ -245,7 +243,7 @@ func main() {
 	// running without a sink) just suppress the report. Fleet mode skips
 	// it — the per-shard breakdown is the fleet report.
 	var before map[string]int64
-	if cl != nil {
+	if *fleet == "" {
 		var err error
 		before, err = cl.Scalars(ctx)
 		if err != nil {
@@ -263,8 +261,8 @@ func main() {
 	solveLat := &obs.Histogram{}
 	var ok, rejected, deadline, failed atomic.Int64
 	var hits, misses, coalesced atomic.Int64
-	// Per-shard tallies (fleet mode report). Keyed by the shard that
-	// served the request — the fleet client's report, not the ring's
+	// Per-shard tallies (fleet mode report). Keyed by the shard_id of
+	// the response — the shard that served the request, not the ring's
 	// prediction, so failover shows up as traffic on the successor.
 	type shardStat struct{ ok, hits, misses, coalesced int64 }
 	shardStats := make(map[string]*shardStat)
@@ -321,7 +319,7 @@ func main() {
 		}
 		req := genReq(idx)
 		t0 := time.Now()
-		resp, shard, err := solve(ctx, req)
+		resp, err := cl.Solve(ctx, req)
 		lat.Observe(time.Since(t0).Nanoseconds())
 		var ae *client.APIError
 		switch {
@@ -338,7 +336,7 @@ func main() {
 			case "coalesced":
 				coalesced.Add(1)
 			}
-			tally(shard, resp)
+			tally(resp.ShardID, resp)
 		case errors.As(err, &ae) && ae.StatusCode == http.StatusTooManyRequests:
 			rejected.Add(1)
 		case errors.As(err, &ae) && ae.StatusCode == http.StatusGatewayTimeout:
@@ -354,10 +352,6 @@ func main() {
 	elapsed := time.Since(start)
 
 	issued := lat.Count()
-	target := *addr
-	if *fleet != "" {
-		target = "fleet [" + *fleet + "]"
-	}
 	fmt.Printf("loadgen: %s against %s\n", *alg, target)
 	fmt.Printf("requests:   %d issued / %d requested (concurrency %d)\n", issued, *n, *c)
 	fmt.Printf("outcomes:   %d ok, %d rejected (429), %d deadline (504), %d failed\n",
@@ -399,6 +393,9 @@ func main() {
 			rate := 0.0
 			if t := st.hits + st.misses + st.coalesced; t > 0 {
 				rate = 100 * float64(st.hits+st.coalesced) / float64(t)
+			}
+			if s == "" {
+				s = "(no shard_id)"
 			}
 			fmt.Printf("  %-28s %5d ok  %5d hit %5d miss %5d coalesced (hit rate %.1f%%)\n",
 				s, st.ok, st.hits, st.misses, st.coalesced, rate)

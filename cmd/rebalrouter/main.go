@@ -64,10 +64,7 @@ func main() {
 	var urls []string
 	for _, s := range strings.Split(*shards, ",") {
 		if s = strings.TrimSpace(s); s != "" {
-			if !strings.Contains(s, "://") {
-				s = "http://" + s
-			}
-			urls = append(urls, strings.TrimRight(s, "/"))
+			urls = append(urls, s)
 		}
 	}
 	if len(urls) == 0 {

@@ -12,8 +12,8 @@ import (
 // the serving benchmark's (Zipf sizes, skewed placement, unit costs;
 // n=200 on m=8 and n=2000 on m=16): "pooled" reuses one CanonScratch,
 // as the shard's hit probe and the router do, and "fresh" is the
-// allocating Canonicalize that batch items, client.Fleet and the fleet
-// simulator call.
+// allocating Canonicalize that batch items and the fleet simulator
+// call.
 func BenchmarkCanonicalize(b *testing.B) {
 	spec, _ := engine.Lookup("mpartition")
 	p := engine.Params{K: 10}

@@ -12,8 +12,8 @@ import (
 // CanonicalPoints computes the real ring placement of a generated
 // workload: rank r's point is cache.Canonicalize over the instance
 // loadgen would send for index r (base.Seed + r), projected with
-// Key.Point — the exact bytes-to-shard pipeline the router and the
-// fleet client use. Feeding these into Scenario.KeyPoints makes the
+// Key.Point — the exact bytes-to-shard pipeline the router uses.
+// Feeding these into Scenario.KeyPoints makes the
 // simulator's per-shard traffic split match a real fleet's for the
 // same workload flags, instead of merely matching in distribution.
 func CanonicalPoints(base workload.Config, solver string, p engine.Params, keys int) ([]uint64, error) {

@@ -14,11 +14,11 @@
 // properties are pinned by the package tests.
 //
 // Rings are immutable: With and Without derive new rings, so concurrent
-// readers (the router's forwarding path, the fleet client) swap an
-// atomic pointer instead of locking. Construction is deterministic —
-// two processes given the same member list and vnode count agree on
-// every owner, which is what lets the fleet client route without
-// talking to a router.
+// readers (the router's forwarding path) swap an atomic pointer
+// instead of locking. Construction is deterministic — two processes
+// given the same member list and vnode count agree on every owner,
+// which is what lets routers over one shard list, standalone or
+// in-process behind a client, place keys without talking.
 package ring
 
 import (

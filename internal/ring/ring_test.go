@@ -34,7 +34,7 @@ func TestOwnerDeterministicAcrossInstances(t *testing.T) {
 	members := shardNames(5)
 	a := New(members, 0)
 	// Same members in a different order must yield the identical ring —
-	// this is what lets routers and fleet clients agree without talking.
+	// this is what lets routers agree without talking.
 	shuffled := []string{members[3], members[0], members[4], members[1], members[2]}
 	b := New(shuffled, 0)
 	for _, key := range sampleKeys(2000) {

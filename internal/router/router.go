@@ -32,6 +32,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,7 +115,9 @@ type Router struct {
 	closed  bool
 }
 
-// New normalizes cfg and returns a router. The ring is empty until the
+// New normalizes cfg and returns a router. Shard addresses are
+// normalized like client.New's base: a bare host:port is promoted to
+// http:// and a trailing slash is trimmed. The ring is empty until the
 // first probe; call ProbeNow before serving (the daemon does, and
 // tests do) so startup does not answer 503 for a probe interval.
 func New(cfg Config) *Router {
@@ -141,7 +145,10 @@ func New(cfg Config) *Router {
 		done: make(chan struct{}),
 	}
 	for _, u := range cfg.Shards {
-		rt.members = append(rt.members, &member{url: u})
+		if !strings.Contains(u, "://") {
+			u = "http://" + u
+		}
+		rt.members = append(rt.members, &member{url: strings.TrimRight(u, "/")})
 	}
 	go rt.probeLoop()
 	return rt
@@ -274,6 +281,35 @@ func (rt *Router) Handler() http.Handler {
 	})
 	return mux
 }
+
+// Transport returns a RoundTripper that serves each request through
+// Handler in the caller's goroutine, with no network hop to the
+// router: a client over it routes with the router's own placement,
+// failover, peer-fill hints and membership. The request URL's host is
+// ignored. A request whose context ends while it is served fails with
+// the context's error, as it would over a network transport.
+func (rt *Router) Transport() http.RoundTripper {
+	h := rt.Handler()
+	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		r := req.Clone(req.Context())
+		if r.Body == nil {
+			r.Body = http.NoBody
+		}
+		defer r.Body.Close()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if err := req.Context().Err(); err != nil {
+			return nil, err
+		}
+		resp := rec.Result()
+		resp.Request = req
+		return resp, nil
+	})
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 func (rt *Router) healthyCount() int {
 	if rg := rt.ring.Load(); rg != nil {

@@ -9,6 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,12 +22,17 @@ import (
 	"repro/internal/server/client"
 )
 
-// shard is one in-process rebalanced daemon under httptest.
+// shard is one in-process rebalanced daemon under httptest. requests
+// counts everything but health probes; setting draining makes those
+// requests answer 503 while /readyz still reports ready, as a shard
+// does in the window before the prober notices its drain.
 type shard struct {
-	id   string
-	srv  *server.Server
-	ts   *httptest.Server
-	sink *obs.Sink
+	id       string
+	srv      *server.Server
+	ts       *httptest.Server
+	sink     *obs.Sink
+	requests atomic.Int64
+	draining atomic.Bool
 }
 
 func (s *shard) close() {
@@ -43,8 +51,20 @@ func startShard(t *testing.T, id string) *shard {
 		PeerFill: client.PeerFill(nil, time.Second),
 		Obs:      sink,
 	})
-	ts := httptest.NewServer(srv.Handler())
-	sh := &shard{id: id, srv: srv, ts: ts, sink: sink}
+	sh := &shard{id: id, srv: srv, sink: sink}
+	h := srv.Handler()
+	sh.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			sh.requests.Add(1)
+			if sh.draining.Load() {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				json.NewEncoder(w).Encode(server.ErrorResponse{Error: "server is draining"})
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
 	t.Cleanup(sh.close)
 	return sh
 }
@@ -270,19 +290,8 @@ func TestRouterReroutesAroundDrainingShard(t *testing.T) {
 	cl := client.New(rts.URL, nil)
 	ctx := context.Background()
 
-	// Find a key the draining shard owns, so the 503 path actually runs.
-	rg := rt.ring.Load()
-	req := testReq(0)
-	for i := 0; ; i++ {
-		if i > 64 {
-			t.Fatal("no key in 0..64 owned by the draining shard")
-		}
-		req = testReq(i)
-		body, _ := json.Marshal(req)
-		if owner, _ := rg.Owner(rt.routePoint(body)); owner == draining.URL {
-			break
-		}
-	}
+	// A key the draining shard owns, so the 503 path actually runs.
+	req := ownedBy(t, rt, draining.URL)
 	resp, err := cl.Solve(ctx, req)
 	if err != nil {
 		t.Fatalf("solve via draining owner: %v", err)
@@ -391,10 +400,11 @@ func TestRouterPeerFillOnJoin(t *testing.T) {
 
 // TestRouterRelaysAuthoritativeErrors pins that per-request errors —
 // an unknown solver's 404 here — pass through with the shard's status
-// and message instead of triggering failover.
+// and message instead of triggering failover: exactly one shard of the
+// fleet sees the request.
 func TestRouterRelaysAuthoritativeErrors(t *testing.T) {
-	sh := startShard(t, "s0")
-	_, rts := startRouter(t, []string{sh.ts.URL})
+	a, b := startShard(t, "a"), startShard(t, "b")
+	_, rts := startRouter(t, []string{a.ts.URL, b.ts.URL})
 	cl := client.New(rts.URL, nil)
 
 	req := testReq(0)
@@ -403,6 +413,139 @@ func TestRouterRelaysAuthoritativeErrors(t *testing.T) {
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Fatalf("err = %v, want APIError 404", err)
+	}
+	if na, nb := a.requests.Load(), b.requests.Load(); na+nb != 1 {
+		t.Fatalf("shards saw %d and %d requests for an authoritative 404, want 1 in total", na, nb)
+	}
+}
+
+// TestRouterRelaysBackpressure pins that a shard's 429 is the caller's
+// to back off from, not the router's to route around: the status and
+// its Retry-After reach the client, and no other shard is asked.
+func TestRouterRelaysBackpressure(t *testing.T) {
+	other := startShard(t, "other")
+	full := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		w.Header().Set("Retry-After", "3")
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusTooManyRequests)
+		json.NewEncoder(w).Encode(server.ErrorResponse{Error: "admission queue full"})
+	}))
+	t.Cleanup(full.Close)
+
+	rt, rts := startRouter(t, []string{other.ts.URL, full.URL})
+	req := ownedBy(t, rt, full.URL)
+	_, err := client.New(rts.URL, nil).Solve(context.Background(), req)
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("err = %v, want APIError 429", err)
+	}
+	if ae.RetryAfter != 3*time.Second || ae.Message != "admission queue full" {
+		t.Fatalf("relayed 429: Retry-After %v message %q, want 3s and the shard's message", ae.RetryAfter, ae.Message)
+	}
+	if n := other.requests.Load(); n != 0 {
+		t.Fatalf("the other shard saw %d requests after a 429, want 0", n)
+	}
+}
+
+// ownedBy returns the first testReq whose key the router's current
+// ring places on shard.
+func ownedBy(t *testing.T, rt *Router, shard string) server.SolveRequest {
+	t.Helper()
+	rg := rt.ring.Load()
+	for i := 0; i <= 64; i++ {
+		req := testReq(i)
+		body, _ := json.Marshal(req)
+		if owner, _ := rg.Owner(rt.routePoint(body)); owner == shard {
+			return req
+		}
+	}
+	t.Fatalf("no key in 0..64 owned by %s", shard)
+	return server.SolveRequest{}
+}
+
+// TestTransportRoutesInProcess pins that a client over the router's
+// Transport is the router without the hop: every key is served by its
+// ring owner, a key whose owner answers 503 fails over to its ring
+// successor, and readiness and batches work through it.
+func TestTransportRoutesInProcess(t *testing.T) {
+	shards := []*shard{startShard(t, "s0"), startShard(t, "s1"), startShard(t, "s2")}
+	idOf := map[string]string{}
+	var urls []string
+	for _, sh := range shards {
+		idOf[sh.ts.URL] = sh.id
+		urls = append(urls, sh.ts.URL)
+	}
+	rt, _ := startRouter(t, urls)
+	cl := client.New("http://fleet", &http.Client{Transport: rt.Transport()})
+	ctx := context.Background()
+	if err := cl.Ready(ctx); err != nil {
+		t.Fatalf("Ready through the transport: %v", err)
+	}
+
+	// The keys go out concurrently: one client shares the transport.
+	rg := rt.ring.Load()
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := testReq(i)
+			body, _ := json.Marshal(req)
+			owner, _ := rg.Owner(rt.routePoint(body))
+			resp, err := cl.Solve(ctx, req)
+			if err != nil {
+				t.Errorf("key %d: %v", i, err)
+			} else if resp.ShardID != idOf[owner] {
+				t.Errorf("key %d served by %q, want its ring owner %q", i, resp.ShardID, idOf[owner])
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	// Drain the owner of key 0 without the prober noticing: the request
+	// fails over to the key's ring successor.
+	req := testReq(0)
+	body, _ := json.Marshal(req)
+	succ := rg.Successors(rt.routePoint(body), 2)
+	for _, sh := range shards {
+		if sh.ts.URL == succ[0] {
+			sh.draining.Store(true)
+		}
+	}
+	resp, err := cl.Solve(ctx, req)
+	if err != nil {
+		t.Fatalf("solve with a draining owner: %v", err)
+	}
+	if resp.ShardID != idOf[succ[1]] {
+		t.Fatalf("draining owner's key served by %q, want its successor %q", resp.ShardID, idOf[succ[1]])
+	}
+
+	items, err := cl.Batch(ctx, []server.SolveRequest{testReq(1), testReq(1)})
+	if err != nil {
+		t.Fatalf("batch through the transport: %v", err)
+	}
+	for i, it := range items {
+		if it.Status != http.StatusOK || it.Result == nil {
+			t.Fatalf("batch item %d: status %d error %q", i, it.Status, it.Error)
+		}
+	}
+}
+
+// TestRouterNormalizesShardAddresses pins that a bare host:port with a
+// trailing slash names the same shard as its http:// URL does.
+func TestRouterNormalizesShardAddresses(t *testing.T) {
+	sh := startShard(t, "s0")
+	rt, rts := startRouter(t, []string{strings.TrimPrefix(sh.ts.URL, "http://") + "/"})
+	if got := rt.healthyCount(); got != 1 {
+		t.Fatalf("healthy shards = %d, want 1", got)
+	}
+	resp, err := client.New(rts.URL, nil).Solve(context.Background(), testReq(0))
+	if err != nil || resp.ShardID != "s0" {
+		t.Fatalf("solve through a bare-address shard: %+v, %v", resp, err)
 	}
 }
 

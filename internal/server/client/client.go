@@ -1,7 +1,10 @@
 // Package client is the typed Go client for the rebalanced HTTP API
 // (internal/server). It is used by `cmd/rebalance -remote`, by the load
-// generator, and by the end-to-end tests; the request/response types are
-// the server's own wire structs, so the two cannot drift apart.
+// generator, by shard daemons for peer cache fill, and by the end-to-end
+// tests; the request/response types are the server's own wire structs,
+// so the two cannot drift apart. A Client talks to one daemon or one
+// router; to route over a shard fleet without a router process, give it
+// an http.Client whose Transport is a router.Router's Transport.
 package client
 
 import (
@@ -9,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +19,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/instance"
 	"repro/internal/server"
 )
 
@@ -34,14 +38,6 @@ type APIError struct {
 // Error implements error.
 func (e *APIError) Error() string {
 	return fmt.Sprintf("rebalanced: %d %s: %s", e.StatusCode, http.StatusText(e.StatusCode), e.Message)
-}
-
-// IsRetryable reports whether err is an APIError worth retrying after a
-// backoff: queue-full (429) or draining/cancelled (503).
-func IsRetryable(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) &&
-		(ae.StatusCode == http.StatusTooManyRequests || ae.StatusCode == http.StatusServiceUnavailable)
 }
 
 // Client talks to one rebalanced daemon.
@@ -129,6 +125,33 @@ func (c *Client) Peek(ctx context.Context, req server.SolveRequest) (*server.Sol
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// PeerFill builds the dispatch-core fill hook a shard daemon uses to
+// warm its cache from a key's previous owner: a POST /v1/peek against
+// the peer URL the router supplied in X-Peer-Fill. Any error — peer
+// down, cache miss (404), cached infeasibility (422) — reports a miss
+// and the shard computes locally; peer fill is an optimization, never
+// a dependency. timeout bounds the peek on top of the solve's own
+// context (0 means the solve context alone).
+func PeerFill(httpClient *http.Client, timeout time.Duration) server.FillFunc {
+	return func(ctx context.Context, peer, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, bool) {
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
+		resp, err := New(peer, httpClient).Peek(ctx, server.SolveRequest{
+			Solver: solver, Instance: *ext, K: p.K, Budget: p.Budget, Eps: p.Eps,
+		})
+		if err != nil {
+			return instance.Solution{}, false
+		}
+		return instance.Solution{
+			Assign: resp.Assign, Makespan: resp.Makespan,
+			Moves: resp.Moves, MoveCost: resp.MoveCost,
+		}, true
+	}
 }
 
 // Batch round-trips a batch of solve requests through POST /v1/batch.

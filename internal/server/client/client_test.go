@@ -70,9 +70,6 @@ func TestClientRoundTrip(t *testing.T) {
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown solver error = %v, want *APIError 404", err)
 	}
-	if IsRetryable(err) {
-		t.Error("404 should not be retryable")
-	}
 }
 
 // TestClientBatch drives the typed batch method against a real Server:
@@ -141,9 +138,6 @@ func TestAPIErrorParsing(t *testing.T) {
 	}
 	if ae.RetryAfter != 7*time.Second {
 		t.Errorf("RetryAfter = %v, want 7s", ae.RetryAfter)
-	}
-	if !IsRetryable(err) {
-		t.Error("429 should be retryable")
 	}
 }
 
