@@ -93,10 +93,12 @@ loadtest:
 lint-metrics:
 	$(GO) test -run TestMetricsDocMatchesSource -count=1 .
 
-# metrics-smoke boots the daemon on a scratch port, issues one solve,
-# scrapes /metrics, and verifies the Prometheus exposition parses and
-# covers the serving and runtime families (plus /version and
-# /debug/traces), then shuts the daemon down.
+# metrics-smoke boots the daemon on a scratch port, issues one solve
+# and repeats it (the repeat must be a cache hit with queue_ns 0, so the
+# real binary's hit path is gated), scrapes /metrics, and verifies the
+# Prometheus exposition parses and covers the serving and runtime
+# families (plus /version and /debug/traces), then shuts the daemon
+# down.
 SMOKE_ADDR ?= localhost:18080
 metrics-smoke:
 	@tmp=$$(mktemp -d); \
@@ -182,10 +184,11 @@ perfbench-smoke:
 # its own (a `replace` points it at this checkout, so it builds offline);
 # vetting and testing it here makes an API change that breaks the
 # benchmark's build fail CI, and perfbench-smoke makes its per-response
-# verifier a correctness gate. The drain and admission tests then repeat
-# under the race detector: a race between joining the drain group and
-# Shutdown's wait shows up in only some runs, so one pass is not enough
-# to catch a regression. The single-flight tests repeat the same way:
+# verifier a correctness gate; metrics-smoke does the same for the
+# daemon binary's hit path and telemetry. The drain and admission tests
+# then repeat under the race detector: a race between joining the drain
+# group and Shutdown's wait shows up in only some runs, so one pass is
+# not enough to catch a regression. The single-flight tests repeat the same way:
 # coalescing and waiter detach race the flight's finalizer.
 DRAIN_RACE_RE = Drain|Shutdown|QueueFull|Session.*E2E
 FLIGHT_RACE_RE = Coalesce|SingleFlight|Waiter
@@ -197,6 +200,7 @@ ci:
 	$(GO) -C perfbench test ./...
 	$(MAKE) perfbench-smoke
 	$(MAKE) lint-metrics
+	$(MAKE) metrics-smoke
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(DRAIN_RACE_RE)' ./internal/dispatch ./internal/server/...

@@ -1,9 +1,11 @@
 // Command metricsmoke is the end-to-end check behind `make
 // metrics-smoke`: against a running rebalanced daemon it issues one
-// traced solve, scrapes GET /metrics, and verifies the exposition
-// parses as Prometheus text format and covers the serving families; it
-// also checks /version and /debug/traces answer. Exit status 0 means
-// the whole observability surface is live.
+// traced solve and repeats it, requiring the repeat to be a cache hit
+// served before admission (queue_ns 0), scrapes GET /metrics, and
+// verifies the exposition parses as Prometheus text format and covers
+// the serving families; it also checks /version and /debug/traces
+// answer. Exit status 0 means the hit path and the whole observability
+// surface are live.
 //
 // Usage:
 //
@@ -73,6 +75,17 @@ func main() {
 	}
 	fmt.Printf("solve ok: request %s timing queue=%dns cache=%dns solve=%dns\n",
 		resp.RequestID, resp.Timing.QueueNS, resp.Timing.CacheNS, resp.Timing.SolveNS)
+	// The same solve again is a cache hit, served before admission: it
+	// must say so and report no queue wait.
+	hit, err := cl.Solve(ctx, req)
+	if err != nil {
+		log.Fatalf("repeat solve: %v", err)
+	}
+	if hit.Cache != "hit" || hit.Timing.QueueNS != 0 || hit.Makespan != resp.Makespan {
+		log.Fatalf("repeat solve answered cache %q, queue_ns %d, makespan %d; want a hit with queue_ns 0 and makespan %d",
+			hit.Cache, hit.Timing.QueueNS, hit.Makespan, resp.Makespan)
+	}
+	fmt.Printf("repeat solve ok: cache hit, timing queue=%dns cache=%dns\n", hit.Timing.QueueNS, hit.Timing.CacheNS)
 
 	base := *addr
 	if !strings.Contains(base, "://") {

@@ -11,7 +11,7 @@ import (
 // through net/http/httptest, where per-op time is dominated by
 // scheduler and allocator interplay outside this repository's control
 // and drifts far beyond any usable tolerance on a shared machine.
-// Their regression signal is allocs/op — the property the fast path
+// Their regression signal is allocs/op — the property the hit path
 // exists to pin — which is deterministic and enforced strictly.
 type Gate struct {
 	Name      string

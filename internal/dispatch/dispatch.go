@@ -135,7 +135,7 @@ type Core struct {
 	// registry: interned names for allocation-free lookup plus the
 	// pre-resolved per-solver counters. Solvers registered after New
 	// (tests) miss here and take the allocating fallback.
-	solvers map[string]*Solver
+	solvers map[string]*solverEntry
 	// Pre-resolved aggregate serving metrics; nil without an obs sink.
 	mRequests, mErrors           *obs.Counter
 	mQueueNS, mCacheNS, mSolveNS *obs.Histogram
@@ -187,9 +187,9 @@ func New(cfg Config) *Core {
 			BaseCtx: ctx, Obs: cfg.Obs, Fill: cfg.Fill,
 		})
 	}
-	c.solvers = make(map[string]*Solver)
+	c.solvers = make(map[string]*solverEntry)
 	for _, spec := range engine.Specs() {
-		c.solvers[spec.Name] = &Solver{name: spec.Name, spec: spec}
+		c.solvers[spec.Name] = &solverEntry{name: spec.Name, spec: spec}
 	}
 	if cfg.Obs != nil {
 		reg := cfg.Obs.Reg
@@ -236,7 +236,7 @@ func (c *Core) enter() error {
 // by admitted solves (Do) and hits the transport served without
 // admission (ObserveHit), so the two cannot drift in /metrics. ent is
 // the solver's table entry, nil for solvers registered after New.
-func (c *Core) observe(ent *Solver, solver string, res *Result, latencyNS int64) {
+func (c *Core) observe(ent *solverEntry, solver string, res *Result, latencyNS int64) {
 	if c.cfg.Obs == nil {
 		return
 	}

@@ -295,14 +295,14 @@ func TestDoUsesProbedKey(t *testing.T) {
 	c := New(Config{Workers: 1})
 	defer c.Close()
 	ctx := context.Background()
-	ent := c.LookupSolver("mpartition")
+	spec, _ := engine.Lookup("mpartition")
 
 	a := coreReq(2)
 	var hs HitScratch
-	if _, ok, _ := c.TryCachedSolve(&hs, ent, &a.Instance, a.K, 0, 0); ok {
+	if _, ok := c.TryCachedSolve(&hs, a); ok {
 		t.Fatal("probe of a cold cache hit")
 	}
-	want := cache.Canonicalize("mpartition", ent.spec.Caps, &a.Instance, engine.Params{K: 2})
+	want := cache.Canonicalize("mpartition", spec.Caps, &a.Instance, engine.Params{K: 2})
 	if !hs.missed.keyed || hs.missed.can.Key != want.Key {
 		t.Fatal("a missed probe did not keep the request's canonical key")
 	}
@@ -314,15 +314,15 @@ func TestDoUsesProbedKey(t *testing.T) {
 	if err != nil || res.Err != nil || res.Cache != "miss" {
 		t.Fatalf("a: cache %q, err %v / %v (want a miss)", res.Cache, err, res.Err)
 	}
-	sol, ok, err := c.TryCachedSolve(&hs, ent, &a.Instance, a.K, 0, 0)
-	if !ok || err != nil || !slices.Equal(sol.Assign, res.Sol.Assign) {
-		t.Fatalf("repeat probe: hit %v, err %v, assign %v (want %v)", ok, err, sol.Assign, res.Sol.Assign)
+	hit, ok := c.TryCachedSolve(&hs, a)
+	if !ok || hit.Err != nil || hit.Cache != "hit" || !slices.Equal(hit.Sol.Assign, res.Sol.Assign) {
+		t.Fatalf("repeat probe: hit %v, cache %q, err %v, assign %v (want %v)", ok, hit.Cache, hit.Err, hit.Sol.Assign, res.Sol.Assign)
 	}
 
 	// Hand the probe key of b (k=3) to a2 (k=4), neither of them stored
 	// yet: the solve must land under b's key.
 	b := coreReq(3)
-	if _, ok, _ := c.TryCachedSolve(&hs, ent, &b.Instance, b.K, 0, 0); ok {
+	if _, ok := c.TryCachedSolve(&hs, b); ok {
 		t.Fatal("probe of b hit before b was solved")
 	}
 	a2 := coreReq(4)
@@ -330,10 +330,10 @@ func TestDoUsesProbedKey(t *testing.T) {
 	if res, err := c.Do(ctx, a2); err != nil || res.Cache != "miss" {
 		t.Fatalf("a2: cache %q, err %v (want a miss)", res.Cache, err)
 	}
-	if _, ok, _ := c.TryCachedSolve(&hs, ent, &b.Instance, b.K, 0, 0); !ok {
+	if _, ok := c.TryCachedSolve(&hs, b); !ok {
 		t.Fatal("Do recomputed the key instead of using the one handed to it")
 	}
-	if _, ok, _ := c.TryCachedSolve(&hs, ent, &a2.Instance, a2.K, 0, 0); ok {
+	if _, ok := c.TryCachedSolve(&hs, a2); ok {
 		t.Fatal("a2 was stored under its own key, not the handed one")
 	}
 }

@@ -1,10 +1,10 @@
-// Allocation-free cache-hit support. The HTTP layer's fast path (see
-// internal/server/fastpath.go) and its /v1/peek handler decode a
-// request on pooled buffers and probe the solution cache without
-// admission; the core-side halves of that handshake live here so the
-// transport never touches the cache directly. Every method on this file's path is allocation-free on a
-// hit — the zero-alloc guarantee is pinned by the server's
-// TestFastSolveHitZeroAllocs.
+// Allocation-free cache-hit support. The HTTP layer decodes a request
+// on pooled buffers and, before admission, probes the solution cache
+// with TryCachedSolve (/v1/solve, every /v1/batch item, and /v1/peek);
+// the core-side halves of that handshake live here so the transport
+// never touches the cache directly. Every method on this file's path is
+// allocation-free on a hit — the zero-alloc guarantee is pinned by the
+// server's TestFastSolveHitZeroAllocs.
 package dispatch
 
 import (
@@ -12,40 +12,18 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/engine"
-	"repro/internal/instance"
 	"repro/internal/obs"
 )
 
-// Solver is one entry of the per-solver serving table: the interned
-// name and spec for allocation-free lookup from raw request bytes,
-// plus the pre-resolved per-solver metrics (nil without an obs sink).
-type Solver struct {
+// solverEntry is one entry of the per-solver serving table: the
+// interned name and spec for allocation-free lookup from a decoded
+// request, plus the pre-resolved per-solver metrics (nil without an obs
+// sink).
+type solverEntry struct {
 	name     string
 	spec     engine.Spec
 	requests *obs.Counter
 	latency  *obs.Histogram
-}
-
-// Name returns the interned solver name; assigning it to a request
-// field does not retain the caller's byte slice.
-func (s *Solver) Name() string { return s.name }
-
-// Solution reports whether the solver is solution-kind (cacheable).
-func (s *Solver) Solution() bool { return s.spec.Kind == engine.KindSolution }
-
-// AcceptsParams reports whether every explicitly-set tuning parameter
-// (nonzero counts as set) is one the solver consumes — the fast-path
-// mirror of Validate's ValidateFlags check.
-func (s *Solver) AcceptsParams(k int, budget int64, eps float64) bool {
-	caps := s.spec.Caps
-	return (k == 0 || caps.K) && (budget == 0 || caps.Budget) && (eps == 0 || caps.Eps)
-}
-
-// LookupSolver resolves a decoded request's solver name against the
-// serving table without allocating. Nil for names absent from the table
-// (including solvers registered after New, which take the slow path).
-func (c *Core) LookupSolver(name string) *Solver {
-	return c.solvers[name]
 }
 
 // SolverName converts raw solver-name bytes from a request body into a
@@ -59,45 +37,50 @@ func SolverName(name []byte) string {
 	return string(name)
 }
 
-// HitScratch carries the reusable buffers of one fast-path cache probe.
-// Callers pool it; nothing it holds may escape the serving of one
-// request except through TryCachedSolve's returned solution, whose
-// Assign aliases the scratch buffer, and KeyInto's owned copy of a
-// missed probe's key.
+// HitScratch carries the reusable buffers of one cache probe. Callers
+// pool it; nothing it holds may escape the serving of one request
+// except through TryCachedSolve's returned solution, whose Assign
+// aliases the scratch buffer, and KeyInto's owned copy of a missed
+// probe's key.
 type HitScratch struct {
 	can    cache.CanonScratch
 	assign []int
 	missed probedKey // the last probe's key, if it missed
 }
 
-// TryCachedSolve canonicalizes the request on scratch buffers and
-// probes the solution cache. On a hit the returned solution's Assign
-// is hs's reused buffer (valid until the next call); the error return
-// is the cached deterministic failure (an infeasibility), also a hit.
-// ok is false on a miss, for a nil (unregistered) or sweep-kind ent,
-// and when no cache is configured — nothing is cached for those; a
-// solve falls back to Do, which starts or joins a flight. After a miss
-// KeyInto hands the probe's key on to that solve.
-func (c *Core) TryCachedSolve(hs *HitScratch, ent *Solver, ext *instance.Extended, k int, budget int64, eps float64) (sol instance.Solution, ok bool, err error) {
+// TryCachedSolve canonicalizes req, which Validate has accepted, on
+// scratch buffers and probes the solution cache. On a hit (ok true) the
+// result is what Do would have answered — Cache "hit", the probe's time
+// as CacheNS, and the solution, or in Err the cached deterministic
+// failure (an infeasibility) — except that its Assign is hs's reused
+// buffer, valid until the next call. Nothing is recorded beyond
+// cache.hits; ObserveHit books a hit the transport serves. ok is false
+// on a miss, for a sweep-kind solver or one registered after New, and
+// when no cache is configured; the request then goes to Do, which
+// starts or joins a flight, and after a miss KeyInto hands the probe's
+// key on to it.
+func (c *Core) TryCachedSolve(hs *HitScratch, req *Request) (res Result, ok bool) {
 	hs.missed = probedKey{}
-	if c.cache == nil || ent == nil || !ent.Solution() {
-		return instance.Solution{}, false, nil
+	ent := c.solvers[req.Solver]
+	if c.cache == nil || ent == nil || ent.spec.Kind != engine.KindSolution {
+		return Result{}, false
 	}
 	start := time.Now()
 	p := engine.Params{
-		K: k, Budget: budget, Eps: eps,
+		K: req.K, Budget: req.Budget, Eps: req.Eps,
 		Workers: c.cfg.SolverWorkers, Obs: c.cfg.Obs,
 	}
-	can := hs.can.Canonicalize(ent.name, ent.spec.Caps, ext, p)
-	sol, ok, err = c.cache.TryGet(can, &ext.Instance, ent.name, hs.assign)
+	can := hs.can.Canonicalize(ent.name, ent.spec.Caps, &req.Instance, p)
+	sol, ok, err := c.cache.TryGet(can, &req.Instance.Instance, ent.name, hs.assign)
+	ns := time.Since(start).Nanoseconds()
 	if !ok {
-		hs.missed = probedKey{can: can, ns: time.Since(start).Nanoseconds(), keyed: true}
-		return sol, false, nil
+		hs.missed = probedKey{can: can, ns: ns, keyed: true}
+		return Result{}, false
 	}
 	if err == nil {
 		hs.assign = sol.Assign // keep the (possibly grown) buffer
 	}
-	return sol, ok, err
+	return Result{Sol: sol, Cache: "hit", CacheNS: ns, Err: err}, true
 }
 
 // KeyInto hands the key of hs's last probe, which must have missed on
@@ -113,10 +96,9 @@ func (hs *HitScratch) KeyInto(req *Request) {
 	hs.missed = probedKey{}
 }
 
-// ObserveHit records a hit the transport served without admission —
-// zero queue wait, zero engine compute, all cache — with the same
-// accounting Do gives an admitted solve. err is the cached failure,
-// if any.
-func (c *Core) ObserveHit(ent *Solver, cacheNS int64, err error) {
-	c.observe(ent, ent.name, &Result{Cache: "hit", CacheNS: cacheNS, Err: err}, cacheNS)
+// ObserveHit records a TryCachedSolve hit on req that the transport
+// served without admission — zero queue wait, zero engine compute, all
+// cache — with the same accounting Do gives an admitted solve.
+func (c *Core) ObserveHit(req *Request, res *Result) {
+	c.observe(c.solvers[req.Solver], req.Solver, res, res.CacheNS)
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -346,9 +347,9 @@ const DefaultTraceRing = 128
 //
 // A transport that answers some requests without spans draws each
 // request's decision once with Sample. It then either starts the root
-// with StartSampled, passing the decision on, or, for an unsampled
-// request it answers without spans, reports the end with EndUnsampled,
-// which still keeps the request if it was slow.
+// with StartSampled, passing the decision on, or, for a request it
+// answers without spans, reports the end with EndSpanless, which keeps
+// the request as a lone root span if it was sampled or slow.
 type SpanTracer struct {
 	cfg     SpanConfig
 	seed    atomic.Uint64 // splitmix64 state for the rate decision
@@ -400,31 +401,31 @@ func (st *SpanTracer) StartSampled(ctx context.Context, name, traceID string, sa
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// EndUnsampled closes the books on a request whose draw came out false
-// and that was served without a span tree (the server's allocation-free
-// hit path). It counts in trace.started like any root. If the request,
-// begun at start, lasted SlowThreshold or longer, it is kept as a slow
-// trace of one root span named name carrying attr; otherwise nothing is
-// allocated. Safe on nil.
-func (st *SpanTracer) EndUnsampled(name, traceID string, start time.Time, attr Attr) {
+// EndSpanless closes the books on a request served without a span
+// tree (the server's cache hits), passing on its one draw from Sample.
+// It counts in trace.started like any root. If the request was sampled,
+// or, begun at start, lasted SlowThreshold or longer, it is kept as a
+// trace of one root span named name carrying attrs; otherwise nothing
+// is allocated. Safe on nil.
+func (st *SpanTracer) EndSpanless(name, traceID string, sampled bool, start time.Time, attrs ...Attr) {
 	if st == nil {
 		return
 	}
 	st.countStarted()
 	d := time.Since(start)
-	if st.cfg.SlowThreshold <= 0 || d < st.cfg.SlowThreshold {
+	if !sampled && (st.cfg.SlowThreshold <= 0 || d < st.cfg.SlowThreshold) {
 		return
 	}
 	if traceID == "" {
 		traceID = NewTraceID()
 	}
-	st.commit(&traceState{st: st, id: traceID}, SpanRecord{
+	st.commit(&traceState{st: st, id: traceID, sampled: sampled}, SpanRecord{
 		TraceID:     traceID,
 		SpanID:      1,
 		Name:        name,
 		StartUnixNS: start.UnixNano(),
 		DurationNS:  d.Nanoseconds(),
-		Attrs:       attrList{attr},
+		Attrs:       slices.Clone(attrs),
 	})
 }
 

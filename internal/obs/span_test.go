@@ -98,22 +98,31 @@ func TestSpanSampling(t *testing.T) {
 }
 
 // TestSpanUnsampledEnd checks the span-free half of a pre-drawn
-// decision: StartSampled honours the caller's draw, and EndUnsampled
-// counts the request in trace.started, keeps it only when it was slow,
-// and then as one slow root span.
+// decision: StartSampled honours the caller's draw, and EndSpanless
+// counts the request in trace.started and keeps it as one root span
+// only when it was drawn or slow, whatever the tracer's own rate.
 func TestSpanUnsampledEnd(t *testing.T) {
 	sink := New()
 	st := NewSpanTracer(SpanConfig{SampleRate: 0, SlowThreshold: time.Hour, Obs: sink})
 	_, root := st.StartSampled(context.Background(), "request", "drawn", true)
 	root.End()
-	st.EndUnsampled("request", "fast", time.Now(), String("solver", "greedy"))
+	st.EndSpanless("request", "fast", false, time.Now(), String("solver", "greedy"))
 	if traces := st.Traces(); len(traces) != 1 || traces[0].TraceID != "drawn" || traces[0].Slow {
 		t.Fatalf("traces %+v, want only the sampled one", traces)
 	}
+	st.EndSpanless("request", "drawn-hit", true, time.Now(), String("solver", "greedy"), Bool("batch", true))
+	traces := st.Traces()
+	if len(traces) != 2 || traces[0].TraceID != "drawn-hit" || traces[0].Slow || len(traces[0].Spans) != 1 {
+		t.Fatalf("sampled span-free request: traces %+v, want it kept as one fast single-span trace", traces)
+	}
+	if sp := traces[0].Spans[0]; sp.Name != "request" || sp.ParentID != 0 || len(sp.Attrs) != 2 ||
+		sp.Attrs[0].Value() != "greedy" || sp.Attrs[1].Value() != true {
+		t.Fatalf("sampled span-free root %+v", sp)
+	}
 
 	st = NewSpanTracer(SpanConfig{SampleRate: 1, SlowThreshold: time.Millisecond, Obs: sink})
-	st.EndUnsampled("request", "slow", time.Now().Add(-time.Second), String("solver", "greedy"))
-	traces := st.Traces()
+	st.EndSpanless("request", "slow", false, time.Now().Add(-time.Second), String("solver", "greedy"))
+	traces = st.Traces()
 	if len(traces) != 1 || !traces[0].Slow || traces[0].TraceID != "slow" || len(traces[0].Spans) != 1 {
 		t.Fatalf("slow unsampled request: traces %+v, want one slow single-span trace", traces)
 	}
@@ -122,15 +131,15 @@ func TestSpanUnsampledEnd(t *testing.T) {
 		t.Fatalf("slow unsampled root %+v", sp)
 	}
 	c := sink.Snapshot().Counters
-	if c["trace.started"] != 3 || c["trace.kept"] != 2 || c["trace.slow"] != 1 {
-		t.Errorf("trace counters = %v, want started 3, kept 2, slow 1", c)
+	if c["trace.started"] != 4 || c["trace.kept"] != 3 || c["trace.slow"] != 1 {
+		t.Errorf("trace counters = %v, want started 4, kept 3, slow 1", c)
 	}
 
 	var off *SpanTracer
 	if off.Sample() {
 		t.Error("a nil tracer sampled a request")
 	}
-	off.EndUnsampled("request", "x", time.Now(), String("solver", "greedy")) // must not panic
+	off.EndSpanless("request", "x", true, time.Now(), String("solver", "greedy")) // must not panic
 }
 
 // TestSpanSampleRate checks the splitmix decision realizes an

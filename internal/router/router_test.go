@@ -559,11 +559,11 @@ func TestRouterEmptyRing(t *testing.T) {
 	rt, rts := startRouter(t, []string{dead.URL})
 	cl := client.New(rts.URL, nil)
 
-	if err := cl.Ready(context.Background()); err == nil {
-		t.Fatal("Ready succeeded with an empty ring")
+	var ae *client.APIError
+	if err := cl.Ready(context.Background()); !errors.As(err, &ae) || ae.Message != "no healthy shards" {
+		t.Fatalf("Ready with an empty ring: %v, want an APIError with message \"no healthy shards\"", err)
 	}
 	_, err := cl.Solve(context.Background(), testReq(0))
-	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want APIError 503", err)
 	}

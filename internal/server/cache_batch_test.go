@@ -205,8 +205,19 @@ func TestBatchMatchesSequential(t *testing.T) {
 	badFlags := solveRequest("greedy", in)
 	badFlags.Budget = 5 // greedy does not consume -budget
 	reqs := []SolveRequest{good, greedyReq, unknown, badFlags, good}
+	// The second pass posts the batch again: every good item is then a
+	// cache hit, whose assignment must not alias the pooled scratch that
+	// served it, since the items are encoded only after the fan-out.
+	for pass := 0; pass < 2; pass++ {
+		batchMatchesSequential(t, ts.URL, reqs)
+	}
+}
 
-	resp, body := postBatch(t, ts.URL, BatchRequest{Requests: reqs})
+// batchMatchesSequential posts reqs as one batch and then each as a
+// single solve, and requires the same status, error or result per item.
+func batchMatchesSequential(t *testing.T, url string, reqs []SolveRequest) {
+	t.Helper()
+	resp, body := postBatch(t, url, BatchRequest{Requests: reqs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, body)
 	}
@@ -219,7 +230,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 
 	for i, req := range reqs {
-		sresp, sbody := postSolve(t, ts.URL, req)
+		sresp, sbody := postSolve(t, url, req)
 		item := br.Items[i]
 		if item.Status != sresp.StatusCode {
 			t.Errorf("item %d: batch status %d, sequential %d (%s)", i, item.Status, sresp.StatusCode, sbody)

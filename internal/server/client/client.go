@@ -10,6 +10,7 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -86,9 +87,14 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		ae := &APIError{StatusCode: resp.StatusCode}
-		var eb server.ErrorResponse
+		// An API error carries its reason in "error"; a readiness 503
+		// (/readyz, from a shard or a router) carries it in "status".
+		var eb struct {
+			server.ErrorResponse
+			Status string `json:"status"`
+		}
 		if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&eb); derr == nil {
-			ae.Message = eb.Error
+			ae.Message = cmp.Or(eb.Error, eb.Status)
 		}
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			if secs, perr := strconv.Atoi(ra); perr == nil {

@@ -141,6 +141,20 @@ func TestAPIErrorParsing(t *testing.T) {
 	}
 }
 
+// TestReadyReportsDraining: a readiness 503 carries its reason in the
+// body's "status", and the typed error reports it as the message.
+func TestReadyReportsDraining(t *testing.T) {
+	s := server.New(server.Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Close() // drained: /readyz now answers 503
+	err := New(ts.URL, nil).Ready(context.Background())
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable || ae.Message != "draining" {
+		t.Fatalf("Ready on a draining server: %v, want a 503 APIError with message \"draining\"", err)
+	}
+}
+
 // TestBaseURLPromotion pins that a bare host:port grows an http scheme.
 func TestBaseURLPromotion(t *testing.T) {
 	c := New("localhost:9999/", nil)

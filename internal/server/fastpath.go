@@ -1,31 +1,25 @@
-// The zero-allocation serving path for POST /v1/solve cache hits.
+// The pooled request scratch and the response encoder of the serving
+// pipeline (Server.serve in server.go).
 //
-// The handler reads the body into pooled scratch and decodes it once,
-// into the scratch's request (DecodeSolve: the strict decoder, with
-// encoding/json only for bodies it rejects), and draws the request's
-// trace sampling decision once. A strict body whose draw came out
-// false — every request without a tracer, and all but SampleRate of
-// them with one — then gets the allocation-free hit probe: validation,
-// pooled canonicalization, LRU probe, response encode, on reused
-// buffers. A sampled request skips the probe, so that its trace shows
-// the full span tree of the admitted path. Every other disposition (a
-// miss, a fallback-decoded body, an unknown solver, invalid parameters,
-// a sampled trace) takes the admitted path on a heap copy of the
-// already-decoded request: a cache flight may retain a request beyond
-// the handler's lifetime, so pooled memory is only ever served on a
-// pure hit, where nothing escapes. A probe that missed hands its key to
-// the admitted solve, so every strict body is canonicalized exactly
-// once, hit or miss, and the admitted root span carries the decision
-// already drawn.
+// The /v1/solve and /v1/peek handlers read the body into pooled scratch
+// and decode it once, into the scratch's request (the strict decoder,
+// with encoding/json only for bodies it rejects); a /v1/batch item is
+// served from its decoded batch on a scratch of its own. Every request
+// then takes one pipeline, however it was decoded and whatever its
+// trace draw: validation, then the cache probe on the scratch's reused
+// buffers, and only on a miss admission through the dispatch core. A
+// hit, or a cached infeasibility, never takes a solve slot and
+// allocates nothing. A cache flight may retain a request beyond the
+// handler's lifetime, so a miss is admitted on a heap copy of a pooled
+// request (detach), carrying the key its probe computed, so every
+// request is canonicalized exactly once, hit or miss.
 //
-// Every solve and peek success body, fast or admitted, is built by
-// buildResponse and encoded by the scratch's one json.Encoder into the
-// scratch's reused buffer, so the two paths answer byte-identically and
-// each body goes out with an exact Content-Length.
+// Every solve and peek success body is built by buildResponse and
+// encoded by the scratch's one json.Encoder into the scratch's reused
+// buffer, so each body goes out with an exact Content-Length.
 //
-// The cache-facing halves (solver table lookup, canonical probe, hit
-// accounting) live on the dispatch core; this file owns only the byte-
-// level decode and encode.
+// The cache-facing halves (canonical probe, hit accounting) live on the
+// dispatch core; this file owns only the byte-level decode and encode.
 package server
 
 import (
@@ -36,15 +30,14 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/instance"
 )
 
 // solveScratch carries one request's reusable buffers through the
-// handler. Pooled; nothing in it may escape the handler — detach hands
-// the admitted path its own copy of the request.
+// pipeline. Pooled; nothing in it may escape the request — detach hands
+// the admitted path its own copy of a pooled request.
 type solveScratch struct {
 	body  []byte
 	req   SolveRequest
@@ -57,17 +50,22 @@ type solveScratch struct {
 
 var solveScratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
 
-// detach returns a heap copy of the decoded request that shares no
-// reused memory with the scratch: the job and assignment arrays, the
-// only slices the strict decoder reuses, are copied (not re-parsed).
-// The extension and sweep slices only ever come from the encoding/json
-// fallback, which decodes into fresh memory, so the copy may share them.
-func (sc *solveScratch) detach() *SolveRequest {
-	req := new(SolveRequest)
-	*req = sc.req
-	req.Instance.Jobs = slices.Clone(sc.req.Instance.Jobs)
-	req.Instance.Assign = slices.Clone(sc.req.Instance.Assign)
-	return req
+// detach returns req for the admitted path. A request the caller owns
+// is returned as is; the scratch's own request is copied to the heap so
+// that it shares no reused memory with the scratch: the job and
+// assignment arrays, the only slices the strict decoder reuses, are
+// copied (not re-parsed). The extension and sweep slices only ever come
+// from the encoding/json fallback, which decodes into fresh memory, so
+// the copy may share them.
+func (sc *solveScratch) detach(req *SolveRequest) *SolveRequest {
+	if req != &sc.req {
+		return req
+	}
+	own := new(SolveRequest)
+	*own = sc.req
+	own.Instance.Jobs = slices.Clone(sc.req.Instance.Jobs)
+	own.Instance.Assign = slices.Clone(sc.req.Instance.Assign)
+	return own
 }
 
 // readBody reads r into dst's capacity, growing as needed. Identical
@@ -90,62 +88,6 @@ func readBody(dst []byte, r io.Reader) ([]byte, error) {
 			return dst, err
 		}
 	}
-}
-
-// fastOutcome is fastSolve's disposition.
-type fastOutcome int
-
-const (
-	// fastFallback: the probe cannot answer the request (an unknown or
-	// sweep solver, an invalid instance, or a parameter the solver does
-	// not take); the caller detaches the decoded request and admits it,
-	// and the admitted path answers it.
-	fastFallback fastOutcome = iota
-	// fastMiss: the probe keyed the request and missed; the caller
-	// admits it as for fastFallback, handing on the probe's key
-	// (HitScratch.KeyInto).
-	fastMiss
-	// fastHit: the returned result is the cached solution; the caller
-	// encodes it like any other 200.
-	fastHit
-	// fastCachedError: the cache holds a deterministic error for this
-	// request (an infeasibility), in the returned result's Err; respond
-	// with it.
-	fastCachedError
-)
-
-// fastSolve attempts the allocation-free hit probe on sc.req, which
-// the strict decoder has filled; the caller has already ruled out a
-// sampled trace. On fastHit the result's solution aliases sc.hit, so
-// the caller encodes it before the scratch goes back to the pool. It
-// performs the same counter accounting an admitted hit would
-// (request/latency/phase metrics, cache.hits), so a served hit is
-// indistinguishable from the slow path in /metrics.
-func (s *Server) fastSolve(sc *solveScratch) (fastOutcome, dispatch.Result) {
-	start := time.Now()
-	req := &sc.req
-	ent := s.core.LookupSolver(req.Solver)
-	if ent == nil || !ent.Solution() {
-		return fastFallback, dispatch.Result{}
-	}
-	if req.Instance.Instance.Validate() != nil {
-		return fastFallback, dispatch.Result{}
-	}
-	// Tuning flags the solver does not consume reject with 400 on the
-	// slow path; nonzero counts as set, mirroring Validate.
-	if !ent.AcceptsParams(req.K, req.Budget, req.Eps) {
-		return fastFallback, dispatch.Result{}
-	}
-	sol, hit, err := s.core.TryCachedSolve(&sc.hit, ent, &req.Instance, req.K, req.Budget, req.Eps)
-	if !hit {
-		return fastMiss, dispatch.Result{}
-	}
-	totalNS := time.Since(start).Nanoseconds()
-	s.core.ObserveHit(ent, totalNS, err)
-	if err != nil {
-		return fastCachedError, dispatch.Result{Err: err}
-	}
-	return fastHit, dispatch.Result{Sol: sol, Cache: "hit", CacheNS: totalNS}
 }
 
 // encode renders resp into sc.out on the scratch's encoder: the one

@@ -6,6 +6,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/obs"
 	"repro/internal/server/servertest"
 	"repro/internal/workload"
@@ -86,12 +86,13 @@ var raceEnabled bool
 
 // TestFastSolveHitZeroAllocs is the serving-path allocation guard: a
 // warmed scratch answering a repeat request from the cache must not
-// allocate (net/http internals excluded — fastSolve is called directly),
-// without a tracer, under the daemon's default one, whose unsampled
-// requests take this path too, and with a shard ID to encode. The
-// decode, probe and books are counted in every build; the response
-// encode keeps its state in encoding/json's sync.Pool, so it is counted
-// in normal builds only.
+// allocate (net/http internals excluded — the pipeline, serve, is called
+// directly), without a tracer, under the daemon's default one, and with
+// a shard ID to encode. Under the daemon's tracer about one request in
+// a hundred is sampled, and keeping its trace allocates a few objects:
+// far less than one per request. The decode, probe and books are
+// counted in every build; the response encode keeps its state in
+// encoding/json's sync.Pool, so it is counted in normal builds only.
 func TestFastSolveHitZeroAllocs(t *testing.T) {
 	sink := obs.New()
 	for _, tc := range []struct {
@@ -118,25 +119,23 @@ func TestFastSolveHitZeroAllocs(t *testing.T) {
 
 			sc := new(solveScratch)
 			sc.body = append(sc.body, hitBody...)
-			var res dispatch.Result
-			// probe is the handler's decode, the hit probe, and the books
-			// the handler closes on it; encode renders the hit's body.
+			ctx := context.Background()
+			var resp SolveResponse
+			// probe is the handler's decode and the pipeline, which serves
+			// the hit and closes its books; encode renders the hit's body.
 			probe := func() error {
-				if strict, err := s.decodeSolve(sc.body, &sc.req); !strict || err != nil {
-					return fmt.Errorf("strict decode rejected the body (err %v)", err)
+				if !DecodeSolveStrict(sc.body, &sc.req) {
+					return fmt.Errorf("strict decode rejected the body")
 				}
-				start := time.Now()
-				out, fres := s.fastSolve(sc)
-				s.endFast("alloc-guard", sc.req.Solver, start, http.StatusOK)
-				if out != fastHit {
-					return fmt.Errorf("fastSolve outcome %v (err %v), want hit", out, fres.Err)
+				var status int
+				var msg string
+				resp, status, msg = s.serve(ctx, sc, &sc.req, "alloc-guard", false)
+				if status != http.StatusOK || resp.Cache != "hit" || resp.Timing.QueueNS != 0 {
+					return fmt.Errorf("serve: status %d (%s), cache %q, queue_ns %d, want a hit", status, msg, resp.Cache, resp.Timing.QueueNS)
 				}
-				res = fres
 				return nil
 			}
-			encode := func() {
-				sc.encode(s.buildResponse(sc.req.Solver, &sc.req.Instance.Instance, &sc.loads, res, "alloc-guard"))
-			}
+			encode := func() { sc.encode(resp) }
 			if err := probe(); err != nil {
 				t.Fatalf("warm-up: %v", err)
 			}
@@ -146,7 +145,7 @@ func TestFastSolveHitZeroAllocs(t *testing.T) {
 					panic(err)
 				}
 			}); n != 0 {
-				t.Fatalf("decode + fastSolve hit probe allocates %.1f/op, want 0", n)
+				t.Fatalf("decode + served hit allocates %.1f/op, want 0", n)
 			}
 			if raceEnabled {
 				return
@@ -157,13 +156,13 @@ func TestFastSolveHitZeroAllocs(t *testing.T) {
 				}
 				encode()
 			}); n != 0 {
-				t.Fatalf("decode + fastSolve hit + response encode allocates %.1f/op, want 0", n)
+				t.Fatalf("decode + served hit + response encode allocates %.1f/op, want 0", n)
 			}
 		})
 	}
 }
 
-// hitBody is a strict solve body the fast-path tests post repeatedly:
+// hitBody is a strict solve body the hit-path tests post repeatedly:
 // the first post misses, every later one is a cache hit.
 var hitBody = []byte(`{"solver":"mpartition","instance":{"m":2,"jobs":[{"id":0,"size":5},{"id":1,"size":4},{"id":2,"size":3},{"id":3,"size":2}],"assign":[0,0,0,0]},"k":2}`)
 
@@ -196,9 +195,9 @@ func traceByID(tr *obs.SpanTracer, id string) *obs.Trace {
 }
 
 // TestSampledHitKeepsSpanTree: at SampleRate 1 every request is
-// sampled, so no hit takes the allocation-free path, and each one's
-// trace is the admitted path's tree — request → queue + cache, the
-// cache span reporting the hit.
+// sampled, and a sampled hit is still served by the probe, without a
+// solve slot. Its kept trace is the hit's shape: one request root span
+// carrying the solver, not marked slow.
 func TestSampledHitKeepsSpanTree(t *testing.T) {
 	tr := obs.NewSpanTracer(obs.SpanConfig{SampleRate: 1})
 	s := New(Config{Workers: 1, Trace: tr})
@@ -207,34 +206,32 @@ func TestSampledHitKeepsSpanTree(t *testing.T) {
 	postHit(t, h, "sampled-miss")
 	for i := 0; i < 5; i++ {
 		rid := fmt.Sprintf("sampled-hit-%d", i)
-		if resp := postHit(t, h, rid); resp.Cache != "hit" {
-			t.Fatalf("%s: cache %q, want hit", rid, resp.Cache)
+		if resp := postHit(t, h, rid); resp.Cache != "hit" || resp.Timing.QueueNS != 0 {
+			t.Fatalf("%s: cache %q, queue_ns %d: not served by the probe", rid, resp.Cache, resp.Timing.QueueNS)
 		}
 		trace := traceByID(tr, rid)
 		if trace == nil {
 			t.Fatalf("%s: no trace kept at SampleRate 1", rid)
 		}
-		byName := map[string]obs.SpanRecord{}
-		for _, sp := range trace.Spans {
-			byName[sp.Name] = sp
+		if trace.Slow || trace.Root != "request" || len(trace.Spans) != 1 {
+			t.Fatalf("%s: trace %+v, want one root span, not slow", rid, trace)
 		}
-		if len(trace.Spans) != 3 || len(byName) != 3 {
-			t.Fatalf("%s: spans %v, want request, queue and cache", rid, names(trace.Spans))
+		sp := trace.Spans[0]
+		if sp.Name != "request" || sp.ParentID != 0 || sp.TraceID != rid {
+			t.Fatalf("%s: root span %+v", rid, sp)
 		}
-		root := byName["request"]
-		for _, name := range []string{"queue", "cache"} {
-			if sp, ok := byName[name]; !ok || sp.ParentID != root.SpanID || root.ParentID != 0 {
-				t.Fatalf("%s: span %q missing or not a child of the root: %+v", rid, name, trace.Spans)
-			}
+		if a := sp.Attrs; len(a) != 1 || a[0].Key != "solver" || a[0].Value() != "mpartition" {
+			t.Fatalf("%s: root attrs %+v, want solver=mpartition", rid, a)
 		}
-		if got := byName["cache"].Attrs; len(got) != 1 || got[0].Key != "outcome" || got[0].Value() != "hit" {
-			t.Fatalf("%s: cache span attrs %+v, want outcome=hit", rid, got)
-		}
+	}
+	// The miss before them was admitted and keeps the full tree.
+	if trace := traceByID(tr, "sampled-miss"); trace == nil || len(trace.Spans) != 4 {
+		t.Fatalf("sampled miss: trace %+v, want request, queue, cache and solve spans", trace)
 	}
 }
 
-// TestUnsampledSlowFastHitKept: "always keep slow traces" holds on the
-// allocation-free path. At SampleRate 0 with a 1 ns threshold every
+// TestUnsampledSlowFastHitKept: "always keep slow traces" holds for
+// hits the probe serves. At SampleRate 0 with a 1 ns threshold every
 // request is slow; each hit is served by the probe and kept as a slow
 // trace of its lone root span.
 func TestUnsampledSlowFastHitKept(t *testing.T) {
@@ -252,7 +249,7 @@ func TestUnsampledSlowFastHitKept(t *testing.T) {
 		}
 		trace := traceByID(tr, rid)
 		if trace == nil {
-			t.Fatalf("%s: slow fast-path hit not kept", rid)
+			t.Fatalf("%s: slow hit not kept", rid)
 		}
 		if !trace.Slow || trace.Root != "request" || len(trace.Spans) != 1 {
 			t.Fatalf("%s: trace %+v, want one slow root span", rid, trace)
@@ -269,25 +266,24 @@ func TestUnsampledSlowFastHitKept(t *testing.T) {
 }
 
 // TestSampleRateOneDrawPerRequest: over many hits the kept fraction
-// converges to SampleRate, so each request draws once. Were the admitted
-// path to draw again after the probe's draw, only SampleRate² of the
-// hits would be kept; were sampled requests served by the probe, none
-// would. The kept count must sit within four binomial standard
-// deviations of n·SampleRate, every kept hit must carry the admitted
-// path's spans, and trace.started counts every request.
+// converges to SampleRate, so each request draws once. Were the hit's
+// trace to draw again after the request's draw, only SampleRate² of the
+// hits would be kept. The kept count must sit within four binomial
+// standard deviations of n·SampleRate, every hit must be served by the
+// probe (queue_ns 0), sampled or not, every kept hit must have the
+// hit's one-span shape, and trace.started counts every request.
 func TestSampleRateOneDrawPerRequest(t *testing.T) {
 	const (
 		hits = 10000
 		rate = 0.05
 	)
 	sink := obs.New()
-	tr := obs.NewSpanTracer(obs.SpanConfig{SampleRate: rate, Obs: sink})
+	tr := obs.NewSpanTracer(obs.SpanConfig{SampleRate: rate, RingSize: hits, Obs: sink})
 	s := New(Config{Workers: 1, Trace: tr, Obs: sink})
 	defer s.Close()
 	h := s.Handler()
 	postHit(t, h, "rate-miss")
 	before := sink.Snapshot().Counters["trace.kept"]
-	fast := 0
 	for i := 0; i < hits; i++ {
 		r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(hitBody))
 		r.Header.Set("X-Request-ID", "rate-"+strconv.Itoa(i))
@@ -296,8 +292,8 @@ func TestSampleRateOneDrawPerRequest(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("hit %d: status %d", i, w.Code)
 		}
-		if bytes.Contains(w.Body.Bytes(), []byte(`"queue_ns":0,`)) {
-			fast++
+		if !bytes.Contains(w.Body.Bytes(), []byte(`"cache":"hit"`)) || !bytes.Contains(w.Body.Bytes(), []byte(`"queue_ns":0,`)) {
+			t.Fatalf("hit %d was not served by the probe: %s", i, w.Body.Bytes())
 		}
 	}
 	c := sink.Snapshot().Counters
@@ -306,16 +302,21 @@ func TestSampleRateOneDrawPerRequest(t *testing.T) {
 	if math.Abs(float64(kept)-mean) > 4*sd {
 		t.Fatalf("kept %d of %d hits at SampleRate %v, want %.0f ± %.0f", kept, hits, rate, mean, 4*sd)
 	}
-	if int64(fast)+kept != hits {
-		t.Fatalf("%d hits served by the probe and %d kept; together they should be all %d", fast, kept, hits)
-	}
 	if c["trace.started"] != hits+1 {
 		t.Fatalf("trace.started %d, want %d", c["trace.started"], hits+1)
 	}
+	hitTraces := 0
 	for _, trace := range tr.Traces() {
-		if len(trace.Spans) < 3 {
-			t.Fatalf("kept trace %s has spans %v, want the admitted path's tree", trace.TraceID, names(trace.Spans))
+		if trace.TraceID == "rate-miss" {
+			continue
 		}
+		hitTraces++
+		if len(trace.Spans) != 1 || trace.Root != "request" {
+			t.Fatalf("kept hit %s has spans %v, want the hit's lone root span", trace.TraceID, names(trace.Spans))
+		}
+	}
+	if int64(hitTraces) != kept {
+		t.Fatalf("%d hit traces in the ring, %d counted kept", hitTraces, kept)
 	}
 }
 
@@ -364,11 +365,11 @@ var parityBody = []byte(`{"solver":"greedy","instance":{"m":2,"jobs":[{"id":0,"s
 var timingField = regexp.MustCompile(`"timing":\{"queue_ns":\d+,"cache_ns":\d+,"solve_ns":\d+\}`)
 
 // parityHits serves parityBody's cache hit under request ID rid twice:
-// once from a server built on cfg, where the allocation-free path
-// answers it, and once from the same server with a SampleRate 1
-// tracer, where every request is sampled and so admitted. It returns
-// both bodies with their timing zeroed.
-func parityHits(t *testing.T, cfg Config, rid string) (fast, admitted []byte) {
+// once from a server built on cfg, with no tracer, and once from the
+// same server with a SampleRate 1 tracer, where every request is
+// sampled. Both hits must be served by the probe, and the sampled one
+// kept. It returns both bodies with their timing zeroed.
+func parityHits(t *testing.T, cfg Config, rid string) (unsampled, sampled []byte) {
 	t.Helper()
 	tr := obs.NewSpanTracer(obs.SpanConfig{SampleRate: 1})
 	var bodies [2][]byte
@@ -391,58 +392,58 @@ func parityHits(t *testing.T, cfg Config, rid string) (fast, admitted []byte) {
 			t.Fatalf("hit Content-Type = %q", ct)
 		}
 		bodies[i] = w.Body.Bytes()
+		if !bytes.Contains(bodies[i], []byte(`"cache":"hit"`)) || !bytes.Contains(bodies[i], []byte(`"queue_ns":0,`)) {
+			t.Fatalf("hit %d was not served by the probe: %s", i, bodies[i])
+		}
 	}
-	if !bytes.Contains(bodies[0], []byte(`"cache":"hit"`)) || !bytes.Contains(bodies[0], []byte(`"queue_ns":0,`)) {
-		t.Fatalf("untraced hit was not served by the probe: %s", bodies[0])
-	}
-	if !bytes.Contains(bodies[1], []byte(`"cache":"hit"`)) || traceByID(tr, rid) == nil {
-		t.Fatalf("sampled hit was not admitted: %s", bodies[1])
+	if traceByID(tr, rid) == nil {
+		t.Fatalf("sampled hit was not kept: %s", bodies[1])
 	}
 	zero := []byte(`"timing":{"queue_ns":0,"cache_ns":0,"solve_ns":0}`)
 	return timingField.ReplaceAll(bodies[0], zero), timingField.ReplaceAll(bodies[1], zero)
 }
 
-// TestFastPathResponseMatchesSlowPath: the allocation-free path and the
-// admitted path answer the same hit with the same bytes, timing aside.
+// TestFastPathResponseMatchesSlowPath: a sampled hit and an unsampled
+// one answer with the same bytes, timing aside.
 func TestFastPathResponseMatchesSlowPath(t *testing.T) {
-	fast, admitted := parityHits(t, Config{Workers: 1}, "parity")
-	if !bytes.Equal(fast, admitted) {
-		t.Fatalf("fast hit diverges from admitted hit\nadmitted: %s\nfast:     %s", admitted, fast)
+	unsampled, sampled := parityHits(t, Config{Workers: 1}, "parity")
+	if !bytes.Equal(unsampled, sampled) {
+		t.Fatalf("sampled hit diverges from unsampled hit\nsampled:   %s\nunsampled: %s", sampled, unsampled)
 	}
 }
 
-// TestFastPathShardIDParity: with a fleet identity configured, both
-// serving paths emit the same bytes with shard_id where encoding/json
-// puts it, between cache and timing. A request ID and a shard ID that
-// need JSON escaping are served by the probe too, and decode back
-// exactly.
+// TestFastPathShardIDParity: with a fleet identity configured, sampled
+// and unsampled hits emit the same bytes with shard_id where
+// encoding/json puts it, between cache and timing. A request ID and a
+// shard ID that need JSON escaping are served by the probe too, and
+// decode back exactly.
 func TestFastPathShardIDParity(t *testing.T) {
-	fast, admitted := parityHits(t, Config{Workers: 1, ShardID: "s7"}, "shard-parity")
-	if !bytes.Equal(fast, admitted) {
-		t.Fatalf("fast hit diverges from admitted hit\nadmitted: %s\nfast:     %s", admitted, fast)
+	unsampled, sampled := parityHits(t, Config{Workers: 1, ShardID: "s7"}, "shard-parity")
+	if !bytes.Equal(unsampled, sampled) {
+		t.Fatalf("sampled hit diverges from unsampled hit\nsampled:   %s\nunsampled: %s", sampled, unsampled)
 	}
-	if want := []byte(`,"cache":"hit","shard_id":"s7","timing":{`); !bytes.Contains(fast, want) {
-		t.Fatalf("response missing shard_id in canonical position: %s", fast)
+	if want := []byte(`,"cache":"hit","shard_id":"s7","timing":{`); !bytes.Contains(unsampled, want) {
+		t.Fatalf("response missing shard_id in canonical position: %s", unsampled)
 	}
 
 	const rid, shard = "a\"b<c>&\u2028", `s"0`
-	fast, admitted = parityHits(t, Config{Workers: 1, ShardID: shard}, rid)
-	if !bytes.Equal(fast, admitted) {
-		t.Fatalf("escaped IDs: fast hit diverges from admitted hit\nadmitted: %s\nfast:     %s", admitted, fast)
+	unsampled, sampled = parityHits(t, Config{Workers: 1, ShardID: shard}, rid)
+	if !bytes.Equal(unsampled, sampled) {
+		t.Fatalf("escaped IDs: sampled hit diverges from unsampled hit\nsampled:   %s\nunsampled: %s", sampled, unsampled)
 	}
 	s := New(Config{Workers: 1, ShardID: shard})
 	defer s.Close()
 	h := s.Handler()
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(parityBody)))
 	sc := new(solveScratch)
-	if strict, err := s.decodeSolve(parityBody, &sc.req); !strict || err != nil {
-		t.Fatalf("strict decode rejected the body (err %v)", err)
+	if !DecodeSolveStrict(parityBody, &sc.req) {
+		t.Fatal("strict decode rejected the body")
 	}
-	out, res := s.fastSolve(sc)
-	if out != fastHit {
-		t.Fatalf("fastSolve: outcome %v, err %v (want hit)", out, res.Err)
+	hit, status, msg := s.serve(context.Background(), sc, &sc.req, rid, false)
+	if status != http.StatusOK || hit.Cache != "hit" {
+		t.Fatalf("serve: status %d (%s), cache %q (want a hit)", status, msg, hit.Cache)
 	}
-	sc.encode(s.buildResponse(sc.req.Solver, &sc.req.Instance.Instance, &sc.loads, res, rid))
+	sc.encode(hit)
 	var resp SolveResponse
 	if err := json.Unmarshal(sc.out.Bytes(), &resp); err != nil {
 		t.Fatalf("escaped-ID response %s: %v", sc.out.Bytes(), err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,9 +53,12 @@ var fuzzStatuses = map[int]bool{
 // arbitrary X-Request-ID: the handler must never panic, must always
 // answer with a status from the typed set, and must always produce a
 // JSON body (a SolveResponse on 200, an ErrorResponse otherwise). A 200
-// must echo the request ID, clamped to maxRequestIDLen, exactly: a
-// repeated body is a cache hit, so IDs that need JSON escaping reach
-// the allocation-free hit path as well as the admitted one.
+// must echo the request ID, clamped to maxRequestIDLen, exactly. Every
+// body that answered 200 is posted again: a cacheable one is then a hit,
+// served before admission (queue_ns 0), with the first answer's
+// assignment, makespan and moves — whichever decoder read the body, so
+// the committed corpus carries a solver name only the encoding/json
+// fallback reads (seed-escaped-solver).
 func FuzzServerSolve(f *testing.F) {
 	f.Add([]byte(`{"solver":"greedy","k":2,"instance":{"m":2,"jobs":[{"size":5},{"size":4},{"size":3}],"assign":[0,0,0]}}`), "")
 	f.Add([]byte(`{"solver":"exact-budget","budget":3,"instance":{"m":2,"jobs":[{"size":5,"cost":1},{"size":4,"cost":2}],"assign":[0,0]}}`), "")
@@ -72,36 +76,60 @@ func FuzzServerSolve(f *testing.F) {
 	f.Add(hitBody, "line\u2028sep\u2029")
 	f.Add(hitBody, "grüße-日本-☃")
 	f.Fuzz(func(t *testing.T, body []byte, rid string) {
-		h := fuzzServer()
-		req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		if rid != "" {
-			req.Header.Set("X-Request-ID", rid)
+		first, ok := fuzzPost(t, body, rid)
+		if !ok {
+			return
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req) // a panic here fails the fuzz run
-
-		if !fuzzStatuses[rec.Code] {
-			t.Fatalf("status %d outside the typed set (body %q)", rec.Code, body)
+		again, ok := fuzzPost(t, body, rid)
+		if first.Cache == "" {
+			return // not cached (a sweep): the repeat is a fresh solve
 		}
-		var payload json.RawMessage
-		if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
-			t.Fatalf("status %d with non-JSON body %q (request %q)", rec.Code, rec.Body.Bytes(), body)
+		if !ok || again.Cache != "hit" {
+			t.Fatalf("repeat of a cached 200 answered 200 %v with cache %q, want a hit (body %q)", ok, again.Cache, body)
 		}
-		if rec.Code == http.StatusOK {
-			var resp SolveResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("200 body does not decode as SolveResponse: %v (%q)", err, rec.Body.Bytes())
-			}
-			want := rid[:min(len(rid), maxRequestIDLen)]
-			if want != "" && utf8.ValidString(want) && resp.RequestID != want {
-				t.Fatalf("request_id %q, want %q (body %q)", resp.RequestID, want, rec.Body.Bytes())
-			}
-		} else {
-			var eresp ErrorResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &eresp); err != nil || eresp.Error == "" {
-				t.Fatalf("status %d without a typed error body: %v (%q)", rec.Code, err, rec.Body.Bytes())
-			}
+		if !slices.Equal(again.Assign, first.Assign) || again.Makespan != first.Makespan || again.Moves != first.Moves {
+			t.Fatalf("repeat hit assign %v makespan %d moves %d, first answer %v %d %d (body %q)",
+				again.Assign, again.Makespan, again.Moves, first.Assign, first.Makespan, first.Moves, body)
 		}
 	})
+}
+
+// fuzzPost posts body under rid to the shared fuzz server and checks
+// the answer against FuzzServerSolve's contract. ok reports a 200, with
+// its decoded response.
+func fuzzPost(t *testing.T, body []byte, rid string) (resp SolveResponse, ok bool) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	if rid != "" {
+		req.Header.Set("X-Request-ID", rid)
+	}
+	rec := httptest.NewRecorder()
+	fuzzServer().ServeHTTP(rec, req) // a panic here fails the fuzz run
+
+	if !fuzzStatuses[rec.Code] {
+		t.Fatalf("status %d outside the typed set (body %q)", rec.Code, body)
+	}
+	var payload json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
+		t.Fatalf("status %d with non-JSON body %q (request %q)", rec.Code, rec.Body.Bytes(), body)
+	}
+	if rec.Code != http.StatusOK {
+		var eresp ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &eresp); err != nil || eresp.Error == "" {
+			t.Fatalf("status %d without a typed error body: %v (%q)", rec.Code, err, rec.Body.Bytes())
+		}
+		return SolveResponse{}, false
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("200 body does not decode as SolveResponse: %v (%q)", err, rec.Body.Bytes())
+	}
+	want := rid[:min(len(rid), maxRequestIDLen)]
+	if want != "" && utf8.ValidString(want) && resp.RequestID != want {
+		t.Fatalf("request_id %q, want %q (body %q)", resp.RequestID, want, rec.Body.Bytes())
+	}
+	if resp.Cache == "hit" && resp.Timing.QueueNS != 0 {
+		t.Fatalf("cache hit with queue_ns %d: admitted, not served by the probe (body %q)", resp.Timing.QueueNS, body)
+	}
+	return resp, true
 }

@@ -63,14 +63,6 @@ func (s *Server) noteSlow(rid, solver string, res dispatch.Result, total time.Du
 	)
 }
 
-// endFast closes the books on a request the hit probe answered (a hit
-// or a cached error), begun at start: the slow-request log, and the
-// tracer, which counts it and keeps it if it was slow.
-func (s *Server) endFast(rid, solver string, start time.Time, status int) {
-	s.noteSlow(rid, solver, dispatch.Result{Cache: "hit"}, time.Since(start), status)
-	s.cfg.Trace.EndUnsampled("request", rid, start, obs.String("solver", solver))
-}
-
 // handleMetrics is GET /metrics: the whole obs registry in Prometheus
 // text exposition format — counters, gauges, and histograms as
 // summaries. With no sink configured the exposition is valid and empty.

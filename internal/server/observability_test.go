@@ -390,10 +390,11 @@ func TestDrainFlushesTracer(t *testing.T) {
 			spans++
 		}
 	}
-	// Every solve commits request + queue + cache spans; the first (the
-	// cache miss) also commits the engine solve span. Hits skip it.
-	if want := 3*solves + 1; spans < want {
-		t.Errorf("flushed %d span events, want ≥ %d", spans, want)
+	// The first solve, the cache miss, commits request + queue + cache +
+	// engine solve spans; every later one is a hit, served by the probe,
+	// and commits its lone request span.
+	if want := 4 + (solves - 1); spans != want {
+		t.Errorf("flushed %d span events, want %d", spans, want)
 	}
 }
 

@@ -21,20 +21,21 @@
 // This package owns ONLY the HTTP concerns: decoding bodies, request
 // IDs and trace roots, mapping the core's typed errors onto status
 // codes, and rendering responses (every solve and peek success body on
-// the pooled encoder in fastpath.go, which the allocation-free cache-hit
-// path shares with the admitted one). Admission, deadlines, the
-// solution cache, and the engine call live in the core; the import
-// boundary — no internal/cache, no internal/engine from this package —
-// is pinned by TestServerImportBoundary. A shard router or any future
-// transport reuses the same core with the same semantics.
+// the pooled encoder in fastpath.go). Every solve and batch item is
+// served by one pipeline, serve: validate, probe the cache, and admit
+// only a miss, so a cache hit never waits for a solve slot. Admission,
+// deadlines, the solution cache, and the engine call live in the core;
+// the import boundary — no internal/cache, no internal/engine from this
+// package — is pinned by TestServerImportBoundary. A shard router or
+// any future transport reuses the same core with the same semantics.
 //
 // Tracing: every solve carries a request ID (the client's X-Request-ID
 // or a minted one), returned in the response header and body. With a
-// SpanTracer configured, each sampled request records a span tree —
-// request → queue wait, cache lookup/coalesce, engine solve — into
-// /debug/traces, and slow requests are kept whatever their draw;
-// responses carry a per-phase `timing` decomposition either way. See
-// DESIGN.md §11.
+// SpanTracer configured, each sampled request is kept in /debug/traces:
+// a miss as a span tree — request → queue wait, cache lookup/coalesce,
+// engine solve — and a cache hit as its lone request span. Slow
+// requests are kept whatever their draw; responses carry a per-phase
+// `timing` decomposition either way. See DESIGN.md §11.
 //
 // Fleet: a Server configured with a ShardID stamps it into every solve
 // response, and one configured with a PeerFill hook warms its cache
@@ -55,6 +56,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/dispatch"
@@ -140,13 +142,12 @@ type Config struct {
 	// Prometheus text format.
 	Obs *obs.Sink
 	// Trace enables request-scoped span tracing. Each solve draws its
-	// sampling decision once: a sampled request runs under a root span
-	// with queue/cache/solve children and lands in the tracer's ring,
-	// served at GET /debug/traces. An unsampled request is kept only
-	// if it reaches the tracer's SlowThreshold: as a lone root span
-	// when the allocation-free hit path answered it, else as the span
-	// tree of the admitted path. Nil disables tracing; the disabled
-	// path allocates nothing.
+	// sampling decision once, and a sampled request lands in the
+	// tracer's ring, served at GET /debug/traces: a cache hit as a lone
+	// root span, a miss as a root span with queue/cache/solve children.
+	// An unsampled request is kept, in the same shape, only if it
+	// reaches the tracer's SlowThreshold. Nil disables tracing; the
+	// disabled path allocates nothing.
 	Trace *obs.SpanTracer
 	// SlowThreshold logs a structured slow-request line (and bumps
 	// server.slow_requests) for any request whose server-side latency
@@ -299,12 +300,9 @@ func (s *Server) buildResponse(solver string, in *instance.Instance, loads *[]in
 	return resp
 }
 
-// handleSolve is POST /v1/solve: decode and validate, mint or adopt the
-// request ID, then dispatch through the core (or answer 429/503). The
-// body is buffered into pooled scratch and decoded there once; a strict
-// body may be answered by the allocation-free hit path, and anything it
-// cannot serve takes the admitted path on a heap copy of the decoded
-// request.
+// handleSolve is POST /v1/solve: mint or adopt the request ID, decode
+// the body into pooled scratch, and serve it (or answer 503 while
+// draining).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rid := RequestID(r)
 	w.Header().Set(RequestIDHeader, rid)
@@ -314,68 +312,78 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := solveScratchPool.Get().(*solveScratch)
 	defer solveScratchPool.Put(sc)
-	strict, ok := s.readSolve(w, r, sc)
-	if !ok {
+	if !s.readSolve(w, r, sc) {
 		return
 	}
-	// The request's one sampling draw: a sampled request takes the
-	// admitted path for its full span tree, and any other may be served
-	// by the hit probe.
-	sampled := s.cfg.Trace.Sample()
-	probed := false
-	if strict && !sampled {
-		fstart := time.Now()
-		out, fres := s.fastSolve(sc)
-		switch out {
-		case fastHit:
-			sc.encode(s.buildResponse(sc.req.Solver, &sc.req.Instance.Instance, &sc.loads, fres, rid))
-			sc.writeOK(w)
-			s.endFast(rid, sc.req.Solver, fstart, http.StatusOK)
-			return
-		case fastCachedError:
-			writeError(w, statusFor(fres.Err), "%v", fres.Err)
-			s.endFast(rid, sc.req.Solver, fstart, statusFor(fres.Err))
-			return
-		}
-		probed = out == fastMiss
-	}
-
-	// Admitted path. A cache flight may retain the request beyond this
-	// handler, so it gets a heap copy of the decoded one, and the key a
-	// missed probe computed.
-	req := sc.detach()
-	if probed {
-		sc.hit.KeyInto(req)
-	}
-	if err := s.core.Validate(req); err != nil {
-		writeError(w, statusFor(err), "%s", err.Error())
-		return
-	}
-	req.PeerFill = r.Header.Get(peerFillHeader)
-	start := time.Now()
-	tctx, root := s.cfg.Trace.StartSampled(r.Context(), "request", rid, sampled)
-	if root != nil {
-		root.SetAttr(obs.String("solver", req.Solver))
-	}
-	defer root.End()
-	res, derr := s.core.Do(tctx, req)
-	if derr != nil {
-		status := statusFor(derr)
-		s.noteSlow(rid, req.Solver, res, time.Since(start), status)
+	sc.req.PeerFill = r.Header.Get(peerFillHeader)
+	resp, status, msg := s.serve(r.Context(), sc, &sc.req, rid, false)
+	if status != http.StatusOK {
 		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, status, "%s", derr.Error())
+		writeError(w, status, "%s", msg)
 		return
 	}
-	if res.Err != nil {
-		s.noteSlow(rid, req.Solver, res, time.Since(start), statusFor(res.Err))
-		writeError(w, statusFor(res.Err), "%v", res.Err)
-		return
-	}
-	s.noteSlow(rid, req.Solver, res, time.Since(start), http.StatusOK)
-	sc.encode(s.buildResponse(req.Solver, &req.Instance.Instance, &sc.loads, res, rid))
+	sc.encode(resp)
 	sc.writeOK(w)
+}
+
+// serve is the serving pipeline of /v1/solve and of every /v1/batch
+// item: validate req, probe the solution cache, and admit the request
+// through the core only when the probe cannot answer it. A hit (or a
+// cached infeasibility) is answered without a solve slot however the
+// request was decoded and whatever its trace draw; its trace is a lone
+// root span, kept when the draw or the slow threshold says so. req is
+// the scratch's own request or one the caller owns; on 200 the
+// response's Assign may alias sc, so the caller uses it before sc goes
+// back to the pool. It returns the HTTP status and, unless it is 200,
+// the error text.
+func (s *Server) serve(ctx context.Context, sc *solveScratch, req *SolveRequest, rid string, batch bool) (SolveResponse, int, string) {
+	if err := s.core.Validate(req); err != nil {
+		return SolveResponse{}, statusFor(err), err.Error()
+	}
+	attrs := [...]obs.Attr{obs.String("solver", req.Solver), obs.Bool("batch", true)}
+	rootAttrs := attrs[:1]
+	if batch {
+		rootAttrs = attrs[:]
+	}
+	start := time.Now()
+	sampled := s.cfg.Trace.Sample()
+	res, hit := s.core.TryCachedSolve(&sc.hit, req)
+	var err error
+	if hit {
+		s.core.ObserveHit(req, &res)
+		s.cfg.Trace.EndSpanless("request", rid, sampled, start, rootAttrs...)
+	} else {
+		res, err = s.admit(ctx, sc, req, rid, sampled, rootAttrs)
+	}
+	status, msg := http.StatusOK, ""
+	if err == nil {
+		err = res.Err
+	}
+	if err != nil {
+		status, msg = statusFor(err), err.Error()
+	}
+	s.noteSlow(rid, req.Solver, res, time.Since(start), status)
+	if status != http.StatusOK {
+		return SolveResponse{}, status, msg
+	}
+	return s.buildResponse(req.Solver, &req.Instance.Instance, &sc.loads, res, rid), status, ""
+}
+
+// admit runs a request the probe could not answer through the core,
+// under a root span carrying the request's draw and attrs. A cache
+// flight may retain the request beyond the handler, so a pooled one is
+// detached first; it carries the key the probe computed.
+func (s *Server) admit(ctx context.Context, sc *solveScratch, req *SolveRequest, rid string, sampled bool, attrs []obs.Attr) (dispatch.Result, error) {
+	admitted := sc.detach(req)
+	sc.hit.KeyInto(admitted)
+	tctx, root := s.cfg.Trace.StartSampled(ctx, "request", rid, sampled)
+	if root != nil {
+		root.SetAttr(attrs...)
+	}
+	defer root.End()
+	return s.core.Do(tctx, admitted)
 }
 
 // handleBatch is POST /v1/batch: decode a slice of solve requests, fan
@@ -435,33 +443,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Items: items})
 }
 
-// batchItem runs one batch element through the same validate → trace →
-// admit → wait path as a single solve and folds the outcome into a
-// BatchItem; rid is the item's request/trace ID.
-func (s *Server) batchItem(parent context.Context, req *SolveRequest, rid string) BatchItem {
-	if err := s.core.Validate(req); err != nil {
-		return BatchItem{Status: statusFor(err), Error: err.Error()}
+// batchItem serves one batch element through serve, on a scratch of
+// its own, and folds the outcome into a BatchItem; rid is the item's
+// request/trace ID. The items are encoded after the fan-out, once the
+// scratch is back in the pool, so a hit's assignment is copied out.
+func (s *Server) batchItem(ctx context.Context, req *SolveRequest, rid string) BatchItem {
+	sc := solveScratchPool.Get().(*solveScratch)
+	defer solveScratchPool.Put(sc)
+	resp, status, msg := s.serve(ctx, sc, req, rid, true)
+	if status != http.StatusOK {
+		return BatchItem{Status: status, Error: msg}
 	}
-	start := time.Now()
-	tctx, root := s.cfg.Trace.StartRequest(parent, "request", rid)
-	if root != nil {
-		root.SetAttr(obs.String("solver", req.Solver), obs.Bool("batch", true))
-	}
-	defer root.End()
-	res, derr := s.core.Do(tctx, req)
-	if derr != nil {
-		status := statusFor(derr)
-		s.noteSlow(rid, req.Solver, res, time.Since(start), status)
-		return BatchItem{Status: status, Error: derr.Error()}
-	}
-	if res.Err != nil {
-		s.noteSlow(rid, req.Solver, res, time.Since(start), statusFor(res.Err))
-		return BatchItem{Status: statusFor(res.Err), Error: res.Err.Error()}
-	}
-	s.noteSlow(rid, req.Solver, res, time.Since(start), http.StatusOK)
-	var loads []int64
-	resp := s.buildResponse(req.Solver, &req.Instance.Instance, &loads, res, rid)
-	return BatchItem{Status: http.StatusOK, Result: &resp}
+	resp.Assign = slices.Clone(resp.Assign)
+	return BatchItem{Status: status, Result: &resp}
 }
 
 // handlePeek is POST /v1/peek: probe the solution cache for a finished
@@ -478,7 +472,7 @@ func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 	// before the scratch goes back to the pool.
 	sc := solveScratchPool.Get().(*solveScratch)
 	defer solveScratchPool.Put(sc)
-	if _, ok := s.readSolve(w, r, sc); !ok {
+	if !s.readSolve(w, r, sc) {
 		return
 	}
 	req := &sc.req
@@ -487,47 +481,36 @@ func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cfg.Obs.Count("server.peeks", 1)
-	sol, ok, err := s.core.TryCachedSolve(&sc.hit, s.core.LookupSolver(req.Solver), &req.Instance, req.K, req.Budget, req.Eps)
+	res, ok := s.core.TryCachedSolve(&sc.hit, req)
 	if !ok {
 		writeError(w, http.StatusNotFound, "cache miss")
 		return
 	}
-	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
+	if res.Err != nil {
+		writeError(w, statusFor(res.Err), "%v", res.Err)
 		return
 	}
-	res := dispatch.Result{Sol: sol, Cache: "hit"}
 	sc.encode(s.buildResponse(req.Solver, &req.Instance.Instance, &sc.loads, res, rid))
 	sc.writeOK(w)
 }
 
 // readSolve buffers a solve or peek body into sc and decodes it into
-// sc.req, answering 400 itself when either step fails. strict is
-// decodeSolve's.
-func (s *Server) readSolve(w http.ResponseWriter, r *http.Request, sc *solveScratch) (strict, ok bool) {
+// sc.req, answering 400 itself when either step fails. The strict
+// decoder runs first; a body it rejects is decoded by encoding/json and
+// counted in server.decode_fallbacks.
+func (s *Server) readSolve(w http.ResponseWriter, r *http.Request, sc *solveScratch) bool {
 	var err error
 	sc.body, err = readBody(sc.body[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err == nil {
-		strict, err = s.decodeSolve(sc.body, &sc.req)
+	if err == nil && !DecodeSolveStrict(sc.body, &sc.req) {
+		s.cfg.Obs.Count("server.decode_fallbacks", 1)
+		err = decodeSolveJSON(sc.body, &sc.req)
 	}
 	if err != nil {
 		s.cfg.Obs.Count("server.bad_requests", 1)
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return false, false
+		return false
 	}
-	return strict, true
-}
-
-// decodeSolve is DecodeSolve for the handlers: it also reports whether
-// the strict decoder accepted the body (only such a body may take the
-// allocation-free hit path) and counts every body that fell back to
-// encoding/json in server.decode_fallbacks.
-func (s *Server) decodeSolve(body []byte, req *SolveRequest) (strict bool, err error) {
-	if DecodeSolveStrict(body, req) {
-		return true, nil
-	}
-	s.cfg.Obs.Count("server.decode_fallbacks", 1)
-	return false, decodeSolveJSON(body, req)
+	return true
 }
 
 // handleSolvers is GET /v1/solvers.

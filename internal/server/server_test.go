@@ -274,47 +274,131 @@ func TestSolvePanicIsolated(t *testing.T) {
 // Retry-After backpressure contract.
 func TestQueueFull(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, DefaultTimeout: time.Minute})
-	in := testInstance()
+	release := saturate(t, s, ts.URL)
+	defer release()
 
-	results := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, _ := postSolve(t, ts.URL, solveRequest("test-block", in))
-			results <- resp.StatusCode
-		}()
-	}
-	// Wait until the single worker has picked up one blocker …
-	select {
-	case <-testStarted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker never started the blocking solve")
-	}
-	// … and the other fills the queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.core.QueueLen() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp, body := postSolve(t, ts.URL, solveRequest("test-block", in))
+	resp, body := postSolve(t, ts.URL, solveRequest("test-block", testInstance()))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated queue: status %d, want 429 (body %s)", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After header")
 	}
+}
 
-	// Cancel the two blockers via drain so the test exits promptly.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_ = s.Shutdown(ctx)
+// TestCachedHitSkipsQueueFull: a cached answer is served before
+// admission, so a hit answers 200 from a saturated server whichever way
+// it arrives — sampled by the tracer, spelled so that only the
+// encoding/json fallback decodes it, or as a /v1/batch item — with
+// queue_ns 0. A miss on the same server is still rejected with 429.
+func TestCachedHitSkipsQueueFull(t *testing.T) {
+	registerTestSolvers(t)
+	escaped := bytes.Replace(hitBody, []byte(`"mpartition"`), []byte(`"mpartitio\u006e"`), 1)
+	batch := append(append([]byte(`{"requests":[`), hitBody...), "]}"...)
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		trace      *obs.SpanTracer
+	}{
+		{"sampled", "/v1/solve", hitBody, obs.NewSpanTracer(obs.SpanConfig{SampleRate: 1})},
+		{"fallback-decoded", "/v1/solve", escaped, nil},
+		{"batch item", "/v1/batch", batch, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, DefaultTimeout: time.Minute, Trace: tc.trace})
+			if resp, body := postBody(t, ts.URL+"/v1/solve", hitBody); resp.StatusCode != http.StatusOK {
+				t.Fatalf("prime: status %d: %s", resp.StatusCode, body)
+			}
+			release := saturate(t, s, ts.URL)
+			defer release()
+			if resp, body := postSolve(t, ts.URL, solveRequest("test-block", testInstance())); resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("miss on the saturated server: status %d, want 429 (body %s)", resp.StatusCode, body)
+			}
+
+			resp, body := postBody(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("hit: status %d, want 200 (body %s)", resp.StatusCode, body)
+			}
+			var sr SolveResponse
+			if tc.path == "/v1/batch" {
+				var br BatchResponse
+				if err := json.Unmarshal(body, &br); err != nil || len(br.Items) != 1 {
+					t.Fatalf("batch response %s (err %v)", body, err)
+				}
+				it := br.Items[0]
+				if it.Status != http.StatusOK || it.Result == nil {
+					t.Fatalf("batch item: status %d, error %q, want 200", it.Status, it.Error)
+				}
+				sr = *it.Result
+			} else if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if sr.Cache != "hit" || sr.Timing.QueueNS != 0 {
+				t.Fatalf("hit answered with cache %q, queue_ns %d; want hit, 0", sr.Cache, sr.Timing.QueueNS)
+			}
+		})
+	}
+}
+
+// saturate fills a Workers: 1, QueueDepth: 1 server: one test-block
+// solve holds the slot and a second waits in the queue. The returned
+// release cancels both through a drain and checks they answered 503.
+func saturate(t *testing.T, s *Server, url string) (release func()) {
+	t.Helper()
+	block, err := json.Marshal(solveRequest("test-block", testInstance()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {
-		if code := <-results; code != http.StatusServiceUnavailable {
-			t.Errorf("cancelled blocker: status %d, want 503", code)
+		go func() {
+			resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(block))
+			if err != nil {
+				t.Error(err)
+				results <- 0
+				return
+			}
+			resp.Body.Close()
+			results <- resp.StatusCode
+		}()
+	}
+	select {
+	case <-testStarted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the worker never started the blocking solve")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.core.QueueLen() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second blocking solve never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		for i := 0; i < 2; i++ {
+			if code := <-results; code != http.StatusServiceUnavailable {
+				t.Errorf("cancelled blocker: status %d, want 503", code)
+			}
 		}
 	}
+}
+
+// postBody posts a raw JSON body to url.
+func postBody(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp, out.Bytes()
 }
 
 // TestDeadlineExpiry pins the 504 contract: a request deadline cancels
