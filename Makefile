@@ -191,7 +191,7 @@ perfbench-smoke:
 # not enough to catch a regression. The single-flight tests repeat the same way:
 # coalescing and waiter detach race the flight's finalizer.
 DRAIN_RACE_RE = Drain|Shutdown|QueueFull|Session.*E2E
-FLIGHT_RACE_RE = Coalesce|SingleFlight|Waiter
+FLIGHT_RACE_RE = Coalesce|SingleFlight|Waiter|Flight|DeadlineError
 ci:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...

@@ -90,10 +90,6 @@ type Config struct {
 	// list. The LRU evicts on whichever bound is reached first, and a
 	// result charged more than MaxBytes alone is served but not stored.
 	MaxBytes int64
-	// BaseCtx is the context in-flight solves run under — typically the
-	// server's root context, so a drain cancels flights. Nil means
-	// context.Background(). Per-call deadlines are layered on top.
-	BaseCtx context.Context
 	// Obs receives the cache.* counters (hits, misses, coalesced,
 	// evictions, size, bytes); nil disables instrumentation.
 	Obs *obs.Sink
@@ -108,8 +104,9 @@ type Config struct {
 // coalesce onto. The solve runs on its own goroutine (runFlight) so no
 // single party's lifetime — including the initiator's — bounds it. refs
 // counts the parties still interested (the initiator plus attached
-// waiters); when it reaches zero the flight's context is cancelled so
-// an abandoned solve stops promptly.
+// waiters), and it alone keeps the flight alive: each party detaches
+// when its own context ends, and the last detach cancels the flight's
+// context so an abandoned solve stops promptly.
 type flight struct {
 	done chan struct{}     // closed when sol/res/err are final
 	sol  instance.Solution // the solver's own solution, for the initiator
@@ -123,35 +120,18 @@ type flight struct {
 	peerFill string // peer fill outcome ("hit"/"miss"/""); final once done closes
 	refs     atomic.Int64
 	cancel   context.CancelFunc
-
-	// deadlineFired records that the kill timer — not a detach or a base
-	// shutdown — is what cancelled the flight. The flight context only
-	// ever reports Canceled (it is built with WithCancel), so without
-	// this bit a deadline expiry whose timer beats the initiator's own
-	// context timer would surface as a generic cancellation: the
-	// finalizer rewrites Canceled to DeadlineExceeded when it is set.
-	deadlineFired atomic.Bool
-
-	// The kill timer enforces the latest deadline over every attached
-	// party, so the flight outlives each individual waiter: a party
-	// whose deadline fires detaches without dooming the rest.
-	mu       sync.Mutex
-	deadline time.Time   // latest attached deadline; zero once deadline-free
-	timer    *time.Timer // fires cancel at deadline; nil when deadline-free
 }
 
-// attach registers one more interested party and extends the flight's
-// deadline to cover ctx's. It fails when refs already hit zero — the
-// flight is cancelled and merely awaiting teardown — so a new request
-// never boards a dead flight.
-func (f *flight) attach(ctx context.Context) bool {
+// attach registers one more interested party. It fails when refs
+// already hit zero — the flight is cancelled and merely awaiting
+// teardown — so a new request never boards a dead flight.
+func (f *flight) attach() bool {
 	for {
 		n := f.refs.Load()
 		if n == 0 {
 			return false
 		}
 		if f.refs.CompareAndSwap(n, n+1) {
-			f.extend(ctx)
 			return true
 		}
 	}
@@ -165,58 +145,18 @@ func (f *flight) detach() {
 	}
 }
 
-// arm installs the kill timer for the initiator's deadline. A
-// deadline-free initiator leaves the flight with no deadline at all;
-// refs-based cancellation is then the only early exit.
-func (f *flight) arm(ctx context.Context) {
-	if d, ok := ctx.Deadline(); ok {
-		f.deadline = d
-		f.timer = time.AfterFunc(time.Until(d), f.expire)
-	}
+// deadlineCtx reports a deadline it never fires on: the engine call of
+// a flight sees the deadline of the request that started it, so solvers
+// that size their search rails by whether the caller is bounded (the
+// engine's exactLimits and nodeBudget) search as far as they would
+// uncached, while cancellation still comes only from the parties
+// leaving.
+type deadlineCtx struct {
+	context.Context
+	deadline time.Time
 }
 
-// expire is the kill-timer callback: mark the cancellation as a
-// deadline expiry before delivering it, so the finalizer can report
-// DeadlineExceeded deterministically even when this timer wins the race
-// against the initiating context's own deadline timer.
-func (f *flight) expire() {
-	f.deadlineFired.Store(true)
-	f.cancel()
-}
-
-// extend pushes the kill timer out so the flight survives at least as
-// long as ctx's deadline; a deadline-free party disarms it entirely.
-func (f *flight) extend(ctx context.Context) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.timer == nil {
-		return // already deadline-free
-	}
-	if d, ok := ctx.Deadline(); !ok {
-		f.timer.Stop()
-		f.timer = nil
-		f.deadline = time.Time{}
-	} else if d.After(f.deadline) {
-		f.deadline = d
-		f.timer.Reset(time.Until(d))
-	}
-}
-
-// disarm stops the kill timer before the flight finalizes.
-func (f *flight) disarm() {
-	f.mu.Lock()
-	if f.timer != nil {
-		f.timer.Stop()
-		f.timer = nil
-	}
-	f.mu.Unlock()
-}
-
-// isContextErr reports whether err is a (possibly wrapped) context
-// cancellation or deadline error.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
+func (c deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
 // solverCounters holds the pre-resolved per-solver cache.* counters so
 // the hot paths never build "cache.hits."+solver strings per request.
@@ -227,7 +167,6 @@ type solverCounters struct {
 // Cache is the solution cache: canonical-form keyed LRU + single-flight
 // request coalescing over the engine registry. Safe for concurrent use.
 type Cache struct {
-	base context.Context
 	sink *obs.Sink
 	fill FillFunc
 
@@ -250,11 +189,7 @@ func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	if cfg.BaseCtx == nil {
-		cfg.BaseCtx = context.Background()
-	}
 	c := &Cache{
-		base:    cfg.BaseCtx,
 		sink:    cfg.Obs,
 		fill:    cfg.Fill,
 		entries: newLRU(cfg.MaxEntries, cfg.MaxBytes),
@@ -334,20 +269,20 @@ func (c *Cache) TryGet(can Canonical, in *instance.Instance, solver string, dst 
 // own its order (see Canonical.Owned): a flight keeps it. Nil means
 // Solve computes the key itself.
 //
-// Cancellation semantics: a waiter whose ctx fires detaches and returns
-// ctx.Err() without killing the in-flight solve — remaining waiters
-// still get the result. The flight runs on its own goroutine under
-// BaseCtx with a deadline equal to the LATEST deadline over every
-// attached party (no deadline at all once a deadline-free party
-// attaches), so it dies early only when every party has detached or
-// BaseCtx is cancelled — never because the earliest deadline fired
-// while later ones were still waiting. A solver panic is converted into
-// an error delivered to every attached party instead of leaving the
-// flight open. Only successes and ErrInfeasible (a deterministic
-// property of the instance) are cached; contextual errors never poison
-// the cache. A success that does not fit the move-list form is served
-// to the initiator but neither cached nor shared: its waiters retry,
-// each as a flight of its own if need be.
+// Cancellation semantics: a party — the initiator or a waiter — whose
+// ctx ends detaches and returns ctx.Err() without killing the in-flight
+// solve, so the remaining parties still get the result. The flight runs
+// on its own goroutine and lives exactly while a party waits: the last
+// party to leave cancels it. A drain reaches a flight through its
+// parties, whose contexts the caller cancels. The engine call sees the
+// initiator's deadline (see deadlineCtx) but is never cut off by it
+// while a later party waits. A solver panic is converted into an error
+// delivered to every attached party instead of leaving the flight open.
+// Only successes and ErrInfeasible (a deterministic property of the
+// instance) are cached; context errors and search-limit errors never
+// poison the cache. A success that does not fit the move-list form is
+// served to the initiator but neither cached nor shared: its waiters
+// retry, each as a flight of its own if need be.
 func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended, p engine.Params, peer string, key *Canonical) (instance.Solution, Stats, error) {
 	spec, ok := engine.Lookup(solver)
 	if !ok || spec.Kind != engine.KindSolution {
@@ -374,63 +309,48 @@ func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended
 			}
 			return e.solution(nil, can, &ext.Instance), Stats{Outcome: Hit}, nil
 		}
-		if f, ok := c.flights[can.Key]; ok && f.attach(ctx) {
+		if f, ok := c.flights[can.Key]; ok && f.attach() {
 			c.mu.Unlock()
 			c.count("cache.coalesced", solver)
 			select {
 			case <-f.done:
 				f.detach() // balance the attach; the flight is already final
-				if f.err == nil {
-					if f.res == nil {
-						continue // not storable (see encodeMoves): solve it afresh
-					}
-					return f.res.solution(nil, can, &ext.Instance), Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
+				if f.err != nil {
+					return instance.Solution{}, Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}, f.err
 				}
-				// The flight died of a context error that was not ours
-				// (e.g. it lost all its other parties between our cache
-				// check and attach): retry as a fresh flight rather than
-				// surfacing a stale cancellation.
-				if isContextErr(f.err) && ctx.Err() == nil && c.base.Err() == nil {
-					continue
+				if f.res == nil {
+					continue // not storable (see encodeMoves): solve it afresh
 				}
-				return instance.Solution{}, Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}, f.err
+				return f.res.solution(nil, can, &ext.Instance), Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
 			case <-ctx.Done():
 				f.detach()
 				return instance.Solution{}, Stats{Outcome: Coalesced}, ctx.Err()
 			}
 		}
 
-		// This call initiates the flight. It runs on its own goroutine
-		// under the cache's base context, NOT under the initiator's ctx:
-		// if the initiator disconnects while waiters are attached, the
-		// solve must keep running for them. The request's span linkage is
-		// grafted onto the flight context so a traced miss still records
-		// its engine solve as a child span. A dead flight awaiting
-		// teardown (attach failed above) is simply replaced; its
-		// finalizer's guarded delete leaves the successor alone.
-		fctx, cancel := context.WithCancel(c.base)
-		fctx = obs.AdoptSpan(fctx, ctx)
+		// This call initiates the flight. It runs on its own goroutine,
+		// NOT under the initiator's ctx: if the initiator leaves while
+		// waiters are attached, the solve must keep running for them. The
+		// request's span linkage is grafted onto the flight context so a
+		// traced miss still records its engine solve as a child span. A
+		// dead flight awaiting teardown (attach failed above) is simply
+		// replaced; its finalizer's guarded delete leaves the successor
+		// alone.
+		fctx, cancel := context.WithCancel(obs.AdoptSpan(context.Background(), ctx))
 		f := &flight{done: make(chan struct{}), cancel: cancel}
 		f.refs.Store(1)
-		f.arm(ctx)
 		c.flights[can.Key] = f
 		c.mu.Unlock()
 		c.count("cache.misses", solver)
 
-		go c.runFlight(fctx, spec, solver, ext, p, can, f, peer)
+		deadline, _ := ctx.Deadline()
+		go c.runFlight(fctx, deadline, spec, solver, ext, p, can, f, peer)
 
 		select {
 		case <-f.done:
 			f.detach()
-			err := f.err
-			// The flight context reports Canceled when every party
-			// detached; if this initiator's own ctx is what fired,
-			// surface its error (e.g. DeadlineExceeded) instead.
-			if err != nil && ctx.Err() != nil && isContextErr(err) {
-				err = ctx.Err()
-			}
-			if err != nil {
-				return instance.Solution{}, Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}, err
+			if f.err != nil {
+				return instance.Solution{}, Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}, f.err
 			}
 			return f.sol, Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
 		case <-ctx.Done():
@@ -447,8 +367,11 @@ func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended
 // flight whose done channel never closes would wedge every future
 // request for the key. The panic is converted into the error each
 // attached party receives (the server maps it to 500, same as its own
-// panic safety net).
-func (c *Cache) runFlight(fctx context.Context, spec engine.Spec, solver string, ext *instance.Extended, p engine.Params, can Canonical, f *flight, peer string) {
+// panic safety net). deadline is the initiator's, zero when it had
+// none; only the engine call sees it, not the peer fill, whose own
+// timeout context.WithTimeout would otherwise trust a deadline that
+// never fires to bound the peek.
+func (c *Cache) runFlight(fctx context.Context, deadline time.Time, spec engine.Spec, solver string, ext *instance.Extended, p engine.Params, can Canonical, f *flight, peer string) {
 	var (
 		sol instance.Solution
 		err error
@@ -456,13 +379,6 @@ func (c *Cache) runFlight(fctx context.Context, spec engine.Spec, solver string,
 	defer func() {
 		if r := recover(); r != nil {
 			sol, err = instance.Solution{}, fmt.Errorf("cache: solver %q panicked: %v", solver, r)
-		}
-		f.disarm()
-		// When the kill timer is what ended the flight, every party's
-		// outcome is a deadline expiry regardless of which timer (the
-		// flight's or the initiator's context's) fired first.
-		if err != nil && errors.Is(err, context.Canceled) && f.deadlineFired.Load() {
-			err = context.DeadlineExceeded
 		}
 		var res *entry
 		switch {
@@ -493,9 +409,9 @@ func (c *Cache) runFlight(fctx context.Context, spec engine.Spec, solver string,
 	}()
 	// Peer fill: ask the key's previous owner for the finished solution
 	// before burning local compute. The attempt runs under the flight's
-	// context (so a drain or an all-parties-gone cancellation aborts the
-	// network call too); its cost lands in the request's cache_ns phase,
-	// not solve_ns — engineNS stays 0 on a peer hit.
+	// context (so the last party leaving aborts the network call too);
+	// its cost lands in the request's cache_ns phase, not solve_ns —
+	// engineNS stays 0 on a peer hit.
 	if peer != "" && c.fill != nil {
 		if psol, ok := c.fill(fctx, peer, solver, ext, p); ok {
 			f.peerFill = "hit"
@@ -509,8 +425,12 @@ func (c *Cache) runFlight(fctx context.Context, spec engine.Spec, solver string,
 			return // cancelled mid-fill; don't start the engine
 		}
 	}
+	sctx := fctx
+	if !deadline.IsZero() {
+		sctx = deadlineCtx{fctx, deadline}
+	}
 	t0 := time.Now()
-	sol, err = spec.Solve(fctx, &ext.Instance, p)
+	sol, err = spec.Solve(sctx, &ext.Instance, p)
 	f.engineNS = time.Since(t0).Nanoseconds()
 }
 

@@ -341,11 +341,11 @@ func TestPanicDoesNotPoisonFlight(t *testing.T) {
 	}
 }
 
-// TestWaiterOutlivesInitiatorDeadline pins the flight-deadline
-// contract: the flight covers the LATEST deadline over attached
-// parties, so the initiator's earlier deadline expiring returns 504 to
-// the initiator only — an attached waiter with more time still gets the
-// real result from the same single engine invocation.
+// TestWaiterOutlivesInitiatorDeadline pins the flight-lifetime
+// contract: the flight lives while any party waits, so the initiator's
+// earlier deadline expiring returns 504 to the initiator only — an
+// attached waiter with more time still gets the real result from the
+// same single engine invocation.
 func TestWaiterOutlivesInitiatorDeadline(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -678,9 +678,9 @@ func TestSweepBypasses(t *testing.T) {
 	}
 }
 
-// TestDeadlineErrorSurfaces: the initiator's deadline is layered onto
-// the flight context, and the returned error is DeadlineExceeded (not
-// the flight's internal Canceled), preserving the server's 504 mapping.
+// TestDeadlineErrorSurfaces: when the initiator's deadline ends its
+// wait, the returned error is its own DeadlineExceeded (not the
+// flight's internal Canceled), preserving the server's 504 mapping.
 func TestDeadlineErrorSurfaces(t *testing.T) {
 	c := New(Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -721,5 +721,42 @@ func TestSolveUsesHandedKey(t *testing.T) {
 	}
 	if _, hit, _ := c.TryGet(bKey, &b.Instance, "greedy", nil); !hit {
 		t.Fatal("the solve was not stored under the handed key")
+	}
+}
+
+// TestFlightReportsInitiatorDeadline pins that a flight's engine call
+// sees the deadline of the request that started it, so solvers that
+// size their search rails by it behave as they do uncached, and sees
+// none when that request had none.
+func TestFlightReportsInitiatorDeadline(t *testing.T) {
+	type seen struct {
+		d  time.Time
+		ok bool
+	}
+	got := make(chan seen, 2)
+	engine.RegisterTest(t, engine.Spec{
+		Name: "cachetest-deadline-seen", Summary: "reports its context's deadline", Guarantee: "-",
+		Run: func(ctx context.Context, in *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			d, ok := ctx.Deadline()
+			got <- seen{d, ok}
+			return instance.NewSolution(in, in.Assign), nil
+		},
+	})
+	c := New(Config{})
+	want := time.Now().Add(time.Minute)
+	ctx, cancel := context.WithDeadline(context.Background(), want)
+	defer cancel()
+	if _, _, err := solveOutcome(c, ctx, "cachetest-deadline-seen", testExt(), engine.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	if s := <-got; !s.ok || !s.d.Equal(want) {
+		t.Errorf("flight saw deadline %v (ok %v), want %v", s.d, s.ok, want)
+	}
+	// A fresh cache, so the same request misses again.
+	if _, _, err := solveOutcome(New(Config{}), context.Background(), "cachetest-deadline-seen", testExt(), engine.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	if s := <-got; s.ok {
+		t.Errorf("flight of a deadline-free request saw deadline %v", s.d)
 	}
 }

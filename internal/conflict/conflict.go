@@ -25,6 +25,9 @@ type Instance struct {
 	Conflicts [][2]int
 }
 
+// errSearchLimit is MinMakespan's outcome when the node budget runs out.
+var errSearchLimit = instance.SearchLimit("conflict: search limit exceeded")
+
 // adjacency returns per-job conflict neighbor lists.
 func (ci *Instance) adjacency() [][]int {
 	adj := make([][]int, ci.Base.N())
@@ -234,7 +237,7 @@ func MinMakespan(ctx context.Context, ci *Instance, maxNodes int64) (instance.So
 		if ctxErr != nil {
 			return instance.Solution{}, ctxErr
 		}
-		return instance.Solution{}, errors.New("conflict: search limit exceeded")
+		return instance.Solution{}, errSearchLimit
 	}
 	if bestAssign == nil {
 		return instance.Solution{}, instance.ErrInfeasible

@@ -71,6 +71,9 @@ func (ci *Instance) allowedOf(j int) []int {
 // yield no well-formed gadget.
 var ErrUncovered = errors.New("constrained: 3DM element uncovered by every triple")
 
+// errSearchLimit is Exact's outcome when the node budget runs out.
+var errSearchLimit = instance.SearchLimit("constrained: search limit exceeded")
+
 // FromThreeDM builds the Theorem 6 / Corollary 1 gadget. Machines are
 // the triples. For every element of B and C there is a unit-size job
 // allowed exactly on the machines whose triple contains it; for every
@@ -199,7 +202,7 @@ func Exact(ctx context.Context, ci *Instance, k int, maxNodes int64) (instance.S
 		if ctxErr != nil {
 			return instance.Solution{}, ctxErr
 		}
-		return instance.Solution{}, errors.New("constrained: search limit exceeded")
+		return instance.Solution{}, errSearchLimit
 	}
 	if bestAssign == nil {
 		return instance.NewSolution(in, in.Assign), nil

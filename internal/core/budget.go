@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"sort"
 
@@ -277,16 +276,16 @@ func partitionBudgetAt(in *instance.Instance, target int64, opts BudgetOptions, 
 		}
 		return removedSmall[x] < removedSmall[y]
 	})
-	h := &minLoadHeap{loads: loads}
-	for p := 0; p < in.M; p++ {
-		h.items = append(h.items, p)
+	procs := make([]int32, in.M)
+	for p := range procs {
+		procs[p] = int32(p)
 	}
-	heap.Init(h)
+	instance.HeapInit(procs, loads, false)
 	for _, j := range removedSmall {
-		p := h.items[0]
-		assign[j] = p
+		p := procs[0]
+		assign[j] = int(p)
 		loads[p] += jobs[j].Size
-		heap.Fix(h, 0)
+		instance.HeapFixRoot(procs, loads, false)
 	}
 
 	res.Feasible = true
@@ -358,34 +357,4 @@ func PartitionBudgetCtx(ctx context.Context, in *instance.Instance, budget int64
 		return finish(instance.NewSolution(in, in.Assign), 0)
 	}
 	return finish(best.Solution, best.Target)
-}
-
-// minLoadHeap orders processor indices by increasing load with index
-// tie-break, for deterministic greedy placement in the §3.2 variant
-// (the flat kernels use instance.HeapInit/HeapFixRoot instead).
-type minLoadHeap struct {
-	items []int
-	loads []int64
-}
-
-func (h *minLoadHeap) Len() int { return len(h.items) }
-
-func (h *minLoadHeap) Less(a, b int) bool {
-	la, lb := h.loads[h.items[a]], h.loads[h.items[b]]
-	if la != lb {
-		return la < lb
-	}
-	return h.items[a] < h.items[b]
-}
-
-func (h *minLoadHeap) Swap(a, b int) { h.items[a], h.items[b] = h.items[b], h.items[a] }
-
-func (h *minLoadHeap) Push(x any) { h.items = append(h.items, x.(int)) }
-
-func (h *minLoadHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
 }

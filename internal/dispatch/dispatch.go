@@ -181,10 +181,12 @@ func New(cfg Config) *Core {
 	}
 	go c.sessionJanitor()
 	if cfg.CacheEntries >= 0 {
-		// Flights run under rootCtx so a drain timeout cancels them.
+		// A drain timeout reaches flights through their parties: each
+		// party's requestCtx dies with rootCtx, and the last to leave a
+		// flight cancels it.
 		c.cache = cache.New(cache.Config{
 			MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes,
-			BaseCtx: ctx, Obs: cfg.Obs, Fill: cfg.Fill,
+			Obs: cfg.Obs, Fill: cfg.Fill,
 		})
 	}
 	c.solvers = make(map[string]*solverEntry)

@@ -7,15 +7,15 @@ package exact
 
 import (
 	"context"
-	"errors"
 	"sort"
 
 	"repro/internal/instance"
 )
 
 // ErrTooLarge is returned when an instance exceeds the configured search
-// limits rather than risking an unbounded search.
-var ErrTooLarge = errors.New("exact: instance exceeds search limits")
+// limits rather than risking an unbounded search. It matches
+// instance.ErrSearchLimit.
+var ErrTooLarge = instance.SearchLimit("exact: instance exceeds search limits")
 
 // Limits bounds the branch-and-bound search.
 type Limits struct {

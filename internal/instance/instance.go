@@ -191,6 +191,21 @@ func NewSolution(in *Instance, assign []int) Solution {
 // move or budget constraint at the requested target.
 var ErrInfeasible = errors.New("instance: no feasible solution")
 
+// ErrSearchLimit is matched by every error a solver returns because a
+// safety rail (a job, node or state-space cap) cut its search off. It
+// says nothing about the instance, unlike ErrInfeasible: a larger rail
+// may solve it, so it is never cached.
+var ErrSearchLimit = errors.New("instance: search limit exceeded")
+
+// SearchLimit returns an error with message msg that matches
+// ErrSearchLimit under errors.Is, for a solver package's own sentinel.
+func SearchLimit(msg string) error { return &searchLimitError{msg} }
+
+type searchLimitError struct{ msg string }
+
+func (e *searchLimitError) Error() string { return e.msg }
+func (e *searchLimitError) Unwrap() error { return ErrSearchLimit }
+
 // New builds an instance from sizes, costs and an initial assignment.
 // costs may be nil, in which case every job gets unit cost. The slices
 // are copied. The result is validated.

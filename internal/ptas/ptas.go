@@ -40,8 +40,9 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrTooLarge is returned when the DP exceeds the configured limits.
-var ErrTooLarge = errors.New("ptas: state space exceeds limits")
+// ErrTooLarge is returned when the DP exceeds the configured limits. It
+// matches instance.ErrSearchLimit.
+var ErrTooLarge = instance.SearchLimit("ptas: state space exceeds limits")
 
 // Options tunes the scheme.
 type Options struct {

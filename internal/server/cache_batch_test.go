@@ -308,3 +308,69 @@ func TestBatchDuplicatesShareOneSolve(t *testing.T) {
 		t.Errorf("hits+coalesced = %d, want 3", shared)
 	}
 }
+
+// TestCachedExactKeepsDeadlineRails pins that the cache does not change
+// what exact can solve: every request carries a deadline, which lifts
+// exact's 20-job rail, and the flight's engine call must see that
+// deadline as the uncached call does. A 24-job request answers 200 with
+// the same makespan whether the cache is on or off.
+func TestCachedExactKeepsDeadlineRails(t *testing.T) {
+	const n = 24
+	sizes := make([]int64, n)
+	assign := make([]int, n)
+	for j := range sizes {
+		sizes[j] = int64(1 + j*7%13)
+		if j >= n/2 {
+			assign[j] = 1 + j%2
+		}
+	}
+	req := solveRequest("exact", instance.MustNew(3, sizes, nil, assign))
+	req.K = 2
+	makespan := func(cfg Config) int64 {
+		_, ts := newTestServer(t, cfg)
+		resp, body := postSolve(t, ts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("exact on %d jobs (CacheEntries %d): %d %s", n, cfg.CacheEntries, resp.StatusCode, body)
+		}
+		var r SolveResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r.Makespan
+	}
+	uncached := makespan(Config{Workers: 1, CacheEntries: -1})
+	if cached := makespan(Config{Workers: 1}); cached != uncached {
+		t.Errorf("exact makespan %d through the cache, %d without it", cached, uncached)
+	}
+}
+
+// TestSearchLimitUnprocessable pins the search-limit outcome: a solver
+// cut off by its own rail answers 422 with the solver's message, and
+// the outcome is never cached — a repeat is a fresh miss.
+func TestSearchLimitUnprocessable(t *testing.T) {
+	sink := obs.New()
+	_, ts := newTestServer(t, Config{Workers: 1, Obs: sink})
+	const n = 65 // one past ptas's default MaxJobs
+	sizes := make([]int64, n)
+	for j := range sizes {
+		sizes[j] = int64(1 + j%5)
+	}
+	req := solveRequest("ptas", instance.MustNew(2, sizes, nil, make([]int, n)))
+	req.Budget, req.Eps = 4, 0.5
+	for i := 0; i < 2; i++ {
+		resp, body := postSolve(t, ts.URL, req)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("solve %d: status %d, want 422 (body %s)", i, resp.StatusCode, body)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Error != "ptas: state space exceeds limits" {
+			t.Errorf("solve %d: error %q, want the solver's message", i, e.Error)
+		}
+	}
+	if hits, misses := sink.Reg.Counter("cache.hits").Value(), sink.Reg.Counter("cache.misses").Value(); hits != 0 || misses != 2 {
+		t.Errorf("cache.hits %d, cache.misses %d; want 0 and 2 (a search limit is never cached)", hits, misses)
+	}
+}

@@ -247,8 +247,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // statusFor maps a core error onto an HTTP status: queue or session
 // table rejection 429, unknown solver or session 404, unusable request
-// 400, infeasible instance or delta 422, deadline 504, cancellation
-// (drain or disconnect) 503, anything else 500.
+// 400, infeasible instance or delta 422, search cut off by a solver's
+// limit 422, deadline 504, cancellation (drain or disconnect) 503,
+// anything else 500.
 func statusFor(err error) int {
 	var bad *dispatch.BadRequestError
 	switch {
@@ -264,7 +265,7 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, dispatch.ErrUnsupported):
 		return http.StatusBadRequest
-	case errors.Is(err, instance.ErrInfeasible):
+	case errors.Is(err, instance.ErrInfeasible), errors.Is(err, instance.ErrSearchLimit):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

@@ -521,6 +521,90 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 	}
 }
 
+// TestDrainCancelsSharedFlight pins that a drain reaches a flight
+// shared by two requests through its parties alone: the forced drain
+// cancels both requests' contexts, both answer 503, the last to leave
+// cancels the flight so the solver sees its context end, Shutdown
+// returns with the inflight group drained, and nothing is cached.
+func TestDrainCancelsSharedFlight(t *testing.T) {
+	started := make(chan struct{}, 4)
+	solverErr := make(chan error, 4)
+	engine.RegisterTest(t, engine.Spec{
+		Name: "test-shared-park", Summary: "parks until its context ends", Guarantee: "-",
+		Run: func(ctx context.Context, _ *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			solverErr <- ctx.Err()
+			return instance.Solution{}, ctx.Err()
+		},
+	})
+	sink := obs.New()
+	s, ts := newTestServer(t, Config{Workers: 2, DefaultTimeout: time.Minute, Obs: sink})
+	body, err := json.Marshal(solveRequest("test-shared-park", testInstance()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shared solve never started")
+	}
+	waitFor(t, func() bool { return sink.Reg.Counter("cache.coalesced").Value() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- s.Shutdown(ctx) }()
+	select {
+	case err := <-drained:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("drain past its grace returned %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown never returned: a party of the shared flight outlived the drain")
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case code := <-codes:
+			if code != http.StatusServiceUnavailable {
+				t.Errorf("party of the drained flight: status %d, want 503", code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a party of the drained flight never answered")
+		}
+	}
+	select {
+	case err := <-solverErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("solver's context ended with %v, want Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shared solve's context was never cancelled")
+	}
+	if n := len(started); n != 0 {
+		t.Errorf("engine started %d more times, want one shared solve", n)
+	}
+	if n := sink.Snapshot().Gauges["server.inflight"]; n != 0 {
+		t.Errorf("server.inflight after drain = %d, want 0", n)
+	}
+	if n := sink.Snapshot().Gauges["cache.size"]; n != 0 {
+		t.Errorf("cache.size after drain = %d, want 0 (a cancelled flight is never cached)", n)
+	}
+}
+
 // TestSolversEndpoint pins GET /v1/solvers against the registry.
 func TestSolversEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
