@@ -85,9 +85,9 @@ func TestApplyMovesMatchesReindex(t *testing.T) {
 		can := Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: 1})
 		canTwin := Canonicalize("greedy", spec.Caps, extOf(twin), engine.Params{K: 1})
 		sol := instance.NewSolution(in, randomAssign(in, rng))
-		moves, ok := can.encodeMoves(in, sol)
-		if !ok || len(moves) != 2*sol.Moves {
-			t.Fatalf("trial %d: encodeMoves gave %d ints (ok %v) for %d moves", trial, len(moves), ok, sol.Moves)
+		moves := can.encodeMoves(in, sol)
+		if len(moves) != 2*sol.Moves {
+			t.Fatalf("trial %d: encodeMoves gave %d ints for %d moves", trial, len(moves), sol.Moves)
 		}
 		want := reindex(can, canTwin, sol.Assign)
 		dst := make([]int, rng.Intn(2*n)) // any capacity must work
@@ -101,7 +101,7 @@ func TestApplyMovesZeroAllocs(t *testing.T) {
 	spec, _ := engine.Lookup("greedy")
 	in := instance.MustNew(2, []int64{5, 4, 3}, nil, []int{1, 0, 0})
 	can := Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: 1})
-	moves, _ := can.encodeMoves(in, instance.NewSolution(in, []int{0, 1, 0}))
+	moves := can.encodeMoves(in, instance.NewSolution(in, []int{0, 1, 0}))
 	dst := make([]int, 3)
 	if n := testing.AllocsPerRun(100, func() {
 		can.applyMoves(dst, in, moves)

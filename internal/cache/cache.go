@@ -25,11 +25,8 @@ const (
 type Outcome int
 
 const (
-	// Bypass: the request was not cacheable (sweep-kind solver or
-	// unknown name) and went straight to the engine.
-	Bypass Outcome = iota
 	// Miss: this call ran the engine and populated the cache.
-	Miss
+	Miss Outcome = iota + 1
 	// Hit: the result came from a cached entry; no engine call.
 	Hit
 	// Coalesced: an identical request was already in flight; this call
@@ -37,8 +34,8 @@ const (
 	Coalesced
 )
 
-// String returns the wire name of the outcome ("" for Bypass, so the
-// JSON field is omitted for uncacheable requests).
+// String returns the wire name of the outcome ("" for the zero value,
+// so the JSON field is omitted for a request the cache never saw).
 func (o Outcome) String() string {
 	switch o {
 	case Miss:
@@ -59,8 +56,7 @@ type Stats struct {
 	// EngineNS is the engine compute time behind this result in
 	// nanoseconds: the flight's measured solve time for misses and
 	// coalesced waits (the shared flight's compute, which may overlap
-	// other requests), the direct engine call for bypasses, and 0 for
-	// hits.
+	// other requests), and 0 for hits.
 	EngineNS int64
 	// PeerFill reports the peer cache-fill attempt behind a miss:
 	// "hit" (the peer had the solution; no local engine call), "miss"
@@ -111,9 +107,8 @@ type flight struct {
 	done chan struct{}     // closed when sol/res/err are final
 	sol  instance.Solution // the solver's own solution, for the initiator
 	// res is the outcome as an LRU entry, for coalesced waiters to
-	// replay on their own job order; nil when the outcome is not
-	// cacheable or does not fit the move-list form (see
-	// Canonical.encodeMoves).
+	// replay on their own job order; nil when the outcome is an error
+	// that is not cached.
 	res      *entry
 	err      error
 	engineNS int64  // measured spec.Solve time; final once done closes
@@ -179,6 +174,7 @@ type Cache struct {
 	mu      sync.Mutex
 	entries *lru
 	flights map[Key]*flight
+	running sync.WaitGroup // flight goroutines; joined under mu
 }
 
 // New returns a cache with the given configuration.
@@ -214,6 +210,12 @@ func New(cfg Config) *Cache {
 	return c
 }
 
+// Wait blocks until every flight goroutine has returned. A flight
+// outlives its parties until its solver notices its context ended, so
+// a caller that drains its requests calls Wait to see the solves end
+// too. No Solve may start while Wait runs.
+func (c *Cache) Wait() { c.running.Wait() }
+
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -244,7 +246,10 @@ func (c *Cache) TryGet(can Canonical, in *instance.Instance, solver string, dst 
 	return e.solution(dst, can, in), true, nil
 }
 
-// Solve runs the named solver through the cache: a canonical-form hit
+// Solve runs spec, a solution-kind solver, through the cache under
+// can, the request's canonical identity: the Canonicalize of exactly
+// these arguments, computed by the caller (a hit probe keys each
+// request once) and only read during the call. A canonical-form hit
 // replays the stored move list onto this request's job order with no
 // engine call; a request identical to one already in flight waits for
 // that flight and shares its outcome the same way; otherwise this call
@@ -262,133 +267,98 @@ func (c *Cache) TryGet(can Canonical, in *instance.Instance, solver string, dst 
 // owner instead of recomputing. Stats.PeerFill reports the attempt's
 // outcome; an empty peer skips it.
 //
-// key, when non-nil, is the request's canonical identity as its caller
-// already computed it — the shard's hit probe keys every strict body
-// before it misses — and Solve uses it instead of keying the request
-// again. It must be the Canonicalize of exactly these arguments and
-// own its order (see Canonical.Owned): a flight keeps it. Nil means
-// Solve computes the key itself.
+// Ownership: a flight may outlive the call that started it, so it runs
+// on its own copies of the instance's job and assignment arrays and of
+// can's order. The extension slices (allowed sets, conflicts) and the
+// params' copies of them are shared and must not change afterwards.
 //
 // Cancellation semantics: a party — the initiator or a waiter — whose
 // ctx ends detaches and returns ctx.Err() without killing the in-flight
 // solve, so the remaining parties still get the result. The flight runs
 // on its own goroutine and lives exactly while a party waits: the last
-// party to leave cancels it. A drain reaches a flight through its
-// parties, whose contexts the caller cancels. The engine call sees the
-// initiator's deadline (see deadlineCtx) but is never cut off by it
-// while a later party waits. A solver panic is converted into an error
-// delivered to every attached party instead of leaving the flight open.
-// Only successes and ErrInfeasible (a deterministic property of the
-// instance) are cached; context errors and search-limit errors never
-// poison the cache. A success that does not fit the move-list form is
-// served to the initiator but neither cached nor shared: its waiters
-// retry, each as a flight of its own if need be.
-func (c *Cache) Solve(ctx context.Context, solver string, ext *instance.Extended, p engine.Params, peer string, key *Canonical) (instance.Solution, Stats, error) {
-	spec, ok := engine.Lookup(solver)
-	if !ok || spec.Kind != engine.KindSolution {
-		// Unknown names keep the engine's typed error; sweep-kind
-		// entries are not cacheable through this surface.
-		t0 := time.Now()
-		sol, err := engine.Solve(ctx, solver, &ext.Instance, p)
-		return sol, Stats{Outcome: Bypass, EngineNS: time.Since(t0).Nanoseconds()}, err
-	}
-	var can Canonical
-	if key != nil {
-		can = *key
-	} else {
-		can = Canonicalize(solver, spec.Caps, ext, p)
-	}
-
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries.get(can.Key); ok {
-			c.mu.Unlock()
-			c.count("cache.hits", solver)
-			if e.err != nil {
-				return instance.Solution{}, Stats{Outcome: Hit}, e.err
-			}
-			return e.solution(nil, can, &ext.Instance), Stats{Outcome: Hit}, nil
-		}
-		if f, ok := c.flights[can.Key]; ok && f.attach() {
-			c.mu.Unlock()
-			c.count("cache.coalesced", solver)
-			select {
-			case <-f.done:
-				f.detach() // balance the attach; the flight is already final
-				if f.err != nil {
-					return instance.Solution{}, Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}, f.err
-				}
-				if f.res == nil {
-					continue // not storable (see encodeMoves): solve it afresh
-				}
-				return f.res.solution(nil, can, &ext.Instance), Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
-			case <-ctx.Done():
-				f.detach()
-				return instance.Solution{}, Stats{Outcome: Coalesced}, ctx.Err()
-			}
-		}
-
-		// This call initiates the flight. It runs on its own goroutine,
-		// NOT under the initiator's ctx: if the initiator leaves while
-		// waiters are attached, the solve must keep running for them. The
-		// request's span linkage is grafted onto the flight context so a
-		// traced miss still records its engine solve as a child span. A
-		// dead flight awaiting teardown (attach failed above) is simply
-		// replaced; its finalizer's guarded delete leaves the successor
-		// alone.
-		fctx, cancel := context.WithCancel(obs.AdoptSpan(context.Background(), ctx))
-		f := &flight{done: make(chan struct{}), cancel: cancel}
-		f.refs.Store(1)
-		c.flights[can.Key] = f
+// party to leave cancels it, and Wait returns once it has returned. A
+// drain reaches a flight through its parties, whose contexts the caller
+// cancels. The engine call sees the initiator's deadline (see
+// deadlineCtx) but is never cut off by it while a later party waits. A
+// solver panic is converted into an error delivered to every attached
+// party instead of leaving the flight open. Only successes and
+// ErrInfeasible (a deterministic property of the instance) are cached;
+// context errors and search-limit errors never poison the cache.
+func (c *Cache) Solve(ctx context.Context, spec engine.Spec, ext *instance.Extended, p engine.Params, peer string, can Canonical) (instance.Solution, Stats, error) {
+	c.mu.Lock()
+	if e, ok := c.entries.get(can.Key); ok {
 		c.mu.Unlock()
-		c.count("cache.misses", solver)
-
-		deadline, _ := ctx.Deadline()
-		go c.runFlight(fctx, deadline, spec, solver, ext, p, can, f, peer)
-
+		c.count("cache.hits", spec.Name)
+		if e.err != nil {
+			return instance.Solution{}, Stats{Outcome: Hit}, e.err
+		}
+		return e.solution(nil, can, &ext.Instance), Stats{Outcome: Hit}, nil
+	}
+	if f, ok := c.flights[can.Key]; ok && f.attach() {
+		c.mu.Unlock()
+		c.count("cache.coalesced", spec.Name)
 		select {
 		case <-f.done:
-			f.detach()
+			f.detach() // balance the attach; the flight is already final
+			st := Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}
 			if f.err != nil {
-				return instance.Solution{}, Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}, f.err
+				return instance.Solution{}, st, f.err
 			}
-			return f.sol, Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}, nil
+			return f.res.solution(nil, can, &ext.Instance), st, nil
 		case <-ctx.Done():
 			f.detach()
-			return instance.Solution{}, Stats{Outcome: Miss}, ctx.Err()
+			return instance.Solution{}, Stats{Outcome: Coalesced}, ctx.Err()
 		}
+	}
+
+	// This call initiates the flight. It runs on its own goroutine,
+	// NOT under the initiator's ctx: if the initiator leaves while
+	// waiters are attached, the solve must keep running for them. The
+	// request's span linkage is grafted onto the flight context so a
+	// traced miss still records its engine solve as a child span. A
+	// dead flight awaiting teardown (attach failed above) is simply
+	// replaced; its finalizer's guarded delete leaves the successor
+	// alone.
+	fctx, cancel := context.WithCancel(obs.AdoptSpan(context.Background(), ctx))
+	f := &flight{done: make(chan struct{}), cancel: cancel}
+	f.refs.Store(1)
+	c.flights[can.Key] = f
+	c.running.Add(1)
+	c.mu.Unlock()
+	c.count("cache.misses", spec.Name)
+
+	own := &instance.Extended{Instance: *ext.Instance.Clone(), Allowed: ext.Allowed, Conflicts: ext.Conflicts}
+	deadline, _ := ctx.Deadline()
+	go c.runFlight(fctx, deadline, spec, own, p, can.Owned(), f, peer)
+
+	select {
+	case <-f.done:
+		f.detach()
+		st := Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}
+		if f.err != nil {
+			return instance.Solution{}, st, f.err
+		}
+		return f.sol, st, nil
+	case <-ctx.Done():
+		f.detach()
+		return instance.Solution{}, Stats{Outcome: Miss}, ctx.Err()
 	}
 }
 
-// runFlight executes the flight's engine call and finalizes the flight
+// runFlight executes the flight's solve and finalizes the flight
 // exactly once: remove it from the flights map, populate the LRU when
-// the outcome is cacheable, publish sol/res/err, and close done. The
-// finalizer runs in a defer so a solver panic cannot skip it — an open
-// flight whose done channel never closes would wedge every future
-// request for the key. The panic is converted into the error each
-// attached party receives (the server maps it to 500, same as its own
-// panic safety net). deadline is the initiator's, zero when it had
-// none; only the engine call sees it, not the peer fill, whose own
-// timeout context.WithTimeout would otherwise trust a deadline that
-// never fires to bound the peek.
-func (c *Cache) runFlight(fctx context.Context, deadline time.Time, spec engine.Spec, solver string, ext *instance.Extended, p engine.Params, can Canonical, f *flight, peer string) {
-	var (
-		sol instance.Solution
-		err error
-	)
+// the outcome is cacheable, publish sol/res/err, close done, and leave
+// the running group. The finalizer runs in a defer so a panic — the
+// solver's, or encodeMoves' on a malformed solution — cannot skip it:
+// an open flight whose done channel never closes would wedge every
+// future request for the key. The panic is converted into the error
+// each attached party receives (the server maps it to 500, same as its
+// own panic safety net).
+func (c *Cache) runFlight(fctx context.Context, deadline time.Time, spec engine.Spec, ext *instance.Extended, p engine.Params, can Canonical, f *flight, peer string) {
+	defer c.running.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			sol, err = instance.Solution{}, fmt.Errorf("cache: solver %q panicked: %v", solver, r)
-		}
-		var res *entry
-		switch {
-		case err == nil:
-			if moves, ok := can.encodeMoves(&ext.Instance, sol); ok {
-				res = &entry{key: can.Key, solver: solver, moves: moves,
-					sol: instance.Solution{Makespan: sol.Makespan, Moves: sol.Moves, MoveCost: sol.MoveCost}}
-			}
-		case errors.Is(err, instance.ErrInfeasible):
-			res = &entry{key: can.Key, solver: solver, err: err}
+			f.sol, f.res, f.err = instance.Solution{}, nil, fmt.Errorf("cache: solver %q panicked: %v", spec.Name, r)
 		}
 		c.mu.Lock()
 		// Guarded delete: a successor flight may already own the key if
@@ -396,33 +366,48 @@ func (c *Cache) runFlight(fctx context.Context, deadline time.Time, spec engine.
 		if c.flights[can.Key] == f {
 			delete(c.flights, can.Key)
 		}
-		if res != nil {
-			for _, ev := range c.entries.add(res) {
+		if f.res != nil {
+			for _, ev := range c.entries.add(f.res) {
 				c.count("cache.evictions", ev.solver)
 			}
 			c.gaugeSize()
 		}
 		c.mu.Unlock()
-		f.sol, f.res, f.err = sol, res, err
 		close(f.done)
 		f.cancel() // release the flight context's resources
 	}()
+	sol, err := c.solveFlight(fctx, deadline, spec, ext, p, f, peer)
+	switch {
+	case err == nil:
+		f.res = &entry{key: can.Key, solver: spec.Name, moves: can.encodeMoves(&ext.Instance, sol),
+			sol: instance.Solution{Makespan: sol.Makespan, Moves: sol.Moves, MoveCost: sol.MoveCost}}
+	case errors.Is(err, instance.ErrInfeasible):
+		f.res = &entry{key: can.Key, solver: spec.Name, err: err}
+	}
+	f.sol, f.err = sol, err
+}
+
+// solveFlight produces the flight's solution: from the peer when one
+// is named and has it, else from the engine. deadline is the
+// initiator's, zero when it had none; only the engine call sees it,
+// not the peer fill, whose own timeout context.WithTimeout would
+// otherwise trust a deadline that never fires to bound the peek.
+func (c *Cache) solveFlight(fctx context.Context, deadline time.Time, spec engine.Spec, ext *instance.Extended, p engine.Params, f *flight, peer string) (instance.Solution, error) {
 	// Peer fill: ask the key's previous owner for the finished solution
 	// before burning local compute. The attempt runs under the flight's
 	// context (so the last party leaving aborts the network call too);
 	// its cost lands in the request's cache_ns phase, not solve_ns —
 	// engineNS stays 0 on a peer hit.
 	if peer != "" && c.fill != nil {
-		if psol, ok := c.fill(fctx, peer, solver, ext, p); ok {
+		if psol, ok := c.fill(fctx, peer, spec.Name, ext, p); ok {
 			f.peerFill = "hit"
 			c.sink.Count("cache.peer_fill_hits", 1)
-			sol, err = psol, nil
-			return
+			return psol, nil
 		}
 		f.peerFill = "miss"
 		c.sink.Count("cache.peer_fill_misses", 1)
-		if err = fctx.Err(); err != nil {
-			return // cancelled mid-fill; don't start the engine
+		if err := fctx.Err(); err != nil {
+			return instance.Solution{}, err // cancelled mid-fill; don't start the engine
 		}
 	}
 	sctx := fctx
@@ -430,8 +415,9 @@ func (c *Cache) runFlight(fctx context.Context, deadline time.Time, spec engine.
 		sctx = deadlineCtx{fctx, deadline}
 	}
 	t0 := time.Now()
-	sol, err = spec.Solve(sctx, &ext.Instance, p)
+	sol, err := spec.Solve(sctx, &ext.Instance, p)
 	f.engineNS = time.Since(t0).Nanoseconds()
+	return sol, err
 }
 
 // count bumps the aggregate and per-solver counters for one event. The

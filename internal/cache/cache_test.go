@@ -25,10 +25,17 @@ func registerCountSolver(t *testing.T) {
 	})
 }
 
+// solve is Solve on a request keyed as the dispatch core keys one no
+// probe keyed: with the allocating Canonicalize.
+func solve(c *Cache, ctx context.Context, solver string, ext *instance.Extended, p engine.Params, peer string) (instance.Solution, Stats, error) {
+	spec, _ := engine.Lookup(solver)
+	return c.Solve(ctx, spec, ext, p, peer, Canonicalize(solver, spec.Caps, ext, p))
+}
+
 // solveOutcome is Solve with no peer, reduced to the outcome the
 // single-flight assertions check.
 func solveOutcome(c *Cache, ctx context.Context, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, Outcome, error) {
-	sol, st, err := c.Solve(ctx, solver, ext, p, "", nil)
+	sol, st, err := solve(c, ctx, solver, ext, p, "")
 	return sol, st.Outcome, err
 }
 
@@ -661,23 +668,6 @@ func TestInfeasibleCached(t *testing.T) {
 	}
 }
 
-// TestSweepBypasses: sweep-kind entries are not cacheable through this
-// surface and must pass through untouched.
-func TestSweepBypasses(t *testing.T) {
-	c := New(Config{})
-	_, out, err := solveOutcome(c, context.Background(), "frontier", testExt(), engine.Params{})
-	if out != Bypass {
-		t.Fatalf("sweep outcome %v, want Bypass", out)
-	}
-	if !errors.Is(err, engine.ErrUnsupported) {
-		t.Fatalf("sweep through Solve returned %v, want ErrUnsupported", err)
-	}
-	_, out, err = solveOutcome(c, context.Background(), "no-such-solver", testExt(), engine.Params{})
-	if out != Bypass || !errors.Is(err, engine.ErrUnknownSolver) {
-		t.Fatalf("unknown solver: outcome %v, err %v", out, err)
-	}
-}
-
 // TestDeadlineErrorSurfaces: when the initiator's deadline ends its
 // wait, the returned error is its own DeadlineExceeded (not the
 // flight's internal Canceled), preserving the server's 504 mapping.
@@ -701,8 +691,8 @@ func TestDeadlineErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestSolveUsesHandedKey pins that Solve keys a request only when its
-// caller has not: a handed key is used as is. Solving request a under
+// TestSolveUsesHandedKey pins that Solve never keys a request itself:
+// the handed key is used as is. Solving request a under
 // request b's key stores a's solution where b's lookups find it, which
 // a recomputed key would not. (b is already sorted, so its key carries
 // the identity order, which fits a's six jobs too.)
@@ -713,7 +703,7 @@ func TestSolveUsesHandedKey(t *testing.T) {
 	a := testExt()
 	b := extOf(instance.MustNew(2, []int64{1, 2, 3, 4, 5, 6}, nil, []int{0, 0, 0, 0, 0, 0}))
 	bKey := Canonicalize("greedy", spec.Caps, b, p)
-	if _, st, err := c.Solve(context.Background(), "greedy", a, p, "", &bKey); err != nil || st.Outcome != Miss {
+	if _, st, err := c.Solve(context.Background(), spec, a, p, "", bKey); err != nil || st.Outcome != Miss {
 		t.Fatalf("first solve: outcome %v, err %v (want a miss)", st.Outcome, err)
 	}
 	if _, hit, _ := c.TryGet(Canonicalize("greedy", spec.Caps, a, p), &a.Instance, "greedy", nil); hit {

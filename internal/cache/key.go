@@ -188,37 +188,27 @@ func (c Canonical) job(slot int) int {
 // encodeMoves returns sol as a move list in canonical coordinates: one
 // (canonical slot, processor) pair per job sol places off its initial
 // processor in in, the request sol was computed for, in slot order. The
-// slice is sized exactly. ok is false when sol does not fit the form —
-// an assignment of the wrong length, or a slot or processor beyond
-// int32 (Validate does not bound m) — and the result must then not be
-// stored.
-func (c Canonical) encodeMoves(in *instance.Instance, sol instance.Solution) (moves []int32, ok bool) {
-	n := in.N()
-	if len(sol.Assign) != n || n > math.MaxInt32 {
-		return nil, false
-	}
+// slice is sized exactly. Every slot and processor fits an int32:
+// Validate bounds both n and m to int32. An assignment shorter than in
+// panics.
+func (c Canonical) encodeMoves(in *instance.Instance, sol instance.Solution) []int32 {
 	moved := 0
-	for j, p := range sol.Assign {
-		if p != in.Assign[j] {
+	for j, p := range in.Assign {
+		if sol.Assign[j] != p {
 			moved++
 		}
 	}
 	if moved == 0 {
-		return nil, true
+		return nil
 	}
-	moves = make([]int32, 0, 2*moved)
-	for slot := 0; slot < n; slot++ {
+	moves := make([]int32, 0, 2*moved)
+	for slot := range in.Assign {
 		j := c.job(slot)
-		p := sol.Assign[j]
-		if p == in.Assign[j] {
-			continue
+		if p := sol.Assign[j]; p != in.Assign[j] {
+			moves = append(moves, int32(slot), int32(p))
 		}
-		if uint(p) > math.MaxInt32 {
-			return nil, false
-		}
-		moves = append(moves, int32(slot), int32(p))
 	}
-	return moves, true
+	return moves
 }
 
 // applyMoves writes into dst — reused when its capacity suffices, grown

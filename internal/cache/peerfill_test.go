@@ -62,7 +62,7 @@ func TestPeerFillHitSkipsEngine(t *testing.T) {
 	}})
 
 	ext := peerFillInstance(5, 2)
-	sol, st, err := c.Solve(context.Background(), "cache-peerfill", ext, engine.Params{K: 3}, "http://owner.example", nil)
+	sol, st, err := solve(c, context.Background(), "cache-peerfill", ext, engine.Params{K: 3}, "http://owner.example")
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestPeerFillHitSkipsEngine(t *testing.T) {
 	}
 	// The peer's answer must now be cached locally: a repeat is a plain
 	// hit with no further fill call.
-	_, st2, err := c.Solve(context.Background(), "cache-peerfill", ext, engine.Params{K: 3}, "http://owner.example", nil)
+	_, st2, err := solve(c, context.Background(), "cache-peerfill", ext, engine.Params{K: 3}, "http://owner.example")
 	if err != nil || st2.Outcome != Hit || st2.PeerFill != "" {
 		t.Fatalf("repeat: stats=%+v err=%v, want pure hit", st2, err)
 	}
@@ -96,7 +96,7 @@ func TestPeerFillMissFallsBackToEngine(t *testing.T) {
 		return instance.Solution{}, false
 	}})
 	ext := peerFillInstance(9, 4, 1)
-	_, st, err := c.Solve(context.Background(), "cache-peerfill", ext, engine.Params{K: 1}, "http://owner.example", nil)
+	_, st, err := solve(c, context.Background(), "cache-peerfill", ext, engine.Params{K: 1}, "http://owner.example")
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestNoPeerNoFillCall(t *testing.T) {
 		return instance.Solution{}, false
 	}})
 	ext := peerFillInstance(3)
-	if _, st, err := c.Solve(context.Background(), "cache-peerfill", ext, engine.Params{K: 1}, "", nil); err != nil || st.PeerFill != "" {
+	if _, st, err := solve(c, context.Background(), "cache-peerfill", ext, engine.Params{K: 1}, ""); err != nil || st.PeerFill != "" {
 		t.Fatalf("peerless solve: stats=%+v err=%v", st, err)
 	}
 	if asked.Load() != 0 {

@@ -30,7 +30,8 @@
 //
 // Solves and session calls join one drain group. Shutdown closes it to
 // new work (which fails with a context.Canceled-wrapped error), lets
-// admitted work complete, and cancels stragglers on ctx expiry.
+// admitted work complete, cancels stragglers on ctx expiry, and then
+// waits for the cache flights those solves started.
 package dispatch
 
 import (
@@ -316,12 +317,12 @@ func (c *Core) solve(ctx context.Context, req *Request) (res Result) {
 		// the engine solve becomes its child via the span linkage
 		// grafted onto the flight context (internal/cache).
 		cctx, csp := obs.StartSpan(ctx, "cache")
-		var key *cache.Canonical
-		if req.probe.keyed {
-			key = &req.probe.can
+		can := req.probe.can
+		if !req.probe.keyed {
+			can = cache.Canonicalize(spec.Name, spec.Caps, &req.Instance, p)
 		}
 		var st cache.Stats
-		res.Sol, st, res.Err = c.cache.Solve(cctx, req.Solver, &req.Instance, p, req.PeerFill, key)
+		res.Sol, st, res.Err = c.cache.Solve(cctx, spec, &req.Instance, p, req.PeerFill, can)
 		res.Cache, res.SolveNS, res.PeerFill = st.Outcome.String(), st.EngineNS, st.PeerFill
 		if csp != nil {
 			csp.SetAttr(obs.String("outcome", st.Outcome.String()))
@@ -330,7 +331,7 @@ func (c *Core) solve(ctx context.Context, req *Request) (res Result) {
 		return res
 	}
 	t0 := time.Now()
-	res.Sol, res.Err = engine.Solve(ctx, req.Solver, in, p)
+	res.Sol, res.Err = spec.Solve(ctx, in, p)
 	res.SolveNS = time.Since(t0).Nanoseconds()
 	return res
 }
@@ -453,8 +454,8 @@ func (c *Core) abandoned(dctx context.Context) error {
 // context.Canceled-wrapped error. Admitted solves and session calls,
 // waiting or running, then run to completion. If ctx fires first, their
 // contexts are cancelled — they return promptly with context errors —
-// and ctx.Err() is reported. Every admitted call has returned when
-// Shutdown does.
+// and ctx.Err() is reported. Every admitted call, and every cache
+// flight one of them started, has returned when Shutdown does.
 func (c *Core) Shutdown(ctx context.Context) error {
 	c.admit.Lock()
 	c.draining.Store(true)
@@ -478,6 +479,11 @@ func (c *Core) Shutdown(ctx context.Context) error {
 	// stall on a straggler.
 	c.closeSessions()
 	<-drained
+	// Every party has left its flight, and the last to leave cancelled
+	// it; a flight returns once its solver notices.
+	if c.cache != nil {
+		c.cache.Wait()
+	}
 	return err
 }
 

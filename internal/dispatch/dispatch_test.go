@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,11 +287,59 @@ func TestCoreShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForFlight pins that cache flights are in the drain
+// group: a solver that keeps running 100 ms after its context ends has
+// returned by the time Shutdown, past its grace, or Close returns.
+func TestShutdownWaitsForFlight(t *testing.T) {
+	var returned atomic.Bool
+	started := make(chan struct{}, 1)
+	engine.RegisterTest(t, engine.Spec{
+		Name: "dispatch-test-linger", Summary: "parks until cancelled, then runs 100 ms more", Guarantee: "-",
+		Run: func(ctx context.Context, _ *instance.Instance, _ engine.Params) (instance.Solution, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			time.Sleep(100 * time.Millisecond)
+			returned.Store(true)
+			return instance.Solution{}, ctx.Err()
+		},
+	})
+	for _, name := range []string{"Shutdown", "Close"} {
+		t.Run(name, func(t *testing.T) {
+			returned.Store(false)
+			c := New(Config{Workers: 1})
+			req := coreReq(0)
+			req.Solver = "dispatch-test-linger"
+			done := make(chan error, 1)
+			go func() {
+				_, err := c.Do(context.Background(), req)
+				done <- err
+			}()
+			<-started
+			if name == "Close" {
+				c.Close()
+			} else {
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+				defer cancel()
+				if err := c.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("Shutdown past its grace returned %v, want DeadlineExceeded", err)
+				}
+			}
+			if !returned.Load() {
+				t.Fatalf("%s returned while the flight's solver was still running", name)
+			}
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("the drained solve returned %v, want Canceled", err)
+			}
+		})
+	}
+}
+
 // TestDoUsesProbedKey pins key-once: a request whose hit probe missed
 // is solved under the probe's key, and Do does not key it again. A
 // probe of request b handed to request a stores a's result where b's
-// next probe finds it, which a recomputed key would not; the probe's
-// own key, handed to its own request, is the one Canonicalize computes.
+// next probe finds it, which a recomputed key would not; the key a
+// missed probe leaves on its own request is the one Canonicalize
+// computes.
 func TestDoUsesProbedKey(t *testing.T) {
 	c := New(Config{Workers: 1})
 	defer c.Close()
@@ -303,12 +352,8 @@ func TestDoUsesProbedKey(t *testing.T) {
 		t.Fatal("probe of a cold cache hit")
 	}
 	want := cache.Canonicalize("mpartition", spec.Caps, &a.Instance, engine.Params{K: 2})
-	if !hs.missed.keyed || hs.missed.can.Key != want.Key {
-		t.Fatal("a missed probe did not keep the request's canonical key")
-	}
-	hs.KeyInto(a)
-	if !a.probe.keyed || hs.missed.keyed {
-		t.Fatal("KeyInto did not move the probe's key onto the request")
+	if !a.probe.keyed || a.probe.can.Key != want.Key {
+		t.Fatal("a missed probe did not leave the request's canonical key on it")
 	}
 	res, err := c.Do(ctx, a)
 	if err != nil || res.Err != nil || res.Cache != "miss" {
@@ -326,7 +371,7 @@ func TestDoUsesProbedKey(t *testing.T) {
 		t.Fatal("probe of b hit before b was solved")
 	}
 	a2 := coreReq(4)
-	hs.KeyInto(a2)
+	a2.probe = b.probe
 	if res, err := c.Do(ctx, a2); err != nil || res.Cache != "miss" {
 		t.Fatalf("a2: cache %q, err %v (want a miss)", res.Cache, err)
 	}

@@ -38,14 +38,12 @@ func SolverName(name []byte) string {
 }
 
 // HitScratch carries the reusable buffers of one cache probe. Callers
-// pool it; nothing it holds may escape the serving of one request
-// except through TryCachedSolve's returned solution, whose Assign
-// aliases the scratch buffer, and KeyInto's owned copy of a missed
-// probe's key.
+// pool it; nothing it holds may escape the serving of one request:
+// TryCachedSolve's returned solution and the key it leaves on a missed
+// request both alias its buffers.
 type HitScratch struct {
 	can    cache.CanonScratch
 	assign []int
-	missed probedKey // the last probe's key, if it missed
 }
 
 // TryCachedSolve canonicalizes req, which Validate has accepted, on
@@ -57,10 +55,11 @@ type HitScratch struct {
 // cache.hits; ObserveHit books a hit the transport serves. ok is false
 // on a miss, for a sweep-kind solver or one registered after New, and
 // when no cache is configured; the request then goes to Do, which
-// starts or joins a flight, and after a miss KeyInto hands the probe's
-// key on to it.
+// starts or joins a flight. A miss leaves the probe's key on req, so
+// that Do does not key the request a second time and counts the
+// probe's time in its CacheNS; the key aliases hs, so req goes to Do
+// before hs probes again (a flight keeps its own copy).
 func (c *Core) TryCachedSolve(hs *HitScratch, req *Request) (res Result, ok bool) {
-	hs.missed = probedKey{}
 	ent := c.solvers[req.Solver]
 	if c.cache == nil || ent == nil || ent.spec.Kind != engine.KindSolution {
 		return Result{}, false
@@ -74,26 +73,13 @@ func (c *Core) TryCachedSolve(hs *HitScratch, req *Request) (res Result, ok bool
 	sol, ok, err := c.cache.TryGet(can, &req.Instance.Instance, ent.name, hs.assign)
 	ns := time.Since(start).Nanoseconds()
 	if !ok {
-		hs.missed = probedKey{can: can, ns: ns, keyed: true}
+		req.probe = probedKey{can: can, ns: ns, keyed: true}
 		return Result{}, false
 	}
 	if err == nil {
 		hs.assign = sol.Assign // keep the (possibly grown) buffer
 	}
 	return Result{Sol: sol, Cache: "hit", CacheNS: ns, Err: err}, true
-}
-
-// KeyInto hands the key of hs's last probe, which must have missed on
-// this very request, to req, so that Do's cache solve does not key the
-// request a second time; the probe's time then counts in req's CacheNS.
-// It does nothing when the last probe computed no key or hit.
-func (hs *HitScratch) KeyInto(req *Request) {
-	if !hs.missed.keyed {
-		return
-	}
-	req.probe = hs.missed
-	req.probe.can = hs.missed.can.Owned()
-	hs.missed = probedKey{}
 }
 
 // ObserveHit records a TryCachedSolve hit on req that the transport

@@ -31,6 +31,21 @@ var (
 	ErrUnsupported = engine.ErrUnsupported
 )
 
+// MaxProcessors bounds the processor count m of every request the core
+// serves: a solve, peek or batch item, a session's create, and the
+// proc_add deltas that grow a session. Solvers and sessions allocate
+// per-processor state, so without a bound a body of a few bytes could
+// claim any amount of memory.
+const MaxProcessors = 1 << 16
+
+// processorLimit rejects a processor count above MaxProcessors.
+func processorLimit(m int) error {
+	if m > MaxProcessors {
+		return &BadRequestError{Msg: fmt.Sprintf("m = %d exceeds the limit of %d processors", m, MaxProcessors)}
+	}
+	return nil
+}
+
 // BadRequestError marks a request Validate rejected as malformed: an
 // invalid instance or tuning parameters the solver does not consume.
 // Transports map it to their invalid-argument status (HTTP 400).
@@ -80,7 +95,7 @@ type Request struct {
 	// finished solution before running the engine (requires Config.Fill).
 	PeerFill string `json:"-"`
 	// probe is the canonical key a transport's hit probe computed for
-	// this request before it missed (HitScratch.KeyInto); the cache
+	// this request before it missed (TryCachedSolve); the cache
 	// uses it instead of keying the request again.
 	probe probedKey
 }
@@ -127,8 +142,13 @@ type Result struct {
 // Validate vets a decoded request against the registry, mirroring the
 // CLI's flag validation: nil, or one of the typed errors — a
 // *BadRequestError (invalid instance, unconsumed tuning parameters,
-// ks on a non-sweep), or an ErrUnknownSolver-classified error.
+// ks on a non-sweep, m above MaxProcessors), or an
+// ErrUnknownSolver-classified error.
 func (c *Core) Validate(req *Request) error {
+	if err := processorLimit(req.Instance.M); err != nil {
+		c.cfg.Obs.Count("server.bad_requests", 1)
+		return err
+	}
 	if err := req.Instance.Validate(); err != nil {
 		c.cfg.Obs.Count("server.bad_requests", 1)
 		return &BadRequestError{Msg: fmt.Sprintf("invalid instance: %v", err)}

@@ -134,7 +134,8 @@ func newSessionID() string {
 }
 
 // SessionCreate builds a session and installs it in the table. Errors:
-// *BadRequestError for a malformed config or seed instance,
+// *BadRequestError for a malformed config or seed instance (m above
+// MaxProcessors included),
 // ErrSessionTableFull when the table is at capacity after evicting
 // expired sessions, a context.Canceled-wrapped error once Shutdown has
 // begun.
@@ -143,6 +144,14 @@ func (c *Core) SessionCreate(ctx context.Context, req *SessionRequest) (SessionS
 		return SessionState{}, err
 	}
 	defer c.inflight.Done()
+	m := req.M
+	if req.Instance != nil {
+		m = req.Instance.M
+	}
+	if err := processorLimit(m); err != nil {
+		c.cfg.Obs.Count("server.bad_requests", 1)
+		return SessionState{}, err
+	}
 	cfg := session.Config{
 		M:             req.M,
 		MoveBudget:    req.MoveBudget,
@@ -243,6 +252,12 @@ func (c *Core) SessionDelta(ctx context.Context, id string, req *SessionDeltaReq
 		if !ok {
 			c.cfg.Obs.Count("session.delta_errors", 1)
 			return SessionDeltaResult{}, &BadRequestError{Msg: fmt.Sprintf("unknown delta op %q", req.Op)}
+		}
+		if d.Op == session.OpProcAdd {
+			if err := processorLimit(ent.sess.M() + 1); err != nil {
+				c.cfg.Obs.Count("session.delta_errors", 1)
+				return SessionDeltaResult{}, err
+			}
 		}
 		out, aerr := ent.sess.Apply(dctx, d)
 		if aerr != nil {

@@ -11,6 +11,7 @@ package instance
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -38,10 +39,14 @@ func (in *Instance) N() int { return len(in.Jobs) }
 // Validate checks structural well-formedness: at least one processor,
 // assignment length matching the job count, every target in range,
 // strictly positive sizes and non-negative costs, and IDs matching
-// slice positions.
+// slice positions. Both m and n fit an int32, which the flat kernels
+// and the cache's move lists assume.
 func (in *Instance) Validate() error {
 	if in.M <= 0 {
 		return fmt.Errorf("instance: M = %d, want > 0", in.M)
+	}
+	if in.M > math.MaxInt32 || len(in.Jobs) > math.MaxInt32 {
+		return fmt.Errorf("instance: M = %d and %d jobs, want both at most %d", in.M, len(in.Jobs), math.MaxInt32)
 	}
 	if len(in.Assign) != len(in.Jobs) {
 		return fmt.Errorf("instance: %d jobs but %d assignments", len(in.Jobs), len(in.Assign))

@@ -26,6 +26,7 @@ func TestValidateErrors(t *testing.T) {
 		{"negative cost", Instance{M: 1, Jobs: []Job{{ID: 0, Size: 1, Cost: -1}}, Assign: []int{0}}},
 		{"target out of range", Instance{M: 1, Jobs: []Job{{ID: 0, Size: 1, Cost: 1}}, Assign: []int{1}}},
 		{"negative target", Instance{M: 1, Jobs: []Job{{ID: 0, Size: 1, Cost: 1}}, Assign: []int{-1}}},
+		{"m beyond int32", Instance{M: 1 << 31, Jobs: []Job{{ID: 0, Size: 1, Cost: 1}}, Assign: []int{0}}},
 	}
 	for _, c := range cases {
 		if err := c.in.Validate(); err == nil {

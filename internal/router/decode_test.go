@@ -1,8 +1,9 @@
 package router
 
 // The router keys every solve body with one strict decode into pooled
-// memory. These tests pin that keying to the plain json.Unmarshal
-// keying it replaced, and pin its allocation count at zero.
+// memory. These tests pin that keying to a keying that decodes with
+// encoding/json's stream decoder, as a shard does, and pin its
+// allocation count at zero.
 
 import (
 	"bytes"
@@ -20,12 +21,13 @@ import (
 	"repro/internal/workload"
 )
 
-// referencePoint is the ring point of body under a plain json.Unmarshal
-// decode and the allocating canonicalization: what routePoint must
-// return for every body.
+// referencePoint is the ring point of body under encoding/json's stream
+// decoder, which accepts trailing data as a shard does, and the
+// allocating canonicalization: what routePoint must return for every
+// body.
 func referencePoint(body []byte) uint64 {
 	var req server.SolveRequest
-	if err := json.Unmarshal(body, &req); err == nil && req.Instance.Validate() == nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err == nil && req.Instance.Validate() == nil {
 		if spec, ok := engine.Lookup(req.Solver); ok && spec.Kind == engine.KindSolution {
 			p := engine.Params{K: req.K, Budget: req.Budget, Eps: req.Eps}
 			return cache.Canonicalize(req.Solver, spec.Caps, &req.Instance, p).Key.Point()
@@ -52,7 +54,7 @@ func coldSolveBody(tb testing.TB) []byte {
 // FuzzDecodeSolve is the differential target for the strict decoder:
 // for any bytes it must not panic; whatever it accepts must decode to
 // exactly what encoding/json produces, into fresh or reused memory;
-// and the router must place every body where plain json.Unmarshal
+// and the router must place every body where the stream decoder's
 // keying places it.
 func FuzzDecodeSolve(f *testing.F) {
 	for _, body := range servertest.FastDecodeCorpus() {
@@ -85,7 +87,7 @@ func FuzzDecodeSolve(f *testing.F) {
 			}
 		}
 		if got, want := rt.routePoint(body), referencePoint(body); got != want {
-			t.Fatalf("routePoint = %x, json.Unmarshal keying = %x, for %q", got, want, body)
+			t.Fatalf("routePoint = %x, stream-decoder keying = %x, for %q", got, want, body)
 		}
 	})
 }

@@ -364,9 +364,9 @@ var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
 //
 // The body is decoded once, by the strict decoder into pooled memory,
 // so keying a strict body allocates nothing. A body the strict decoder
-// rejects falls back to json.Unmarshal (counted in
-// router.decode_fallbacks); unlike the shard's stream decoder it
-// rejects trailing data, so such a body keeps its content-hash point.
+// rejects is decoded as the shard decodes it, by server.DecodeSolve
+// (counted in router.decode_fallbacks), so a body the shard accepts —
+// trailing data included — lands on its canonical owner.
 func (rt *Router) routePoint(body []byte) uint64 {
 	sc := routeScratchPool.Get().(*routeScratch)
 	defer routeScratchPool.Put(sc)
@@ -378,8 +378,7 @@ func (rt *Router) keyPoint(sc *routeScratch, body []byte) uint64 {
 	req := &sc.req
 	if !server.DecodeSolveStrict(body, req) {
 		rt.cfg.Obs.Count("router.decode_fallbacks", 1)
-		*req = server.SolveRequest{}
-		if json.Unmarshal(body, req) != nil {
+		if server.DecodeSolve(body, req) != nil {
 			return ring.Hash(body)
 		}
 	}

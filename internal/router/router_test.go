@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -532,6 +533,49 @@ func TestTransportRoutesInProcess(t *testing.T) {
 		if it.Status != http.StatusOK || it.Result == nil {
 			t.Fatalf("batch item %d: status %d error %q", i, it.Status, it.Error)
 		}
+	}
+}
+
+// TestRouterPlacesTrailingDataLikeCleanBody pins that the router
+// decodes a body the way a shard does: a shard accepts data after the
+// top-level value, so a body with trailing data is the clean body's
+// request and must reach the clean body's owner, where it is a hit. The
+// key is picked so that the trailing body's content hash has a
+// different owner.
+func TestRouterPlacesTrailingDataLikeCleanBody(t *testing.T) {
+	shards := []*shard{startShard(t, "s0"), startShard(t, "s1"), startShard(t, "s2")}
+	rt, rts := startRouter(t, []string{shards[0].ts.URL, shards[1].ts.URL, shards[2].ts.URL})
+	rg := rt.ring.Load()
+	var clean, trailing []byte
+	for i := 0; i <= 64 && clean == nil; i++ {
+		body, _ := json.Marshal(testReq(i))
+		dirty := append(slices.Clone(body), "{}"...)
+		owner, _ := rg.Owner(rt.routePoint(body))
+		if hashOwner, _ := rg.Owner(ring.Hash(dirty)); hashOwner != owner {
+			clean, trailing = body, dirty
+		}
+	}
+	if clean == nil {
+		t.Fatal("no key in 0..64 whose trailing body hashes to another shard")
+	}
+	post := func(body []byte) server.SolveResponse {
+		t.Helper()
+		resp, err := http.Post(rts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out server.SolveResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, decode error %v", resp.StatusCode, err)
+		}
+		return out
+	}
+	first := post(clean)
+	again := post(trailing)
+	if again.ShardID != first.ShardID || again.Cache != "hit" {
+		t.Fatalf("trailing-data body served by %q (cache %q), clean body by %q: want the same shard and a hit",
+			again.ShardID, again.Cache, first.ShardID)
 	}
 }
 

@@ -25,10 +25,10 @@ func DecodeSolve(body []byte, req *SolveRequest) error {
 
 // DecodeSolveStrict decodes body with the strict decoder alone,
 // reusing req's job and assignment capacity, and reports whether it
-// accepted. On false req is unspecified and the caller applies its own
-// fallback (DecodeSolve's, or json.Unmarshal where trailing data must
-// be an error). A registered solver's name is the registry's copy, so
-// a warm req decodes a strict body without allocating.
+// accepted. On false req is unspecified and the caller falls back to
+// encoding/json as DecodeSolve does. A registered solver's name is the
+// registry's copy, so a warm req decodes a strict body without
+// allocating.
 func DecodeSolveStrict(body []byte, req *SolveRequest) bool {
 	solver, ok := fastDecodeSolve(body, req)
 	if ok {

@@ -9,10 +9,10 @@
 // trace draw: validation, then the cache probe on the scratch's reused
 // buffers, and only on a miss admission through the dispatch core. A
 // hit, or a cached infeasibility, never takes a solve slot and
-// allocates nothing. A cache flight may retain a request beyond the
-// handler's lifetime, so a miss is admitted on a heap copy of a pooled
-// request (detach), carrying the key its probe computed, so every
-// request is canonicalized exactly once, hit or miss.
+// allocates nothing. A miss is admitted on the pooled request itself,
+// carrying the key its probe computed, so every request is
+// canonicalized exactly once, hit or miss; a cache flight that may
+// outlive the handler keeps its own copy of what it needs.
 //
 // Every solve and peek success body is built by buildResponse and
 // encoded by the scratch's one json.Encoder into the scratch's reused
@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -36,8 +35,7 @@ import (
 )
 
 // solveScratch carries one request's reusable buffers through the
-// pipeline. Pooled; nothing in it may escape the request — detach hands
-// the admitted path its own copy of a pooled request.
+// pipeline. Pooled; nothing in it may escape the request.
 type solveScratch struct {
 	body  []byte
 	req   SolveRequest
@@ -49,24 +47,6 @@ type solveScratch struct {
 }
 
 var solveScratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
-
-// detach returns req for the admitted path. A request the caller owns
-// is returned as is; the scratch's own request is copied to the heap so
-// that it shares no reused memory with the scratch: the job and
-// assignment arrays, the only slices the strict decoder reuses, are
-// copied (not re-parsed). The extension and sweep slices only ever come
-// from the encoding/json fallback, which decodes into fresh memory, so
-// the copy may share them.
-func (sc *solveScratch) detach(req *SolveRequest) *SolveRequest {
-	if req != &sc.req {
-		return req
-	}
-	own := new(SolveRequest)
-	*own = sc.req
-	own.Instance.Jobs = slices.Clone(sc.req.Instance.Jobs)
-	own.Instance.Assign = slices.Clone(sc.req.Instance.Assign)
-	return own
-}
 
 // readBody reads r into dst's capacity, growing as needed. Identical
 // error surface to draining the reader through encoding/json: an

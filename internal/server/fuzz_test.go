@@ -71,6 +71,8 @@ func FuzzServerSolve(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`), "")
 	f.Add([]byte(``), "")
 	f.Add([]byte(`{"solver":"greedy","k":1,"instance":{"m":3,"jobs":[{"size":1},{"size":1}],"assign":[0,9]}}`), "")
+	// m far past the processor bound: a 400, not per-processor state.
+	f.Add([]byte(`{"solver":"mpartition","k":1,"instance":{"m":1099511627776,"jobs":[{"size":5},{"size":3}],"assign":[0,1]}}`), "")
 	f.Add(hitBody, `say "hi"`)
 	f.Add(hitBody, `<script>&amp;</script>`)
 	f.Add(hitBody, "line\u2028sep\u2029")

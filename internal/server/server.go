@@ -46,7 +46,8 @@
 // Graceful drain: Shutdown stops admission (readyz and new solves
 // answer 503), waits for admitted solves, waiting or running, to
 // finish, and on drain timeout cancels the stragglers' contexts so they
-// return promptly. See DESIGN.md §9.
+// return promptly; it returns once their cache flights have too. See
+// DESIGN.md §9.
 package server
 
 import (
@@ -224,8 +225,9 @@ func (s *Server) Handler() http.Handler {
 // new solves answer 503), then admitted solves, waiting for a slot or
 // running, complete. If ctx fires first, the stragglers' solve contexts
 // are cancelled — they return promptly with context errors and their
-// handlers answer 503 — and ctx.Err() is reported. Every admitted solve
-// has returned when Shutdown does.
+// handlers answer 503 — and ctx.Err() is reported. Every admitted
+// solve, and every cache flight one started, has returned when Shutdown
+// does.
 func (s *Server) Shutdown(ctx context.Context) error { return s.core.Shutdown(ctx) }
 
 // Close is Shutdown with no grace: in-flight solves are cancelled
@@ -356,7 +358,7 @@ func (s *Server) serve(ctx context.Context, sc *solveScratch, req *SolveRequest,
 		s.core.ObserveHit(req, &res)
 		s.cfg.Trace.EndSpanless("request", rid, sampled, start, rootAttrs...)
 	} else {
-		res, err = s.admit(ctx, sc, req, rid, sampled, rootAttrs)
+		res, err = s.admit(ctx, req, rid, sampled, rootAttrs)
 	}
 	status, msg := http.StatusOK, ""
 	if err == nil {
@@ -373,18 +375,14 @@ func (s *Server) serve(ctx context.Context, sc *solveScratch, req *SolveRequest,
 }
 
 // admit runs a request the probe could not answer through the core,
-// under a root span carrying the request's draw and attrs. A cache
-// flight may retain the request beyond the handler, so a pooled one is
-// detached first; it carries the key the probe computed.
-func (s *Server) admit(ctx context.Context, sc *solveScratch, req *SolveRequest, rid string, sampled bool, attrs []obs.Attr) (dispatch.Result, error) {
-	admitted := sc.detach(req)
-	sc.hit.KeyInto(admitted)
+// under a root span carrying the request's draw and attrs.
+func (s *Server) admit(ctx context.Context, req *SolveRequest, rid string, sampled bool, attrs []obs.Attr) (dispatch.Result, error) {
 	tctx, root := s.cfg.Trace.StartSampled(ctx, "request", rid, sampled)
 	if root != nil {
 		root.SetAttr(attrs...)
 	}
 	defer root.End()
-	return s.core.Do(tctx, admitted)
+	return s.core.Do(tctx, req)
 }
 
 // handleBatch is POST /v1/batch: decode a slice of solve requests, fan

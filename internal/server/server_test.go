@@ -190,6 +190,9 @@ func TestSolveSweep(t *testing.T) {
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
+	if got.Cache != "" {
+		t.Errorf("sweep answered with cache %q, want none: sweeps are never cached", got.Cache)
+	}
 	want, err := rebalance.FrontierCtx(context.Background(), in, req.Ks, rebalance.FrontierOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
