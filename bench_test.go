@@ -62,7 +62,7 @@ func BenchmarkE1GreedyTightness(b *testing.B) {
 		k := instance.GreedyTightK(m)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sol := greedy.Rebalance(in, k, greedy.OrderSmallestFirst)
+				sol := greedy.Rebalance(in, k, greedy.OrderSmallestFirst, nil)
 				if sol.Makespan != int64(2*m-1) {
 					b.Fatalf("adversarial makespan %d", sol.Makespan)
 				}
@@ -80,7 +80,7 @@ func BenchmarkE2PartitionRatio(b *testing.B) {
 	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		core.MPartition(in, 20, core.BinarySearch)
+		core.MPartition(context.Background(), in, 20, core.BinarySearch, nil)
 	}
 }
 
@@ -94,13 +94,13 @@ func BenchmarkE3Scaling(b *testing.B) {
 		b.Run(fmt.Sprintf("greedy/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				greedy.Rebalance(in, k, greedy.OrderLargestFirst)
+				greedy.Rebalance(in, k, greedy.OrderLargestFirst, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("mpartition/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.MPartition(in, k, core.BinarySearch)
+				core.MPartition(context.Background(), in, k, core.BinarySearch, nil)
 			}
 		})
 	}
@@ -138,12 +138,12 @@ func BenchmarkE5Comparison(b *testing.B) {
 	})
 	b.Run("mpartition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.MPartition(in, k, core.BinarySearch)
+			core.MPartition(context.Background(), in, k, core.BinarySearch, nil)
 		}
 	})
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			greedy.Rebalance(in, k, greedy.OrderLargestFirst)
+			greedy.Rebalance(in, k, greedy.OrderLargestFirst, nil)
 		}
 	})
 	b.Run("ptas", func(b *testing.B) {
@@ -155,7 +155,7 @@ func BenchmarkE5Comparison(b *testing.B) {
 	})
 	b.Run("gap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gap.Rebalance(in, k); err != nil {
+			if _, err := gap.Rebalance(in, k, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -172,7 +172,7 @@ func BenchmarkE6Budget(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, bud := range budgets {
-			core.PartitionBudget(in, bud, core.BudgetOptions{})
+			core.PartitionBudget(context.Background(), in, bud, core.BudgetOptions{}, nil)
 		}
 	}
 }
@@ -185,14 +185,14 @@ func BenchmarkE7GAPBaseline(b *testing.B) {
 	})
 	b.Run("gap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gap.Rebalance(in, 10); err != nil {
+			if _, err := gap.Rebalance(in, 10, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("mpartition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.MPartition(in, 10, core.BinarySearch)
+			core.MPartition(context.Background(), in, 10, core.BinarySearch, nil)
 		}
 	})
 }
@@ -268,17 +268,17 @@ func BenchmarkE11Ablation(b *testing.B) {
 	const k = 50
 	b.Run("binary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.MPartition(in, k, core.BinarySearch)
+			core.MPartition(context.Background(), in, k, core.BinarySearch, nil)
 		}
 	})
 	b.Run("ladder", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.MPartition(in, k, core.ThresholdScan)
+			core.MPartition(context.Background(), in, k, core.ThresholdScan, nil)
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.MPartition(in, k, core.IncrementalScan)
+			core.MPartition(context.Background(), in, k, core.IncrementalScan, nil)
 		}
 	})
 }
@@ -291,7 +291,7 @@ func BenchmarkE12Frontier(b *testing.B) {
 	ks := []int{0, 10, 50, 200, 1000, 2000}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Frontier(in, ks)
+		Frontier(context.Background(), in, ks, FrontierOptions{})
 	}
 }
 
@@ -309,7 +309,7 @@ func BenchmarkFrontierWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				FrontierOpts(in, ks, FrontierOptions{Workers: w})
+				Frontier(context.Background(), in, ks, FrontierOptions{Workers: w})
 			}
 		})
 	}
@@ -331,7 +331,7 @@ func BenchmarkE13LPBound(b *testing.B) {
 // E15 — the adversarial ratio hunt.
 func BenchmarkE15AdversaryHunt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := adversary.Hunt(adversary.TargetMPartition, adversary.Config{Trials: 50, Seed: uint64(i)})
+		w, _ := adversary.Hunt(context.Background(), adversary.TargetMPartition, adversary.Config{Trials: 50, Seed: uint64(i)})
 		if w.Ratio > 1.5 {
 			b.Fatalf("bound crossed: %.4f", w.Ratio)
 		}
@@ -362,7 +362,7 @@ func BenchmarkE14Scheduling(b *testing.B) {
 	})
 	b.Run("mpartition-kn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.MPartition(in, in.N(), core.IncrementalScan)
+			core.MPartition(context.Background(), in, in.N(), core.IncrementalScan, nil)
 		}
 	})
 }

@@ -7,8 +7,8 @@
 //	experiments [-only E1,E5] [-list] [-workers N]
 //	experiments -only E9 -trace e9.jsonl -metrics -debug-addr localhost:6060
 //
-// -workers N bounds the worker pool (internal/par) that fans the
-// experiments out and is also handed to the internally parallel
+// -workers N bounds the worker pool that experiments.RunAll fans the
+// experiments out on and is also handed to the internally parallel
 // surfaces (the E9 policy comparison, the E15 adversary hunt). The
 // default is runtime.GOMAXPROCS(0); table contents are identical at
 // every worker count, but wall-clock columns (E3, E7, E11) are
@@ -38,8 +38,6 @@ import (
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/par"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -75,7 +73,7 @@ func main() {
 		sink = obs.New()
 	}
 	if sink != nil {
-		experiments.SetObs(sink)
+		experiments.SetSink(sink)
 	}
 	if sink.Tracing() {
 		sink.Emit("trace_header", obs.Fields{"version": rebalance.Version(), "cmd": "experiments"})
@@ -116,31 +114,22 @@ func main() {
 	}
 
 	experiments.SetWorkers(*workers)
-	type result struct {
-		tab     *stats.Table
-		elapsed time.Duration
-	}
-	results := make([]result, len(chosen))
 	// Ctrl-C / SIGTERM cancels the fan-out context: experiments not yet
 	// claimed are skipped, and the suite exits with the context error
-	// instead of dying mid-table.
+	// instead of dying mid-table. -workers 1 runs the suite in order on
+	// this goroutine; output order is preserved either way.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	// One pool drives the fan-out; -workers 1 degenerates to the
-	// sequential in-order loop. Output order is preserved either way.
-	if err := par.Do(ctx, len(chosen), *workers, func(i int) error {
-		start := time.Now()
-		results[i] = result{tab: chosen[i].Run(), elapsed: time.Since(start)}
-		return nil
-	}); err != nil {
+	results, err := experiments.RunAll(ctx, chosen, *workers)
+	if err != nil {
 		log.Fatalf("interrupted: %v", err)
 	}
 
 	for i, e := range chosen {
 		fmt.Printf("## %s — %s\n\n", e.ID, e.Title)
 		fmt.Printf("Expected shape: %s.\n\n", e.Note)
-		results[i].tab.Render(os.Stdout)
-		fmt.Printf("\n(%s in %v)\n\n", e.ID, results[i].elapsed.Round(time.Millisecond))
+		results[i].Table.Render(os.Stdout)
+		fmt.Printf("\n(%s in %v)\n\n", e.ID, results[i].Elapsed.Round(time.Millisecond))
 	}
 
 	if *metrics && sink != nil {

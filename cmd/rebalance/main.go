@@ -57,6 +57,16 @@ func flagHelp(name, meaning string) string {
 	return fmt.Sprintf("%s (%s)", meaning, strings.Join(engine.ConsumersOf(name), ", "))
 }
 
+// lookup resolves -alg in the registry and rejects explicitly-set
+// tuning flags the solver does not consume.
+func lookup(alg string, set map[string]bool) (engine.Spec, error) {
+	spec, ok := engine.Lookup(alg)
+	if !ok {
+		return spec, engine.UnknownSolver(alg)
+	}
+	return spec, spec.ValidateFlags(set)
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rebalance: ")
@@ -95,10 +105,10 @@ func main() {
 
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := engine.ValidateFlags(*alg, explicit); err != nil {
+	spec, err := lookup(*alg, explicit)
+	if err != nil {
 		log.Fatal(err)
 	}
-	spec, _ := engine.Lookup(*alg) // ValidateFlags vouched for the name
 
 	// Ctrl-C / SIGTERM flows through the same ctx the solvers poll, so an
 	// interrupted run cancels mid-solve and exits with the context error
@@ -170,7 +180,7 @@ func main() {
 		return
 	}
 
-	sol, err := engine.Solve(ctx, *alg, in, engine.Params{
+	sol, err := spec.Solve(ctx, in, engine.Params{
 		K: *k, Budget: *budget, Eps: *eps,
 		Obs: sink, Allowed: ext.Allowed, Conflicts: ext.Conflicts,
 	})
@@ -287,7 +297,7 @@ func runFrontier(ctx context.Context, in *rebalance.Instance, sink *obs.Sink, wo
 	ks := rebalance.DefaultFrontierKs(in.N())
 	fmt.Printf("instance: %s\n", in)
 	fmt.Printf("%8s %12s %8s %14s\n", "k", "makespan", "moves", "vs lower bound")
-	points, err := rebalance.FrontierCtx(ctx, in, ks, rebalance.FrontierOptions{Workers: workers, Obs: sink})
+	points, err := rebalance.Frontier(ctx, in, ks, rebalance.FrontierOptions{Workers: workers, Obs: sink})
 	if err != nil {
 		log.Fatal(err)
 	}

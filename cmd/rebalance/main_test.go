@@ -44,9 +44,9 @@ func TestValidateFlags(t *testing.T) {
 		for _, f := range c.set {
 			set[f] = true
 		}
-		err := engine.ValidateFlags(c.alg, set)
+		_, err := lookup(c.alg, set)
 		if (err == nil) != c.ok {
-			t.Errorf("ValidateFlags(%q, %v) = %v, want ok=%v", c.alg, c.set, err, c.ok)
+			t.Errorf("lookup(%q, %v) = %v, want ok=%v", c.alg, c.set, err, c.ok)
 		}
 	}
 }
@@ -57,8 +57,8 @@ func TestValidateFlags(t *testing.T) {
 func TestNonTuningFlagsAlwaysPass(t *testing.T) {
 	for _, alg := range engine.Names() {
 		set := map[string]bool{"timeout": true, "show": true, "trace": true, "metrics": true}
-		if err := engine.ValidateFlags(alg, set); err != nil {
-			t.Errorf("ValidateFlags(%q, non-tuning flags) = %v, want nil", alg, err)
+		if _, err := lookup(alg, set); err != nil {
+			t.Errorf("lookup(%q, non-tuning flags) = %v, want nil", alg, err)
 		}
 	}
 }

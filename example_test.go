@@ -54,7 +54,12 @@ func ExamplePartitionBudget() {
 
 func ExampleFrontier() {
 	in := demoInstance()
-	for _, pt := range rebalance.Frontier(in, []int{0, 1, 2}) {
+	pts, err := rebalance.Frontier(context.Background(), in, []int{0, 1, 2}, rebalance.FrontierOptions{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for _, pt := range pts {
 		fmt.Println(pt.K, pt.Makespan)
 	}
 	// Output:

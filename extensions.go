@@ -32,7 +32,9 @@ const (
 // PartitionWithMode is Partition with an explicit §3.1 search strategy
 // (BinarySearch is the default used by Partition).
 func PartitionWithMode(in *Instance, k int, mode SearchMode) Solution {
-	return core.MPartition(in, k, mode)
+	// The background context never fires, so the error is always nil.
+	sol, _ := core.MPartition(context.Background(), in, k, mode, nil)
+	return sol
 }
 
 // MoveMinimization
@@ -43,12 +45,6 @@ func PartitionWithMode(in *Instance, k int, mode SearchMode) Solution {
 // approximation exists.
 func MinMoves(in *Instance, target int64) (int, Solution, error) {
 	return movemin.Exact(context.Background(), in, target, exact.Limits{})
-}
-
-// MinMovesCtx is MinMoves under a cancellable context; the underlying
-// branch and bound polls ctx and returns ctx.Err() promptly.
-func MinMovesCtx(ctx context.Context, in *Instance, target int64) (int, Solution, error) {
-	return movemin.Exact(ctx, in, target, exact.Limits{})
 }
 
 // MinMovesBicriteria is the Lemma 4 positive result: a solution with

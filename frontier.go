@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
@@ -12,7 +11,7 @@ import (
 // FrontierPoint is one point of the makespan-vs-moves tradeoff curve.
 type FrontierPoint struct {
 	K        int   // move budget
-	Makespan int64 // solver makespan at that budget (≤ 1.5·OPT(K) for the default)
+	Makespan int64 // M-PARTITION makespan at that budget (≤ 1.5·OPT(K))
 	Moves    int   // moves actually used (≤ K)
 }
 
@@ -24,23 +23,11 @@ type FrontierOptions struct {
 	// The returned points are identical at every worker count.
 	Workers int
 	// Obs threads an observability sink through every run; nil disables
-	// instrumentation.
+	// instrumentation. The sink's tracer and metrics are shared across
+	// the concurrent workers (all obs primitives are safe for concurrent
+	// use), so a trace interleaves events from different budgets;
+	// correlate them by the k field on search_result events.
 	Obs *obs.Sink
-	// Solver computes the point at one move budget. Nil uses the
-	// default — incremental-scan M-PARTITION, which amortizes the
-	// target search across the ladder of budgets. Use FrontierSolver to
-	// sweep any registered engine solver instead.
-	Solver func(ctx context.Context, in *Instance, k int, sink *obs.Sink) (Solution, error)
-}
-
-// FrontierSolver adapts a registered k-capable engine solver (by name)
-// into a FrontierOptions.Solver, so a sweep can trace any algorithm's
-// tradeoff curve: FrontierCtx(ctx, in, ks, FrontierOptions{Solver:
-// FrontierSolver("greedy")}).
-func FrontierSolver(name string) func(ctx context.Context, in *Instance, k int, sink *obs.Sink) (Solution, error) {
-	return func(ctx context.Context, in *Instance, k int, sink *obs.Sink) (Solution, error) {
-		return engine.Solve(ctx, name, in, engine.Params{K: k, Obs: sink})
-	}
 }
 
 // DefaultFrontierKs returns the doubling ladder of move budgets 0, 1,
@@ -65,46 +52,16 @@ func DefaultFrontierKs(n int) []int {
 }
 
 // Frontier computes the paper's central tradeoff — the best achievable
-// makespan as the move budget k varies — by running M-PARTITION at each
-// requested budget on up to GOMAXPROCS workers (each run is independent
-// and read-only on the instance). Results are returned in the order of
-// ks regardless of scheduling.
-func Frontier(in *Instance, ks []int) []FrontierPoint {
-	return FrontierOpts(in, ks, FrontierOptions{})
-}
-
-// FrontierObs is Frontier with an observability sink threaded into each
-// M-PARTITION run. The sink's tracer and metrics are shared across the
-// concurrent workers (all obs primitives are safe for concurrent use),
-// so a trace interleaves events from different budgets; correlate them
-// by the k field on search_result events.
-func FrontierObs(in *Instance, ks []int, sink *obs.Sink) []FrontierPoint {
-	return FrontierOpts(in, ks, FrontierOptions{Obs: sink})
-}
-
-// FrontierOpts is Frontier with explicit options. With a background
-// context and the default solver a sweep cannot fail, so the error of
-// FrontierCtx is discarded; callers supplying a fallible custom Solver
-// should call FrontierCtx instead.
-func FrontierOpts(in *Instance, ks []int, opts FrontierOptions) []FrontierPoint {
-	points, _ := FrontierCtx(context.Background(), in, ks, opts)
-	return points
-}
-
-// FrontierCtx runs the sweep under a cancellable context: when ctx
-// fires, in-flight solver runs are interrupted mid-search, pending
-// budgets are skipped, and the first error (ctx.Err() or a custom
-// solver's failure) is returned with nil points.
-func FrontierCtx(ctx context.Context, in *Instance, ks []int, opts FrontierOptions) ([]FrontierPoint, error) {
-	solve := opts.Solver
-	if solve == nil {
-		solve = func(ctx context.Context, in *Instance, k int, sink *obs.Sink) (Solution, error) {
-			return core.MPartitionCtx(ctx, in, k, core.IncrementalScan, sink)
-		}
-	}
+// makespan as the move budget k varies — by running incremental-scan
+// M-PARTITION at each requested budget on the internal/par pool (each
+// run is independent and read-only on the instance). Results are
+// returned in the order of ks regardless of scheduling. When ctx fires,
+// in-flight runs are interrupted mid-search, pending budgets are
+// skipped, and ctx.Err() is returned with nil points.
+func Frontier(ctx context.Context, in *Instance, ks []int, opts FrontierOptions) ([]FrontierPoint, error) {
 	points := make([]FrontierPoint, len(ks))
 	err := par.Do(ctx, len(ks), opts.Workers, func(i int) error {
-		sol, err := solve(ctx, in, ks[i], opts.Obs)
+		sol, err := core.MPartition(ctx, in, ks[i], core.IncrementalScan, opts.Obs)
 		if err != nil {
 			return err
 		}

@@ -37,7 +37,10 @@ func TestFrontierBoundsAndOrder(t *testing.T) {
 		N: 60, M: 6, Sizes: SizeZipf, Placement: PlaceOneHot, Seed: 5,
 	})
 	ks := []int{0, 1, 2, 4, 8, 16, 32, 60}
-	pts := Frontier(in, ks)
+	pts, err := Frontier(context.Background(), in, ks, FrontierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != len(ks) {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -68,7 +71,10 @@ func TestFrontierMatchesSequentialRuns(t *testing.T) {
 		N: 40, M: 4, Sizes: SizeUniform, Placement: PlaceSkewed, Seed: 9,
 	})
 	ks := []int{0, 3, 7, 15}
-	pts := Frontier(in, ks)
+	pts, err := Frontier(context.Background(), in, ks, FrontierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, k := range ks {
 		seq := PartitionWithMode(in, k, IncrementalScan)
 		if pts[i].Makespan != seq.Makespan || pts[i].Moves != seq.Moves {
@@ -87,9 +93,15 @@ func TestFrontierWorkersEquivalence(t *testing.T) {
 		N: 80, M: 8, Sizes: SizeZipf, Placement: PlaceSkewed, Seed: 13,
 	})
 	ks := []int{0, 1, 2, 5, 10, 20, 40, 80}
-	seq := FrontierOpts(in, ks, FrontierOptions{Workers: 1})
+	seq, err := Frontier(context.Background(), in, ks, FrontierOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []int{0, 2, 4, 8} {
-		got := FrontierOpts(in, ks, FrontierOptions{Workers: w})
+		got, err := Frontier(context.Background(), in, ks, FrontierOptions{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(seq) {
 			t.Fatalf("workers=%d: %d points, want %d", w, len(got), len(seq))
 		}
@@ -103,7 +115,7 @@ func TestFrontierWorkersEquivalence(t *testing.T) {
 
 func TestFrontierEmpty(t *testing.T) {
 	in := MustNew(2, []int64{1, 2}, nil, []int{0, 1})
-	if pts := Frontier(in, nil); len(pts) != 0 {
+	if pts, _ := Frontier(context.Background(), in, nil, FrontierOptions{}); len(pts) != 0 {
 		t.Fatalf("empty ks produced %d points", len(pts))
 	}
 }
@@ -113,7 +125,10 @@ func TestFrontierWithinBoundOfExact(t *testing.T) {
 		N: 10, M: 3, MaxSize: 25, Placement: PlaceRandom, Seed: 3,
 	})
 	ks := []int{0, 1, 2, 3, 5, 10}
-	pts := Frontier(in, ks)
+	pts, err := Frontier(context.Background(), in, ks, FrontierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, k := range ks {
 		opt, err := Exact(in, k)
 		if err != nil {
@@ -134,34 +149,11 @@ func TestFrontierCtxCanceled(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pts, err := FrontierCtx(ctx, in, []int{0, 1, 2, 4}, FrontierOptions{})
+	pts, err := Frontier(ctx, in, []int{0, 1, 2, 4}, FrontierOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 	if pts != nil {
 		t.Fatalf("canceled sweep returned points: %v", pts)
-	}
-}
-
-// TestFrontierSolverByName sweeps a different registered algorithm and
-// checks each point against a direct engine dispatch at the same k.
-func TestFrontierSolverByName(t *testing.T) {
-	in := Generate(WorkloadConfig{
-		N: 40, M: 4, Sizes: SizeUniform, Placement: PlaceSkewed, Seed: 9,
-	})
-	ks := []int{0, 3, 7, 15}
-	pts, err := FrontierCtx(context.Background(), in, ks, FrontierOptions{Solver: FrontierSolver("greedy")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range ks {
-		want := Greedy(in, k)
-		if pts[i].Makespan != want.Makespan || pts[i].Moves != want.Moves {
-			t.Fatalf("k=%d: sweep (%d,%d) != direct greedy (%d,%d)",
-				k, pts[i].Makespan, pts[i].Moves, want.Makespan, want.Moves)
-		}
-	}
-	if _, err := FrontierCtx(context.Background(), in, ks, FrontierOptions{Solver: FrontierSolver("nope")}); !errors.Is(err, ErrUnknownSolver) {
-		t.Fatalf("unknown solver name: err = %v, want ErrUnknownSolver", err)
 	}
 }

@@ -100,19 +100,11 @@ type Worst struct {
 // limits are skipped. Trials are drawn from one deterministic stream up
 // front and then scored concurrently on up to cfg.Workers goroutines;
 // the order-restored reduction keeps the earliest trial achieving the
-// maximum ratio, exactly what a sequential scan returns. With a
-// background context the only possible error is a bad cfg.Alg name, in
-// which case every trial is skipped and the zero Worst returns; use
-// HuntCtx to observe errors or bound the hunt with a deadline.
-func Hunt(target Target, cfg Config) Worst {
-	worst, _ := HuntCtx(context.Background(), target, cfg)
-	return worst
-}
-
-// HuntCtx is Hunt under a cancellable context: the exact reference
-// solves and the attacked algorithm both poll ctx, so a deadline
-// interrupts the hunt mid-trial and returns ctx.Err().
-func HuntCtx(ctx context.Context, target Target, cfg Config) (Worst, error) {
+// maximum ratio, exactly what a sequential scan returns. The exact
+// reference solves and the attacked algorithm both poll ctx, so a
+// deadline interrupts the hunt mid-trial and returns ctx.Err(). A bad
+// cfg.Alg name skips every trial, and the zero Worst returns.
+func Hunt(ctx context.Context, target Target, cfg Config) (Worst, error) {
 	cfg.defaults()
 	rng := workload.NewRNG(cfg.Seed)
 	trials := make([]*instance.Instance, cfg.Trials)
@@ -156,11 +148,15 @@ func HuntCtx(ctx context.Context, target Target, cfg Config) (Worst, error) {
 		} else {
 			switch target {
 			case TargetGreedy:
-				ms = greedy.Rebalance(in, cfg.K, greedy.OrderSmallestFirst).Makespan
+				ms = greedy.Rebalance(in, cfg.K, greedy.OrderSmallestFirst, nil).Makespan
 			case TargetGreedyLPT:
-				ms = greedy.Rebalance(in, cfg.K, greedy.OrderLargestFirst).Makespan
+				ms = greedy.Rebalance(in, cfg.K, greedy.OrderLargestFirst, nil).Makespan
 			case TargetMPartition:
-				ms = core.MPartition(in, cfg.K, core.IncrementalScan).Makespan
+				sol, err := core.MPartition(ctx, in, cfg.K, core.IncrementalScan, nil)
+				if err != nil {
+					return score{}, err
+				}
+				ms = sol.Makespan
 			}
 		}
 		return score{ok: true, makespan: ms, opt: opt.Makespan, ratio: float64(ms) / float64(opt.Makespan)}, nil

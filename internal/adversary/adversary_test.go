@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/verify"
@@ -10,7 +11,7 @@ func TestHuntNeverCrossesProvenBounds(t *testing.T) {
 	for _, target := range []Target{TargetGreedy, TargetGreedyLPT, TargetMPartition} {
 		for seed := uint64(0); seed < 3; seed++ {
 			cfg := Config{Trials: 120, N: 8, M: 3, Seed: seed}
-			w := Hunt(target, cfg)
+			w, _ := Hunt(context.Background(), target, cfg)
 			if w.Instance == nil {
 				t.Fatalf("%v seed %d: hunt found nothing", target, seed)
 			}
@@ -26,14 +27,14 @@ func TestHuntNeverCrossesProvenBounds(t *testing.T) {
 func TestHuntFindsNontrivialRatios(t *testing.T) {
 	// The adversarial GREEDY order should be pushed meaningfully above 1
 	// within a few hundred trials.
-	w := Hunt(TargetGreedy, Config{Trials: 400, Seed: 7})
+	w, _ := Hunt(context.Background(), TargetGreedy, Config{Trials: 400, Seed: 7})
 	if w.Ratio <= 1.05 {
 		t.Fatalf("hunt too weak: best greedy ratio %.4f", w.Ratio)
 	}
 }
 
 func TestWorstInstanceIsReproducible(t *testing.T) {
-	w := Hunt(TargetGreedy, Config{Trials: 100, Seed: 3})
+	w, _ := Hunt(context.Background(), TargetGreedy, Config{Trials: 100, Seed: 3})
 	if w.Instance == nil {
 		t.Fatal("no result")
 	}

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -14,10 +15,10 @@ func TestHuntParallelMatchesSequential(t *testing.T) {
 		for seed := uint64(0); seed < 3; seed++ {
 			cfg := Config{Trials: 40, Seed: seed}
 			cfg.Workers = 1
-			seq := Hunt(target, cfg)
+			seq, _ := Hunt(context.Background(), target, cfg)
 			for _, w := range []int{2, 4} {
 				cfg.Workers = w
-				got := Hunt(target, cfg)
+				got, _ := Hunt(context.Background(), target, cfg)
 				if !reflect.DeepEqual(seq, got) {
 					t.Fatalf("%s seed=%d workers=%d: %+v != sequential %+v",
 						target, seed, w, got, seq)

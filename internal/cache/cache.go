@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/instance"
 	"repro/internal/obs"
+	"repro/internal/verify"
 )
 
 // Defaults applied by New to unset Config bounds.
@@ -60,7 +61,8 @@ type Stats struct {
 	EngineNS int64
 	// PeerFill reports the peer cache-fill attempt behind a miss:
 	// "hit" (the peer had the solution; no local engine call), "miss"
-	// (the peer was asked and had nothing), or "" (no peer named, no
+	// (the peer was asked and had nothing, or answered what failed
+	// verification; the engine ran locally), or "" (no peer named, no
 	// fill hook configured, or the request never reached a flight).
 	PeerFill string
 }
@@ -73,7 +75,10 @@ type Stats struct {
 // return ok=false on any error, timeout, or peer miss, in which case
 // the flight falls through to the local engine. The returned solution
 // must be on the request's own job order — a /v1/peek response already
-// is — and is stored as a move list locally like an engine result.
+// is. The flight verifies it against its own copy of the instance and
+// stores it as a move list locally like an engine result; an answer
+// that fails the check is counted in cache.peer_fill_rejected and
+// treated as a miss.
 type FillFunc func(ctx context.Context, peer, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, bool)
 
 // Config tunes a Cache.
@@ -92,7 +97,8 @@ type Config struct {
 	// Fill is the peer cache-fill hook consulted by flights whose
 	// request names a peer (Solve's peer argument): before running the
 	// engine, the flight asks the peer for the cached solution and only
-	// solves locally when the peer misses. Nil disables peer fill.
+	// solves locally when the peer misses or its answer fails
+	// verification. Nil disables peer fill.
 	Fill FillFunc
 }
 
@@ -397,12 +403,16 @@ func (c *Cache) solveFlight(fctx context.Context, deadline time.Time, spec engin
 	// before burning local compute. The attempt runs under the flight's
 	// context (so the last party leaving aborts the network call too);
 	// its cost lands in the request's cache_ns phase, not solve_ns —
-	// engineNS stays 0 on a peer hit.
+	// engineNS stays 0 on a peer hit. A peer answer that fails
+	// checkFill is a miss: the flight stores only what it verified.
 	if peer != "" && c.fill != nil {
 		if psol, ok := c.fill(fctx, peer, spec.Name, ext, p); ok {
-			f.peerFill = "hit"
-			c.sink.Count("cache.peer_fill_hits", 1)
-			return psol, nil
+			if checkFill(spec, ext, p, psol) == nil {
+				f.peerFill = "hit"
+				c.sink.Count("cache.peer_fill_hits", 1)
+				return psol, nil
+			}
+			c.sink.Count("cache.peer_fill_rejected", 1)
 		}
 		f.peerFill = "miss"
 		c.sink.Count("cache.peer_fill_misses", 1)
@@ -418,6 +428,42 @@ func (c *Cache) solveFlight(fctx context.Context, deadline time.Time, spec engin
 	sol, err := spec.Solve(sctx, &ext.Instance, p)
 	f.engineNS = time.Since(t0).Nanoseconds()
 	return sol, err
+}
+
+// checkFill verifies a peer's answer against the flight's own copy of
+// the instance: a complete assignment onto existing processors, within
+// the request's k or budget per the solver's caps (a negative one
+// counts as 0, as the solvers treat it), honouring the instance's
+// allowed sets and conflicts, whose claimed makespan, moves and move
+// cost equal the recomputed ones.
+func checkFill(spec engine.Spec, ext *instance.Extended, p engine.Params, sol instance.Solution) error {
+	in := &ext.Instance
+	var rep verify.Report
+	var err error
+	switch {
+	case spec.Caps.K:
+		rep, err = verify.WithinMoves(in, sol.Assign, max(p.K, 0))
+	case spec.Caps.Budget:
+		rep, err = verify.WithinBudget(in, sol.Assign, max(p.Budget, 0))
+	default:
+		rep, err = verify.Solution(in, sol.Assign)
+	}
+	if err != nil {
+		return err
+	}
+	if ext.Allowed != nil {
+		if err := verify.AllowedSets(in, sol.Assign, ext.Allowed); err != nil {
+			return err
+		}
+	}
+	if err := verify.NoConflicts(sol.Assign, ext.Conflicts); err != nil {
+		return err
+	}
+	if rep != (verify.Report{Makespan: sol.Makespan, Moves: sol.Moves, MoveCost: sol.MoveCost}) {
+		return fmt.Errorf("cache: peer claims makespan %d, moves %d, cost %d; recomputed %d, %d, %d",
+			sol.Makespan, sol.Moves, sol.MoveCost, rep.Makespan, rep.Moves, rep.MoveCost)
+	}
+	return nil
 }
 
 // count bumps the aggregate and per-solver counters for one event. The

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestPeerFillHitSkipsEngine(t *testing.T) {
 	registerPeerFillSolver(t, true)
 	sink := obs.New()
 	var asked atomic.Int64
-	want := instance.Solution{Assign: []int{1, 0}, Makespan: 7, Moves: 1, MoveCost: 1}
+	want := instance.Solution{Assign: []int{1, 0}, Makespan: 5, Moves: 1, MoveCost: 0}
 	c := New(Config{Obs: sink, Fill: func(ctx context.Context, peer, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, bool) {
 		asked.Add(1)
 		if peer != "http://owner.example" {
@@ -108,6 +109,45 @@ func TestPeerFillMissFallsBackToEngine(t *testing.T) {
 	}
 	if got := sink.Reg.Counter("cache.peer_fill_misses").Value(); got != 1 {
 		t.Fatalf("cache.peer_fill_misses = %d, want 1", got)
+	}
+}
+
+// TestPeerFillRejectsUnverifiedAnswer pins that a peer answer failing
+// verification never reaches a party or the cache: a processor past m
+// and a too-short assignment are both counted as rejected, answered
+// with the local engine's solution, and the later hit replays that.
+func TestPeerFillRejectsUnverifiedAnswer(t *testing.T) {
+	for name, bad := range map[string]instance.Solution{
+		"processor past m": {Assign: []int{7, 0}, Makespan: 5, Moves: 1},
+		"short assignment": {Assign: []int{1}, Makespan: 5, Moves: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			runs := registerPeerFillSolver(t, false)
+			sink := obs.New()
+			c := New(Config{Obs: sink, Fill: func(context.Context, string, string, *instance.Extended, engine.Params) (instance.Solution, bool) {
+				return bad, true
+			}})
+			ext := peerFillInstance(5, 2)
+			want := []int{0, 0} // the identity solver's answer
+			for i, wantOutcome := range []Outcome{Miss, Hit} {
+				sol, st, err := solve(c, context.Background(), "cache-peerfill", ext, engine.Params{K: 1}, "http://owner.example")
+				if err != nil {
+					t.Fatalf("solve %d: %v", i, err)
+				}
+				if st.Outcome != wantOutcome || (wantOutcome == Miss && st.PeerFill != "miss") {
+					t.Fatalf("solve %d: stats = %+v, want %v with a peer miss on the flight", i, st, wantOutcome)
+				}
+				if !slices.Equal(sol.Assign, want) || sol.Makespan != 7 || sol.Moves != 0 {
+					t.Fatalf("solve %d: served %+v, want the local answer %v", i, sol, want)
+				}
+			}
+			if runs.Load() != 1 {
+				t.Fatalf("engine ran %d times, want 1", runs.Load())
+			}
+			if got := sink.Reg.Counter("cache.peer_fill_rejected").Value(); got != 1 {
+				t.Fatalf("cache.peer_fill_rejected = %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ func allocGuardInstance() *instance.Instance {
 // guardTargets spans infeasible, tight, and loose probes so the guard
 // covers every probe exit path.
 func guardTargets(in *instance.Instance) []int64 {
-	initial := Partition(in, in.TotalSize()).Solution.Makespan
+	initial := Partition(in, in.TotalSize(), nil).Solution.Makespan
 	return []int64{
 		in.MaxSize() - 1, // infeasible: below the largest job
 		in.MaxSize(),

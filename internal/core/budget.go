@@ -47,14 +47,9 @@ type BudgetResult struct {
 // removals computed by knapsack, and the most costly large job is the
 // one retained. The produced solution has makespan at most
 // 1.5·(1+Eps)·target whenever target ≥ OPT, at relocation cost ≤ Cost.
-func PartitionBudgetAt(in *instance.Instance, target int64, opts BudgetOptions) BudgetResult {
-	return PartitionBudgetAtObs(in, target, opts, nil)
-}
-
-// PartitionBudgetAtObs is PartitionBudgetAt with observability: probe
-// events and the core.budget_* / core.knapsack_* metrics flow into
-// sink. A nil sink is equivalent to PartitionBudgetAt.
-func PartitionBudgetAtObs(in *instance.Instance, target int64, opts BudgetOptions, sink *obs.Sink) BudgetResult {
+// Probe events and the core.budget_* / core.knapsack_* metrics flow
+// into sink; a nil sink disables instrumentation.
+func PartitionBudgetAt(in *instance.Instance, target int64, opts BudgetOptions, sink *obs.Sink) BudgetResult {
 	if sink == nil {
 		return partitionBudgetAt(in, target, opts, nil)
 	}
@@ -300,23 +295,10 @@ func partitionBudgetAt(in *instance.Instance, target int64, opts BudgetOptions, 
 // best makespan achievable within the budget. The same boundary argument
 // as MPartition applies: every target ≥ OPT(budget) is feasible by the
 // paper's Lemma 7, so the search terminates at a target ≤ OPT(budget).
-func PartitionBudget(in *instance.Instance, budget int64, opts BudgetOptions) instance.Solution {
-	return PartitionBudgetObs(in, budget, opts, nil)
-}
-
-// PartitionBudgetObs is PartitionBudget with observability; a nil sink
-// is equivalent to PartitionBudget.
-func PartitionBudgetObs(in *instance.Instance, budget int64, opts BudgetOptions, sink *obs.Sink) instance.Solution {
-	// The background context never fires, so the error is always nil.
-	sol, _ := PartitionBudgetCtx(context.Background(), in, budget, opts, sink)
-	return sol
-}
-
-// PartitionBudgetCtx is PartitionBudgetObs with a cancellable context:
-// the bisection polls ctx before every budgeted PARTITION probe (each
+// The bisection polls ctx before every budgeted PARTITION probe (each
 // probe runs up to m knapsack solves) and returns ctx.Err() when the
-// context fires mid-search.
-func PartitionBudgetCtx(ctx context.Context, in *instance.Instance, budget int64, opts BudgetOptions, sink *obs.Sink) (instance.Solution, error) {
+// context fires mid-search; a nil sink disables instrumentation.
+func PartitionBudget(ctx context.Context, in *instance.Instance, budget int64, opts BudgetOptions, sink *obs.Sink) (instance.Solution, error) {
 	if budget < 0 {
 		budget = 0
 	}
@@ -330,7 +312,7 @@ func PartitionBudgetCtx(ctx context.Context, in *instance.Instance, budget int64
 		return sol, nil
 	}
 	feasible := func(v int64) (BudgetResult, bool) {
-		r := PartitionBudgetAtObs(in, v, opts, sink)
+		r := PartitionBudgetAt(in, v, opts, sink)
 		return r, r.Feasible && r.Cost <= budget
 	}
 	lo, hi := in.LowerBound(), in.InitialMakespan()

@@ -14,11 +14,11 @@ import (
 
 func TestPartitionBudgetAtRejectsImpossible(t *testing.T) {
 	in := instance.MustNew(2, []int64{10, 1}, nil, []int{0, 1})
-	if PartitionBudgetAt(in, 9, BudgetOptions{}).Feasible {
+	if PartitionBudgetAt(in, 9, BudgetOptions{}, nil).Feasible {
 		t.Fatal("target below largest job accepted")
 	}
 	in3 := instance.MustNew(2, []int64{7, 7, 7}, []int64{1, 1, 1}, []int{0, 0, 1})
-	if PartitionBudgetAt(in3, 11, BudgetOptions{}).Feasible {
+	if PartitionBudgetAt(in3, 11, BudgetOptions{}, nil).Feasible {
 		t.Fatal("L_T > m accepted")
 	}
 }
@@ -29,7 +29,7 @@ func TestPartitionBudgetAtInitialIsFree(t *testing.T) {
 			N: 25, M: 4, Sizes: workload.SizeBimodal, Costs: workload.CostRandom,
 			Placement: workload.PlaceSkewed, Seed: seed,
 		})
-		r := PartitionBudgetAt(in, in.InitialMakespan(), BudgetOptions{})
+		r := PartitionBudgetAt(in, in.InitialMakespan(), BudgetOptions{}, nil)
 		if !r.Feasible || r.Cost != 0 {
 			t.Fatalf("seed %d: feasible=%v cost=%d at V = initial makespan", seed, r.Feasible, r.Cost)
 		}
@@ -46,7 +46,7 @@ func TestPartitionBudgetGuarantee(t *testing.T) {
 			Placement: workload.PlaceRandom, Seed: seed,
 		})
 		for _, b := range []int64{0, 3, 10, 40, 1 << 40} {
-			sol := PartitionBudget(in, b, BudgetOptions{})
+			sol, _ := PartitionBudget(context.Background(), in, b, BudgetOptions{}, nil)
 			if _, err := verify.WithinBudget(in, sol.Assign, b); err != nil {
 				t.Fatalf("seed %d B %d: %v", seed, b, err)
 			}
@@ -63,7 +63,7 @@ func TestPartitionBudgetGuarantee(t *testing.T) {
 
 func TestPartitionBudgetZeroBudgetMovesOnlyFreeJobs(t *testing.T) {
 	in := instance.MustNew(2, []int64{4, 3}, []int64{0, 5}, []int{0, 0})
-	sol := PartitionBudget(in, 0, BudgetOptions{})
+	sol, _ := PartitionBudget(context.Background(), in, 0, BudgetOptions{}, nil)
 	if sol.MoveCost != 0 {
 		t.Fatalf("cost = %d with zero budget", sol.MoveCost)
 	}
@@ -81,8 +81,8 @@ func TestPartitionBudgetUnitCostsMatchMPartition(t *testing.T) {
 			Placement: workload.PlaceRandom, Seed: seed,
 		})
 		k := 3
-		a := MPartition(in, k, BinarySearch)
-		b := PartitionBudget(in, int64(k), BudgetOptions{})
+		a, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
+		b, _ := PartitionBudget(context.Background(), in, int64(k), BudgetOptions{}, nil)
 		opt, err := exact.Solve(context.Background(), in, k, exact.Limits{})
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +106,7 @@ func TestPartitionBudgetApproxKnapsackPath(t *testing.T) {
 			Costs: workload.CostAntiCorrelated, Placement: workload.PlaceSkewed, Seed: seed,
 		})
 		b := int64(30)
-		sol := PartitionBudget(in, b, BudgetOptions{Eps: eps, ExactWork: 1})
+		sol, _ := PartitionBudget(context.Background(), in, b, BudgetOptions{Eps: eps, ExactWork: 1}, nil)
 		if _, err := verify.WithinBudget(in, sol.Assign, b); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -127,7 +127,7 @@ func TestPartitionBudgetNeverWorseThanInitial(t *testing.T) {
 			N: 60, M: 5, Sizes: workload.SizeZipf, Costs: workload.CostProportional,
 			Placement: workload.PlaceBalanced, Seed: seed,
 		})
-		sol := PartitionBudget(in, 100, BudgetOptions{})
+		sol, _ := PartitionBudget(context.Background(), in, 100, BudgetOptions{}, nil)
 		if sol.Makespan > in.InitialMakespan() {
 			t.Fatalf("seed %d: %d worse than initial %d", seed, sol.Makespan, in.InitialMakespan())
 		}
@@ -143,7 +143,7 @@ func TestPartitionBudgetProperty(t *testing.T) {
 			Sizes: workload.SizeBimodal, Placement: workload.PlaceRandom, Seed: seed,
 		})
 		budget := int64(bRaw % 200)
-		sol := PartitionBudget(in, budget, BudgetOptions{})
+		sol, _ := PartitionBudget(context.Background(), in, budget, BudgetOptions{}, nil)
 		if _, err := verify.WithinBudget(in, sol.Assign, budget); err != nil {
 			return false
 		}

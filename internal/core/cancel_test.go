@@ -23,20 +23,22 @@ func TestMPartitionCtxCanceled(t *testing.T) {
 	cancel()
 	in := cancelTestInstance()
 	for _, mode := range []SearchMode{BinarySearch, ThresholdScan, IncrementalScan} {
-		if _, err := MPartitionCtx(ctx, in, 10, mode, nil); !errors.Is(err, context.Canceled) {
+		if _, err := MPartition(ctx, in, 10, mode, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("mode %v with canceled ctx: err = %v, want Canceled", mode, err)
 		}
 	}
 }
 
-// TestMPartitionCtxMatchesWrapper pins that the context plumbing did
-// not change results: with a live context every mode returns exactly
-// what the classic wrapper returns.
+// TestMPartitionCtxMatchesWrapper pins that the context plumbing does
+// not change results: with a live cancellable context every mode
+// returns exactly what it returns under the background context.
 func TestMPartitionCtxMatchesWrapper(t *testing.T) {
 	in := cancelTestInstance()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, mode := range []SearchMode{BinarySearch, ThresholdScan, IncrementalScan} {
-		want := MPartition(in, 10, mode)
-		got, err := MPartitionCtx(context.Background(), in, 10, mode, nil)
+		want, _ := MPartition(context.Background(), in, 10, mode, nil)
+		got, err := MPartition(ctx, in, 10, mode, nil)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -51,15 +53,17 @@ func TestPartitionBudgetCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := cancelTestInstance()
-	if _, err := PartitionBudgetCtx(ctx, in, 50, BudgetOptions{}, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("PartitionBudgetCtx with canceled ctx: err = %v, want Canceled", err)
+	if _, err := PartitionBudget(ctx, in, 50, BudgetOptions{}, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("PartitionBudget with canceled ctx: err = %v, want Canceled", err)
 	}
 }
 
 func TestPartitionBudgetCtxMatchesWrapper(t *testing.T) {
 	in := cancelTestInstance()
-	want := PartitionBudget(in, 50, BudgetOptions{})
-	got, err := PartitionBudgetCtx(context.Background(), in, 50, BudgetOptions{}, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	want, _ := PartitionBudget(context.Background(), in, 50, BudgetOptions{}, nil)
+	got, err := PartitionBudget(ctx, in, 50, BudgetOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func TestResultDiagnostics(t *testing.T) {
 		[]int64{7, 6, 2, 8, 3, 3},
 		nil,
 		[]int{0, 0, 0, 1, 2, 2})
-	r := Partition(in, 10)
+	r := Partition(in, 10, nil)
 	if !r.Feasible {
 		t.Fatal("feasible target rejected")
 	}
@@ -45,7 +45,7 @@ func TestDiagnosticsLargeCountMatchesBrute(t *testing.T) {
 			Placement: workload.PlaceRandom, Seed: seed,
 		})
 		target := in.InitialMakespan()
-		r := Partition(in, target)
+		r := Partition(in, target, nil)
 		if !r.Feasible {
 			t.Fatalf("seed %d: initial makespan infeasible", seed)
 		}
@@ -70,7 +70,7 @@ func TestSolverReuseMatchesFreshRuns(t *testing.T) {
 	s := newSolver(in, nil)
 	for v := in.LowerBound(); v <= in.InitialMakespan(); v += 7 {
 		a := s.run(v)
-		b := Partition(in, v)
+		b := Partition(in, v, nil)
 		if a.Feasible != b.Feasible || a.Removals != b.Removals {
 			t.Fatalf("v=%d: reuse (%v,%d) != fresh (%v,%d)",
 				v, a.Feasible, a.Removals, b.Feasible, b.Removals)

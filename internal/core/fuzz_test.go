@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/instance"
@@ -39,7 +40,7 @@ func FuzzMPartitionInvariants(f *testing.F) {
 		in := fuzzInstance(mRaw, raw)
 		k := int(kRaw % 16)
 		for _, mode := range []SearchMode{BinarySearch, ThresholdScan} {
-			sol := MPartition(in, k, mode)
+			sol, _ := MPartition(context.Background(), in, k, mode, nil)
 			if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
 				t.Fatalf("mode %d: %v", mode, err)
 			}
@@ -69,7 +70,7 @@ func FuzzPartitionBudgetInvariants(f *testing.F) {
 			in.Jobs[j].Cost = int64(raw[j%len(raw)]%32) + 1
 		}
 		budget := int64(bRaw % 512)
-		sol := PartitionBudget(in, budget, BudgetOptions{})
+		sol, _ := PartitionBudget(context.Background(), in, budget, BudgetOptions{}, nil)
 		if _, err := verify.WithinBudget(in, sol.Assign, budget); err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,8 @@ func TestIncrementalMatchesNaiveLadder(t *testing.T) {
 			Seed:      seed,
 		})
 		for _, k := range []int{0, 1, 3, 8} {
-			naive := MPartition(in, k, ThresholdScan)
-			inc := MPartition(in, k, IncrementalScan)
+			naive, _ := MPartition(context.Background(), in, k, ThresholdScan, nil)
+			inc, _ := MPartition(context.Background(), in, k, IncrementalScan, nil)
 			if naive.Makespan != inc.Makespan {
 				t.Fatalf("seed %d k %d: naive makespan %d, incremental %d",
 					seed, k, naive.Makespan, inc.Makespan)
@@ -76,7 +76,7 @@ func TestIncrementalGuarantee(t *testing.T) {
 			N: 10, M: 3, MaxSize: 25, Placement: workload.PlaceRandom, Seed: seed,
 		})
 		for _, k := range []int{0, 2, 5} {
-			sol := MPartition(in, k, IncrementalScan)
+			sol, _ := MPartition(context.Background(), in, k, IncrementalScan, nil)
 			if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
 				t.Fatalf("seed %d k %d: %v", seed, k, err)
 			}
@@ -93,13 +93,13 @@ func TestIncrementalGuarantee(t *testing.T) {
 
 func TestIncrementalTightInstances(t *testing.T) {
 	in := instance.PartitionTight()
-	sol := MPartition(in, instance.PartitionTightK(), IncrementalScan)
+	sol, _ := MPartition(context.Background(), in, instance.PartitionTightK(), IncrementalScan, nil)
 	if sol.Makespan != 3 || sol.Moves != 0 {
 		t.Fatalf("tight instance: %+v", sol)
 	}
 	for _, m := range []int{4, 8} {
 		g := instance.GreedyTight(m)
-		sol := MPartition(g, instance.GreedyTightK(m), IncrementalScan)
+		sol, _ := MPartition(context.Background(), g, instance.GreedyTightK(m), IncrementalScan, nil)
 		if 2*sol.Makespan > 3*int64(m) {
 			t.Fatalf("m=%d: %d > 1.5·OPT", m, sol.Makespan)
 		}
@@ -116,11 +116,11 @@ func TestIncrementalProperty(t *testing.T) {
 			N: 12, M: 3, MaxSize: 30, Placement: workload.PlaceSkewed, Seed: seed,
 		})
 		k := int(kRaw % 13)
-		inc := MPartition(in, k, IncrementalScan)
+		inc, _ := MPartition(context.Background(), in, k, IncrementalScan, nil)
 		if _, err := verify.WithinMoves(in, inc.Assign, k); err != nil {
 			return false
 		}
-		bin := MPartition(in, k, BinarySearch)
+		bin, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
 		// Both are 1.5-approximations of the same optimum; sanity: they
 		// are within 1.5× of each other.
 		return 2*inc.Makespan <= 3*bin.Makespan && 2*bin.Makespan <= 3*inc.Makespan

@@ -37,33 +37,20 @@ const (
 // relocates at most k jobs and has makespan at most 1.5·OPT(k).
 //
 // k < 0 is treated as 0. The fallback for pathological infeasibility is
-// the initial assignment (always valid with 0 moves).
-func MPartition(in *instance.Instance, k int, mode SearchMode) instance.Solution {
-	return MPartitionObs(in, k, mode, nil)
-}
-
-// MPartitionObs is MPartition with observability: every PARTITION probe
-// emits probe_start/removal/probe_result events and updates the core.*
-// metrics in sink; the accepted target additionally emits a
-// search_result event. A nil sink is equivalent to MPartition.
-func MPartitionObs(in *instance.Instance, k int, mode SearchMode, sink *obs.Sink) instance.Solution {
-	// The background context never fires, so the error is always nil.
-	sol, _ := MPartitionCtx(context.Background(), in, k, mode, sink)
-	return sol
-}
-
-// MPartitionCtx is MPartitionObs with a cancellable context: the target
-// search polls ctx before every PARTITION probe (binary search and
+// the initial assignment (always valid with 0 moves). The target search
+// polls ctx before every PARTITION probe (binary search and
 // threshold-scan modes) and every batch of incremental-scan thresholds,
 // returning ctx.Err() when the context is cancelled or its deadline
-// expires mid-search.
-func MPartitionCtx(ctx context.Context, in *instance.Instance, k int, mode SearchMode, sink *obs.Sink) (instance.Solution, error) {
+// expires mid-search. Every probe emits probe_start/removal/probe_result
+// events and updates the core.* metrics in sink, and the accepted target
+// emits a search_result event; a nil sink disables instrumentation.
+func MPartition(ctx context.Context, in *instance.Instance, k int, mode SearchMode, sink *obs.Sink) (instance.Solution, error) {
 	s := newSolver(in, sink) // sort once; every probe reuses the order
 	return runMPartition(ctx, s, nil, k, mode)
 }
 
 // runMPartition is the mode-dispatched target search over an already
-// built solver — shared verbatim by the cold path (MPartitionCtx) and
+// built solver — shared verbatim by the cold path (MPartition) and
 // the warm session path (Warm.Solve), which is what guarantees the two
 // produce identical solutions for identical solver states. ic, when
 // non-nil, is a caller-retained incremental scan whose buffers persist

@@ -97,7 +97,7 @@ type solver struct {
 	lastLargeExtra int
 	probeMakespan  int64
 
-	// Search scratch (MPartitionCtx).
+	// Search scratch (MPartition).
 	bestAssign []int32
 	assignInt  []int
 	ladderBuf  []int64
@@ -155,14 +155,9 @@ func (s *solver) rowTotal(p int) int64 {
 // (the guessed optimal makespan). The produced solution has makespan at
 // most 1.5·target whenever target is at least the true optimum, and its
 // removal count is minimal in the sense of the paper's Lemma 3/4.
-func Partition(in *instance.Instance, target int64) Result {
-	return newSolver(in, nil).run(target)
-}
-
-// PartitionObs is Partition with observability: per-probe counters and
-// probe_start / removal / probe_result trace events flow into sink. A
-// nil sink is equivalent to Partition.
-func PartitionObs(in *instance.Instance, target int64, sink *obs.Sink) Result {
+// Per-probe counters and probe_start / removal / probe_result trace
+// events flow into sink; a nil sink disables instrumentation.
+func Partition(in *instance.Instance, target int64, sink *obs.Sink) Result {
 	return newSolver(in, sink).run(target)
 }
 

@@ -14,16 +14,16 @@ import (
 
 func TestPartitionRejectsImpossibleTargets(t *testing.T) {
 	in := instance.MustNew(2, []int64{10, 1}, nil, []int{0, 1})
-	if Partition(in, 9).Feasible {
+	if Partition(in, 9, nil).Feasible {
 		t.Fatal("target below the largest job accepted")
 	}
 	in2 := instance.MustNew(2, []int64{5, 5, 5, 5}, nil, []int{0, 0, 1, 1})
-	if Partition(in2, 9).Feasible {
+	if Partition(in2, 9, nil).Feasible {
 		t.Fatal("target below the average load accepted")
 	}
 	// Three large jobs, two processors: L_T > m.
 	in3 := instance.MustNew(2, []int64{7, 7, 7}, nil, []int{0, 0, 1})
-	if Partition(in3, 11).Feasible {
+	if Partition(in3, 11, nil).Feasible {
 		t.Fatal("L_T > m accepted")
 	}
 }
@@ -33,7 +33,7 @@ func TestPartitionAtInitialMakespanMakesNoRemovals(t *testing.T) {
 		in := workload.Generate(workload.Config{
 			N: 30, M: 4, Sizes: workload.SizeBimodal, Placement: workload.PlaceSkewed, Seed: seed,
 		})
-		r := Partition(in, in.InitialMakespan())
+		r := Partition(in, in.InitialMakespan(), nil)
 		if !r.Feasible {
 			t.Fatalf("seed %d: initial makespan infeasible", seed)
 		}
@@ -50,7 +50,7 @@ func TestPartitionHalfOptimalBound(t *testing.T) {
 			N: 40, M: 5, Sizes: workload.SizeZipf, Placement: workload.PlaceRandom, Seed: seed,
 		})
 		for v := in.LowerBound(); v <= in.InitialMakespan(); v += (in.InitialMakespan()-in.LowerBound())/7 + 1 {
-			r := Partition(in, v)
+			r := Partition(in, v, nil)
 			if !r.Feasible {
 				continue
 			}
@@ -79,7 +79,7 @@ func TestMPartitionApproximationGuarantee(t *testing.T) {
 				Seed:      seed,
 			})
 			for _, k := range []int{0, 1, 2, 3, 5, 10} {
-				sol := MPartition(in, k, mode)
+				sol, _ := MPartition(context.Background(), in, k, mode, nil)
 				if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
 					t.Fatalf("mode %d seed %d k %d: %v", mode, seed, k, err)
 				}
@@ -100,7 +100,7 @@ func TestMPartitionTightInstance(t *testing.T) {
 	// Theorem 2's tight example: PARTITION makes no moves and achieves
 	// exactly 1.5·OPT.
 	in := instance.PartitionTight()
-	sol := MPartition(in, instance.PartitionTightK(), BinarySearch)
+	sol, _ := MPartition(context.Background(), in, instance.PartitionTightK(), BinarySearch, nil)
 	if sol.Makespan != 3 {
 		t.Fatalf("makespan = %d, want 3 = 1.5·OPT", sol.Makespan)
 	}
@@ -115,7 +115,7 @@ func TestMPartitionBeatsGreedyOnTightInstance(t *testing.T) {
 	for _, m := range []int{4, 6, 10} {
 		in := instance.GreedyTight(m)
 		k := instance.GreedyTightK(m)
-		sol := MPartition(in, k, BinarySearch)
+		sol, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
 		if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -127,11 +127,11 @@ func TestMPartitionBeatsGreedyOnTightInstance(t *testing.T) {
 
 func TestMPartitionZeroMoves(t *testing.T) {
 	in := workload.Generate(workload.Config{N: 20, M: 3, Seed: 4, Placement: workload.PlaceSkewed})
-	sol := MPartition(in, 0, BinarySearch)
+	sol, _ := MPartition(context.Background(), in, 0, BinarySearch, nil)
 	if sol.Moves != 0 || sol.Makespan != in.InitialMakespan() {
 		t.Fatalf("k=0 solution %+v", sol)
 	}
-	sol = MPartition(in, -5, BinarySearch)
+	sol, _ = MPartition(context.Background(), in, -5, BinarySearch, nil)
 	if sol.Moves != 0 {
 		t.Fatalf("negative k moved jobs: %+v", sol)
 	}
@@ -142,7 +142,7 @@ func TestMPartitionNeverWorseThanInitial(t *testing.T) {
 		in := workload.Generate(workload.Config{
 			N: 50, M: 6, Sizes: workload.SizeZipf, Placement: workload.PlaceBalanced, Seed: seed,
 		})
-		sol := MPartition(in, 5, BinarySearch)
+		sol, _ := MPartition(context.Background(), in, 5, BinarySearch, nil)
 		if sol.Makespan > in.InitialMakespan() {
 			t.Fatalf("seed %d: %d worse than initial %d", seed, sol.Makespan, in.InitialMakespan())
 		}
@@ -158,8 +158,8 @@ func TestThresholdLadderCoversBinarySearchTarget(t *testing.T) {
 			Placement: workload.PlaceSkewed, Seed: seed,
 		})
 		k := 6
-		a := MPartition(in, k, BinarySearch)
-		b := MPartition(in, k, ThresholdScan)
+		a, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
+		b, _ := MPartition(context.Background(), in, k, ThresholdScan, nil)
 		if _, err := verify.WithinMoves(in, a.Assign, k); err != nil {
 			t.Fatalf("seed %d binary: %v", seed, err)
 		}
@@ -171,7 +171,7 @@ func TestThresholdLadderCoversBinarySearchTarget(t *testing.T) {
 
 func TestMPartitionSingleProcessor(t *testing.T) {
 	in := instance.MustNew(1, []int64{5, 3, 2}, nil, []int{0, 0, 0})
-	sol := MPartition(in, 2, BinarySearch)
+	sol, _ := MPartition(context.Background(), in, 2, BinarySearch, nil)
 	if sol.Makespan != 10 || sol.Moves != 0 {
 		t.Fatalf("m=1 solution %+v, want untouched makespan 10", sol)
 	}
@@ -183,7 +183,7 @@ func TestMPartitionLargeUniform(t *testing.T) {
 		N: 2000, M: 16, Sizes: workload.SizeZipf, Placement: workload.PlaceSkewed, Seed: 11,
 	})
 	k := 200
-	sol := MPartition(in, k, BinarySearch)
+	sol, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
 	if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestMPartitionProperty(t *testing.T) {
 			Sizes: workload.SizeBimodal, Placement: workload.PlaceRandom, Seed: seed,
 		})
 		k := int(kRaw % 9)
-		sol := MPartition(in, k, BinarySearch)
+		sol, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
 		if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
 			return false
 		}

@@ -316,7 +316,7 @@ func refTargets(in *instance.Instance) []int64 {
 func comparePartition(t *testing.T, in *instance.Instance, target int64) {
 	t.Helper()
 	want := refPartition(in, target)
-	got := core.Partition(in, target)
+	got := core.Partition(in, target, nil)
 	if got.Feasible != want.Feasible || got.Target != want.Target ||
 		got.Removals != want.Removals || got.LargeTotal != want.LargeTotal ||
 		got.LargeExtra != want.LargeExtra {

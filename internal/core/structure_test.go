@@ -16,7 +16,7 @@ func TestFact1AtMostOneLargePerProcessor(t *testing.T) {
 			Placement: workload.PlaceRandom, Seed: seed,
 		})
 		for v := in.LowerBound(); v <= in.InitialMakespan(); v += (in.InitialMakespan()-in.LowerBound())/9 + 1 {
-			r := Partition(in, v)
+			r := Partition(in, v, nil)
 			if !r.Feasible {
 				continue
 			}
@@ -45,7 +45,7 @@ func TestHalfOptimalLoadStructure(t *testing.T) {
 			Placement: workload.PlaceSkewed, Seed: seed,
 		})
 		v := in.LowerBound() + (in.InitialMakespan()-in.LowerBound())/2
-		r := Partition(in, v)
+		r := Partition(in, v, nil)
 		if !r.Feasible {
 			continue
 		}
@@ -69,7 +69,7 @@ func TestLargeExtraCount(t *testing.T) {
 		nil,
 		[]int{0, 0, 0, 1, 2, 2})
 	// Target 14: large iff size > 7 → {10, 9, 8} on processor 0.
-	r := Partition(in, 14)
+	r := Partition(in, 14, nil)
 	if !r.Feasible {
 		t.Fatal("feasible target rejected")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func TestMPartitionTraceGolden(t *testing.T) {
 		[]int{0, 0, 0, 0})
 	var buf bytes.Buffer
 	sink := obs.NewTracing(obs.NewJSONL(&buf))
-	MPartitionObs(in, 2, BinarySearch, sink)
+	MPartition(context.Background(), in, 2, BinarySearch, sink)
 
 	want := `{"ev":"probe_start","seq":0,"target":20}
 {"ev":"probe_result","feasible":true,"large_extra":0,"large_total":0,"makespan":20,"removals":0,"seq":1,"target":20}
@@ -68,7 +69,7 @@ func TestMPartitionTraceReconstructsBisection(t *testing.T) {
 	const k = 50
 	var buf bytes.Buffer
 	sink := obs.NewTracing(obs.NewJSONL(&buf))
-	sol := MPartitionObs(in, k, BinarySearch, sink)
+	sol, _ := MPartition(context.Background(), in, k, BinarySearch, sink)
 
 	// Parse the JSONL stream: every line must be valid JSON with a
 	// monotone seq; collect the probe_result events in order.
@@ -150,9 +151,9 @@ func TestPartitionTraceDisabledMatchesEnabled(t *testing.T) {
 			N: 120, M: 8, Sizes: workload.SizeBimodal,
 			Placement: workload.PlaceSkewed, Seed: seed,
 		})
-		plain := MPartition(in, 10, BinarySearch)
+		plain, _ := MPartition(context.Background(), in, 10, BinarySearch, nil)
 		var buf bytes.Buffer
-		traced := MPartitionObs(in, 10, BinarySearch, obs.NewTracing(obs.NewJSONL(&buf)))
+		traced, _ := MPartition(context.Background(), in, 10, BinarySearch, obs.NewTracing(obs.NewJSONL(&buf)))
 		if plain.Makespan != traced.Makespan || plain.Moves != traced.Moves {
 			t.Fatalf("seed %d: traced run diverged: %d/%d vs %d/%d",
 				seed, plain.Makespan, plain.Moves, traced.Makespan, traced.Moves)
@@ -172,7 +173,7 @@ func TestMPartitionMetrics(t *testing.T) {
 	})
 	tr := &obs.CollectTracer{}
 	sink := obs.NewTracing(tr)
-	MPartitionObs(in, 20, BinarySearch, sink)
+	MPartition(context.Background(), in, 20, BinarySearch, sink)
 	var traced int64
 	for _, ev := range tr.Events() {
 		if ev.Event == "probe_result" {

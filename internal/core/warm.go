@@ -30,7 +30,7 @@ import (
 // kernel.
 //
 // Equivalence contract: Solve and Probe produce results identical to
-// the cold path — MPartitionCtx(Snapshot(), k, IncrementalScan, ·) and
+// the cold path — MPartition(Snapshot(), k, IncrementalScan, ·) and
 // Partition(Snapshot(), target) respectively — because both drive the
 // same kernel over byte-identical solver state. The session
 // differential harness (internal/session) pins this after every delta.
@@ -75,9 +75,6 @@ func (w *Warm) M() int { return w.in.M }
 
 // JobSize returns the size of the job at index j.
 func (w *Warm) JobSize(j int) int64 { return w.in.Jobs[j].Size }
-
-// JobCost returns the relocation cost of the job at index j.
-func (w *Warm) JobCost(j int) int64 { return w.in.Jobs[j].Cost }
 
 // AssignOf returns the processor currently hosting the job at index j.
 func (w *Warm) AssignOf(j int) int { return w.in.Assign[j] }
@@ -236,7 +233,7 @@ func (w *Warm) RemoveProc(p int) {
 // Solve re-solves the current state with move budget k through the
 // incremental-scan ladder, reusing every warm buffer. The returned
 // solution is relative to the current assignment; it is NOT applied —
-// use Move for that. Identical to MPartitionCtx(ctx, Snapshot(), k,
+// use Move for that. Identical to MPartition(ctx, Snapshot(), k,
 // IncrementalScan, sink).
 func (w *Warm) Solve(ctx context.Context, k int) (instance.Solution, error) {
 	w.refresh()

@@ -43,7 +43,7 @@ func applyRandomWarmOp(t *testing.T, w *Warm, rng *workload.RNG) {
 }
 
 // assertWarmMatchesCold checks the Warm equivalence contract at one
-// state: loads bookkeeping, Solve vs cold MPartitionCtx, and Probe vs
+// state: loads bookkeeping, Solve vs cold MPartition, and Probe vs
 // cold Partition, all on the materialized snapshot.
 func assertWarmMatchesCold(t *testing.T, w *Warm, k int) {
 	t.Helper()
@@ -61,7 +61,7 @@ func assertWarmMatchesCold(t *testing.T, w *Warm, k int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSol, err := MPartitionCtx(context.Background(), snap, k, IncrementalScan, nil)
+	coldSol, err := MPartition(context.Background(), snap, k, IncrementalScan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func assertWarmMatchesCold(t *testing.T, w *Warm, k int) {
 	if w.N() > 0 {
 		target := snap.LowerBound() + snap.InitialMakespan()/2
 		warmRes := w.Probe(target)
-		coldRes := Partition(snap, target)
+		coldRes := Partition(snap, target, nil)
 		if warmRes.Feasible != coldRes.Feasible || warmRes.Removals != coldRes.Removals {
 			t.Fatalf("warm probe (feasible %v, removals %d) != cold (feasible %v, removals %d)",
 				warmRes.Feasible, warmRes.Removals, coldRes.Feasible, coldRes.Removals)

@@ -124,11 +124,6 @@ type Scenario struct {
 	// arrival key sequence (cmd/simvalidate replays the exact ranks a
 	// real loadgen burst used).
 	KeyRanks []int `json:"-"`
-	// KeyPoints, when non-nil, overrides the rank→ring-point map (e.g.
-	// CanonicalPoints, which hashes real generated instances through
-	// internal/cache). Default: ring.Hash over the rank's 8-byte
-	// encoding.
-	KeyPoints []uint64 `json:"-"`
 }
 
 // withDefaults returns a copy with every zero field resolved, and
@@ -204,8 +199,6 @@ func (s Scenario) withDefaults() (Scenario, error) {
 		return s, fmt.Errorf("des: negative probe_delay_ms/fill_window_ms")
 	case s.KeyRanks != nil && len(s.KeyRanks) < s.Requests:
 		return s, fmt.Errorf("des: key_ranks has %d entries for %d requests", len(s.KeyRanks), s.Requests)
-	case s.KeyPoints != nil && len(s.KeyPoints) < s.Keys:
-		return s, fmt.Errorf("des: key_points has %d entries for %d keys", len(s.KeyPoints), s.Keys)
 	}
 	if _, err := workload.ParseArrivalDist(s.Arrival); err != nil {
 		return s, err

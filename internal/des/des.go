@@ -120,10 +120,7 @@ func Run(cfg Scenario) (*Result, error) {
 	if cfg.RecordLog {
 		s.log = &strings.Builder{}
 	}
-	s.points = cfg.KeyPoints
-	if s.points == nil {
-		s.points = HashPoints(cfg.Keys)
-	}
+	s.points = HashPoints(cfg.Keys)
 	down := make(map[int]bool, len(cfg.InitialDown))
 	for _, i := range cfg.InitialDown {
 		down[i] = true
@@ -180,9 +177,8 @@ func Run(cfg Scenario) (*Result, error) {
 	return &s.res, nil
 }
 
-// HashPoints is the default rank→ring-point map: rank r's canonical
-// key is modeled as the ring hash of its 8-byte encoding. Use
-// CanonicalPoints to place real generated instances instead.
+// HashPoints is the rank→ring-point map: rank r's canonical key is
+// modeled as the ring hash of its 8-byte encoding.
 func HashPoints(keys int) []uint64 {
 	pts := make([]uint64, keys)
 	var buf [8]byte

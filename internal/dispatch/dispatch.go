@@ -290,7 +290,7 @@ func (c *Core) solve(ctx context.Context, req *Request) (res Result) {
 			sp.SetAttr(obs.String("solver", req.Solver))
 		}
 		t0 := time.Now()
-		points, err := rebalance.FrontierCtx(sctx, in, ks, rebalance.FrontierOptions{
+		points, err := rebalance.Frontier(sctx, in, ks, rebalance.FrontierOptions{
 			Workers: c.cfg.SolverWorkers, Obs: c.cfg.Obs,
 		})
 		res.SolveNS = time.Since(t0).Nanoseconds()

@@ -161,7 +161,7 @@ func (c *Core) Validate(req *Request) error {
 	// Reject parameters the solver does not consume: a nonzero field
 	// counts as explicitly set.
 	set := map[string]bool{"k": req.K != 0, "budget": req.Budget != 0, "eps": req.Eps != 0}
-	if err := engine.ValidateFlags(req.Solver, set); err != nil {
+	if err := spec.ValidateFlags(set); err != nil {
 		c.cfg.Obs.Count("server.bad_requests", 1)
 		return &BadRequestError{Msg: err.Error()}
 	}

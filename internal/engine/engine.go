@@ -1,5 +1,5 @@
 // Package engine is the unified solve surface of the repository: one
-// Solver interface, a registry of named solvers with capability
+// SolveFunc signature, a registry of named solvers with capability
 // metadata, a typed error model, and real context propagation into
 // every long-running inner loop.
 //
@@ -7,11 +7,13 @@
 // M-PARTITION, budget PARTITION, PTAS and exact solvers, the GAP
 // baseline, the k = n scheduling baselines, and the §5 constrained and
 // conflict variants — registers itself here under the same name the CLI
-// uses. Consumers (cmd/rebalance, the simulator, the experiment suite,
-// the adversary hunt, the frontier sweep) dispatch through the registry
-// instead of hard-coding per-algorithm calls, so flag validation, usage
-// text, documentation tables and dispatch all derive from a single
-// source of truth and cannot drift apart.
+// uses. The CLI and the daemon dispatch every solve through the
+// registry, so flag validation, usage text, documentation tables and
+// dispatch all derive from a single source of truth and cannot drift
+// apart. The simulator, the experiment suite and the adversary hunt
+// dispatch through it when a caller names a solver, and call the
+// algorithm packages directly for the variants the registry does not
+// name (a greedy placement order, an M-PARTITION search mode).
 //
 // Cancellation contract: Solve threads its ctx into the solver's inner
 // loops (branch-and-bound nodes, PTAS guess ladder and DP layers,
@@ -37,7 +39,7 @@ var (
 	// constraints (re-exported from the instance package so engine
 	// consumers need only one error vocabulary).
 	ErrInfeasible = instance.ErrInfeasible
-	// ErrUnknownSolver is wrapped by Solve and ValidateFlags when the
+	// ErrUnknownSolver is wrapped by Solve and UnknownSolver when the
 	// requested name is not registered.
 	ErrUnknownSolver = errors.New("engine: unknown solver")
 	// ErrUnsupported is returned when a registered entry cannot serve
@@ -119,20 +121,10 @@ const (
 	KindSweep
 )
 
-// SolveFunc is the uniform solve signature: solvers must honor ctx
-// cancellation in their long-running inner loops and return ctx.Err()
-// when it fires.
+// SolveFunc is the uniform solve signature every registered algorithm
+// implements: solvers must honor ctx cancellation in their long-running
+// inner loops and return ctx.Err() when it fires.
 type SolveFunc func(ctx context.Context, in *instance.Instance, p Params) (instance.Solution, error)
-
-// Solver is the interface every registered algorithm satisfies.
-type Solver interface {
-	Solve(ctx context.Context, in *instance.Instance, p Params) (instance.Solution, error)
-}
-
-// Solve lets a SolveFunc satisfy Solver.
-func (f SolveFunc) Solve(ctx context.Context, in *instance.Instance, p Params) (instance.Solution, error) {
-	return f(ctx, in, p)
-}
 
 // Spec is one registry entry: a named solver with capability metadata.
 type Spec struct {
@@ -150,7 +142,7 @@ type Spec struct {
 	Run SolveFunc
 }
 
-// Solve implements Solver on the spec itself. When ctx carries a trace
+// Solve runs the spec's solver. When ctx carries a trace
 // span (the serving pipeline's request tracing, DESIGN.md §11), the
 // solver runs inside a "solve" child span tagged with its name; with no
 // span in ctx this is a single context lookup and no allocation.
@@ -248,19 +240,15 @@ func Specs() []Spec {
 func Solve(ctx context.Context, name string, in *instance.Instance, p Params) (instance.Solution, error) {
 	spec, ok := Lookup(name)
 	if !ok {
-		return instance.Solution{}, fmt.Errorf("%w: %q (known: %s)", ErrUnknownSolver, name, strings.Join(Names(), ", "))
+		return instance.Solution{}, UnknownSolver(name)
 	}
 	return spec.Solve(ctx, in, p)
 }
 
-// Get returns the named solver as a Solver, or an ErrUnknownSolver-
-// wrapped error.
-func Get(name string) (Solver, error) {
-	spec, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (known: %s)", ErrUnknownSolver, name, strings.Join(Names(), ", "))
-	}
-	return spec, nil
+// UnknownSolver is the ErrUnknownSolver-wrapped error for a name that
+// is not registered; its text lists the registered names.
+func UnknownSolver(name string) error {
+	return fmt.Errorf("%w: %q (known: %s)", ErrUnknownSolver, name, strings.Join(Names(), ", "))
 }
 
 // TuningFlags is the ordered universe of per-algorithm CLI tuning
@@ -284,27 +272,23 @@ func (s Spec) FlagNames() []string {
 	return names
 }
 
-// ValidateFlags rejects explicitly-set tuning flags the named solver
-// does not consume, so a mistyped combination (e.g. -alg greedy
-// -budget 500) fails loudly instead of silently ignoring the budget.
-// set holds the names of the flags the user explicitly set.
-func ValidateFlags(name string, set map[string]bool) error {
-	spec, ok := Lookup(name)
-	if !ok {
-		return fmt.Errorf("%w: %q (known: %s)", ErrUnknownSolver, name, strings.Join(Names(), ", "))
-	}
+// ValidateFlags rejects explicitly-set tuning flags the solver does not
+// consume, so a mistyped combination (e.g. -alg greedy -budget 500)
+// fails loudly instead of silently ignoring the budget. set holds the
+// names of the flags the user explicitly set.
+func (s Spec) ValidateFlags(set map[string]bool) error {
 	var bad []string
 	for _, f := range TuningFlags {
-		if set[f.Name] && !spec.Caps.Accepts(f.Name) {
+		if set[f.Name] && !s.Caps.Accepts(f.Name) {
 			bad = append(bad, "-"+f.Name)
 		}
 	}
 	if len(bad) > 0 {
 		hint := "takes no tuning flags"
-		if takes := spec.FlagNames(); len(takes) > 0 {
+		if takes := s.FlagNames(); len(takes) > 0 {
 			hint = "takes -" + strings.Join(takes, ", -")
 		}
-		return fmt.Errorf("-alg %s ignores %s (%s %s)", name, strings.Join(bad, ", "), name, hint)
+		return fmt.Errorf("-alg %s ignores %s (%s %s)", s.Name, strings.Join(bad, ", "), s.Name, hint)
 	}
 	return nil
 }

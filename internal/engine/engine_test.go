@@ -125,13 +125,14 @@ func TestExponentialSolversHonorDeadlines(t *testing.T) {
 }
 
 func TestValidateFlags(t *testing.T) {
-	if err := ValidateFlags("greedy", map[string]bool{"k": true}); err != nil {
+	greedy, _ := Lookup("greedy")
+	if err := greedy.ValidateFlags(map[string]bool{"k": true}); err != nil {
 		t.Errorf("greedy -k rejected: %v", err)
 	}
-	if err := ValidateFlags("greedy", map[string]bool{"budget": true}); err == nil {
+	if err := greedy.ValidateFlags(map[string]bool{"budget": true}); err == nil {
 		t.Error("greedy -budget accepted")
 	}
-	if err := ValidateFlags("nope", nil); !errors.Is(err, ErrUnknownSolver) {
+	if err := UnknownSolver("nope"); !errors.Is(err, ErrUnknownSolver) {
 		t.Errorf("unknown name: err = %v, want ErrUnknownSolver", err)
 	}
 }

@@ -26,7 +26,7 @@ func init() {
 		Guarantee: "2-1/m",
 		Caps:      Caps{K: true},
 		Run: func(_ context.Context, in *instance.Instance, p Params) (instance.Solution, error) {
-			return greedy.RebalanceObs(in, p.K, greedy.OrderLargestFirst, p.Obs), nil
+			return greedy.Rebalance(in, p.K, greedy.OrderLargestFirst, p.Obs), nil
 		},
 	})
 	Register(Spec{
@@ -35,7 +35,7 @@ func init() {
 		Guarantee: "1.5",
 		Caps:      Caps{K: true},
 		Run: func(ctx context.Context, in *instance.Instance, p Params) (instance.Solution, error) {
-			return core.MPartitionCtx(ctx, in, p.K, core.BinarySearch, p.Obs)
+			return core.MPartition(ctx, in, p.K, core.BinarySearch, p.Obs)
 		},
 	})
 	Register(Spec{
@@ -44,7 +44,7 @@ func init() {
 		Guarantee: "1.5(1+eps)",
 		Caps:      Caps{Budget: true},
 		Run: func(ctx context.Context, in *instance.Instance, p Params) (instance.Solution, error) {
-			return core.PartitionBudgetCtx(ctx, in, p.Budget, core.BudgetOptions{}, p.Obs)
+			return core.PartitionBudget(ctx, in, p.Budget, core.BudgetOptions{}, p.Obs)
 		},
 	})
 	Register(Spec{
@@ -80,7 +80,7 @@ func init() {
 		Guarantee: "2",
 		Caps:      Caps{Budget: true},
 		Run: func(_ context.Context, in *instance.Instance, p Params) (instance.Solution, error) {
-			return gap.RebalanceObs(in, p.Budget, p.Obs)
+			return gap.Rebalance(in, p.Budget, p.Obs)
 		},
 	})
 	Register(Spec{

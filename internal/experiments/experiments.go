@@ -38,10 +38,10 @@ import (
 // -trace/-metrics/-debug-addr flags before running the suite.
 var sink *obs.Sink
 
-// SetObs routes solver, LP and simulation instrumentation of subsequent
-// experiment runs into s. Call before Run; not safe concurrently with a
-// running experiment.
-func SetObs(s *obs.Sink) { sink = s }
+// SetSink routes solver, LP and simulation instrumentation of
+// subsequent experiment runs into s. Call before Run; not safe
+// concurrently with a running experiment.
+func SetSink(s *obs.Sink) { sink = s }
 
 // workers is the worker budget handed to the internally parallel
 // surfaces (the E9 policy comparison, the E15 adversary hunt). The
@@ -56,30 +56,27 @@ var workers = 1
 // for wall-clock columns, which parallelism distorts.
 func SetWorkers(n int) { workers = n }
 
-// RunAll executes the given experiments on up to w workers (≤ 0 means
-// runtime.GOMAXPROCS(0), 1 runs them sequentially on the calling
-// goroutine) and returns their tables in input order regardless of
-// scheduling.
-func RunAll(exps []Experiment, w int) []*stats.Table {
-	tables, _ := RunAllCtx(context.Background(), exps, w)
-	return tables
+// Result is one finished experiment: its table and how long it ran.
+type Result struct {
+	Table   *stats.Table
+	Elapsed time.Duration
 }
 
-// RunAllCtx is RunAll under a cancellable context: when ctx fires,
-// experiments not yet started are skipped and ctx.Err() returns with
-// the partial tables (finished entries filled, skipped entries nil).
-// An in-flight experiment runs to completion — the tables are built
-// from whole runs only.
-func RunAllCtx(ctx context.Context, exps []Experiment, w int) ([]*stats.Table, error) {
-	tables := make([]*stats.Table, len(exps))
+// RunAll executes the given experiments on up to w workers (≤ 0 means
+// runtime.GOMAXPROCS(0), 1 runs them sequentially on the calling
+// goroutine) and returns their results in input order regardless of
+// scheduling. When ctx fires, experiments not yet started are skipped
+// and ctx.Err() returns with the partial results (finished entries
+// filled, skipped entries zero). An in-flight experiment runs to
+// completion — the tables are built from whole runs only.
+func RunAll(ctx context.Context, exps []Experiment, w int) ([]Result, error) {
+	results := make([]Result, len(exps))
 	err := par.Do(ctx, len(exps), w, func(i int) error {
-		tables[i] = exps[i].Run()
+		start := time.Now()
+		results[i] = Result{Table: exps[i].Run(), Elapsed: time.Since(start)}
 		return nil
 	})
-	if err != nil {
-		return tables, err
-	}
-	return tables, nil
+	return results, err
 }
 
 // Experiment is one entry of the suite.
@@ -134,9 +131,9 @@ func E1() *stats.Table {
 		in := instance.GreedyTight(m)
 		k := instance.GreedyTightK(m)
 		opt := int64(m)
-		adv := greedy.RebalanceObs(in, k, greedy.OrderSmallestFirst, sink)
-		good := greedy.RebalanceObs(in, k, greedy.OrderLargestFirst, sink)
-		mp := core.MPartitionObs(in, k, core.BinarySearch, sink)
+		adv := greedy.Rebalance(in, k, greedy.OrderSmallestFirst, sink)
+		good := greedy.Rebalance(in, k, greedy.OrderLargestFirst, sink)
+		mp, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, sink)
 		t.Addf(m, opt, adv.Makespan, float64(adv.Makespan)/float64(opt),
 			2-1.0/float64(m), good.Makespan, mp.Makespan, float64(mp.Makespan)/float64(opt))
 	}
@@ -158,8 +155,8 @@ func E2() *stats.Table {
 				if err != nil {
 					continue
 				}
-				g := greedy.RebalanceObs(in, k, greedy.OrderLargestFirst, sink)
-				p := core.MPartitionObs(in, k, core.BinarySearch, sink)
+				g := greedy.Rebalance(in, k, greedy.OrderLargestFirst, sink)
+				p, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, sink)
 				gr = append(gr, float64(g.Makespan)/float64(opt.Makespan))
 				pr = append(pr, float64(p.Makespan)/float64(opt.Makespan))
 			}
@@ -169,7 +166,7 @@ func E2() *stats.Table {
 	}
 	// The paper's tight instance: exactly 1.5.
 	in := instance.PartitionTight()
-	p := core.MPartitionObs(in, instance.PartitionTightK(), core.BinarySearch, sink)
+	p, _ := core.MPartition(context.Background(), in, instance.PartitionTightK(), core.BinarySearch, sink)
 	t.Addf("paper-tight", instance.PartitionTightK(), 1, "-", "-",
 		float64(p.Makespan)/float64(instance.PartitionTightOPT()),
 		float64(p.Makespan)/float64(instance.PartitionTightOPT()))
@@ -185,10 +182,10 @@ func E3() *stats.Table {
 		})
 		k := n / 10
 		g0 := time.Now()
-		greedy.RebalanceObs(in, k, greedy.OrderLargestFirst, sink)
+		greedy.Rebalance(in, k, greedy.OrderLargestFirst, sink)
 		gd := time.Since(g0)
 		p0 := time.Now()
-		core.MPartitionObs(in, k, core.BinarySearch, sink)
+		core.MPartition(context.Background(), in, k, core.BinarySearch, sink)
 		pd := time.Since(p0)
 		nlogn := float64(n) * log2(float64(n))
 		t.Addf(n, float64(gd.Microseconds())/1000, float64(gd.Nanoseconds())/nlogn,
@@ -317,8 +314,8 @@ func E6() *stats.Table {
 		maxB := in.TotalSize()
 		for _, frac := range []int64{0, 5, 10, 25, 50, 100} {
 			b := maxB * frac / 100
-			pb := core.PartitionBudget(in, b, core.BudgetOptions{})
-			gb, err := gap.RebalanceObs(in, b, sink)
+			pb, _ := core.PartitionBudget(context.Background(), in, b, core.BudgetOptions{}, nil)
+			gb, err := gap.Rebalance(in, b, sink)
 			gms := int64(-1)
 			if err == nil {
 				gms = gb.Makespan
@@ -343,8 +340,8 @@ func E7() *stats.Table {
 		if err != nil {
 			continue
 		}
-		mp := core.MPartitionObs(in, k, core.BinarySearch, sink)
-		gp, err := gap.RebalanceObs(in, int64(k), sink)
+		mp, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, sink)
+		gp, err := gap.Rebalance(in, int64(k), sink)
 		if err != nil {
 			continue
 		}
@@ -361,10 +358,10 @@ func E7() *stats.Table {
 		Placement: workload.PlaceSkewed, Seed: 9,
 	})
 	t0 := time.Now()
-	core.MPartitionObs(in, 10, core.BinarySearch, sink)
+	core.MPartition(context.Background(), in, 10, core.BinarySearch, sink)
 	mpT := time.Since(t0)
 	t0 = time.Now()
-	if _, err := gap.RebalanceObs(in, 10, sink); err != nil {
+	if _, err := gap.Rebalance(in, 10, sink); err != nil {
 		panic(err)
 	}
 	gapT := time.Since(t0)
@@ -477,13 +474,13 @@ func E11() *stats.Table {
 		})
 		k := n / 8
 		t0 := time.Now()
-		b := core.MPartitionObs(in, k, core.BinarySearch, sink)
+		b, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, sink)
 		bt := time.Since(t0)
 		t0 = time.Now()
-		l := core.MPartitionObs(in, k, core.ThresholdScan, sink)
+		l, _ := core.MPartition(context.Background(), in, k, core.ThresholdScan, sink)
 		lt := time.Since(t0)
 		t0 = time.Now()
-		ic := core.MPartitionObs(in, k, core.IncrementalScan, sink)
+		ic, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, sink)
 		it := time.Since(t0)
 		t.Addf(n, float64(bt.Microseconds())/1000, float64(lt.Microseconds())/1000,
 			float64(it.Microseconds())/1000, b.Makespan, l.Makespan, ic.Makespan)
@@ -502,7 +499,7 @@ func E12() *stats.Table {
 		Sizes: workload.SizeUniform, Seed: 12,
 	})
 	for _, k := range []int{0, 1, 2, 3, 5, 8, 10} {
-		sol := core.MPartitionObs(small, k, core.IncrementalScan, sink)
+		sol, _ := core.MPartition(context.Background(), small, k, core.IncrementalScan, sink)
 		opt, err := exact.Solve(context.Background(), small, k, exact.Limits{})
 		optStr := "-"
 		if err == nil {
@@ -515,7 +512,7 @@ func E12() *stats.Table {
 		N: 2000, M: 16, Sizes: workload.SizeZipf, Placement: workload.PlaceSkewed, Seed: 12,
 	})
 	for _, k := range []int{0, 10, 50, 200, 1000, 2000} {
-		sol := core.MPartitionObs(large, k, core.IncrementalScan, sink)
+		sol, _ := core.MPartition(context.Background(), large, k, core.IncrementalScan, sink)
 		t.Addf(large.N(), k, sol.Makespan,
 			float64(sol.Makespan)/float64(large.LowerBound()), sol.Moves, "-")
 	}
@@ -536,8 +533,8 @@ func E13() *stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		mp := core.MPartitionObs(in, k, core.IncrementalScan, sink)
-		g := greedy.RebalanceObs(in, k, greedy.OrderLargestFirst, sink)
+		mp, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, sink)
+		g := greedy.Rebalance(in, k, greedy.OrderLargestFirst, sink)
 		t.Addf(n, k, lb, mp.Makespan, float64(mp.Makespan)/float64(lb),
 			g.Makespan, float64(g.Makespan)/float64(lb))
 	}
@@ -554,8 +551,8 @@ func E14() *stats.Table {
 			Placement: workload.PlaceOneHot, Seed: 4,
 		})
 		sizes := scheduling.FromInstance(in)
-		mp := core.MPartitionObs(in, in.N(), core.IncrementalScan, sink)
-		g := greedy.RebalanceObs(in, in.N(), greedy.OrderLargestFirst, sink)
+		mp, _ := core.MPartition(context.Background(), in, in.N(), core.IncrementalScan, sink)
+		g := greedy.Rebalance(in, in.N(), greedy.OrderLargestFirst, sink)
 		_, lpt := scheduling.LPT(sizes, in.M)
 		_, mf := scheduling.Multifit(sizes, in.M, 0)
 		_, hs := scheduling.DualPTAS(sizes, in.M, 0.2)
@@ -572,7 +569,7 @@ func E15() *stats.Table {
 		adversary.TargetGreedy, adversary.TargetGreedyLPT, adversary.TargetMPartition,
 	} {
 		cfg := adversary.Config{Trials: 600, N: 8, M: 3, Seed: 2003, Workers: workers}
-		w := adversary.Hunt(target, cfg)
+		w, _ := adversary.Hunt(context.Background(), target, cfg)
 		desc := "-"
 		if w.Instance != nil {
 			desc = fmt.Sprintf("%s k=%d", w.Instance, w.K)

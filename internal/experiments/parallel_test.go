@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -22,16 +23,22 @@ func TestRunAllMatchesSequential(t *testing.T) {
 		t.Fatalf("selected %d experiments, want 3", len(exps))
 	}
 
-	want := RunAll(exps, 1)
+	want, err := RunAll(context.Background(), exps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []int{2, 4} {
-		got := RunAll(exps, w)
+		got, err := RunAll(context.Background(), exps, w)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(exps) {
 			t.Fatalf("workers=%d: %d tables for %d experiments", w, len(got), len(exps))
 		}
 		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
+			if !reflect.DeepEqual(got[i].Table, want[i].Table) {
 				t.Fatalf("workers=%d: %s table diverged from sequential\ngot  %+v\nwant %+v",
-					w, exps[i].ID, got[i], want[i])
+					w, exps[i].ID, got[i].Table, want[i].Table)
 			}
 		}
 	}

@@ -128,7 +128,7 @@ func fractionalConstrained(in *instance.Instance, permitted func(j, i int) bool,
 		}
 		p.Constraints = append(p.Constraints, lp.Constraint{Coef: row, Rel: lp.LE, RHS: float64(t)})
 	}
-	sol, err := lp.Solve(p)
+	sol, err := lp.Solve(p, nil)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -65,7 +65,7 @@ func fractional(in *instance.Instance, t int64, sink *obs.Sink) (float64, [][]fl
 		}
 		p.Constraints = append(p.Constraints, lp.Constraint{Coef: row, Rel: lp.LE, RHS: float64(t)})
 	}
-	sol, err := lp.SolveObs(p, sink)
+	sol, err := lp.Solve(p, sink)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -167,7 +167,7 @@ func round(in *instance.Instance, x [][]float64, sink *obs.Sink) ([]int, error) 
 		}
 		p.Constraints = append(p.Constraints, lp.Constraint{Coef: slotRows[s], Rel: lp.LE, RHS: 1})
 	}
-	sol, err := lp.SolveObs(p, sink)
+	sol, err := lp.Solve(p, sink)
 	if err != nil {
 		return nil, fmt.Errorf("gap: rounding LP: %w", err)
 	}
@@ -190,16 +190,11 @@ func round(in *instance.Instance, x [][]float64, sink *obs.Sink) ([]int, error) 
 
 // Rebalance runs the full baseline: smallest target T whose LP cost fits
 // the budget, then rounding. The result's relocation cost is at most
-// budget and its makespan is at most 2·OPT(budget).
-func Rebalance(in *instance.Instance, budget int64) (instance.Solution, error) {
-	return RebalanceObs(in, budget, nil)
-}
-
-// RebalanceObs is Rebalance with observability: every target probed by
-// the binary search emits a gap_target event, the underlying simplex
+// budget and its makespan is at most 2·OPT(budget). Every target probed
+// by the binary search emits a gap_target event, the underlying simplex
 // solves feed the lp.* metrics, and the gap.* counters summarize the
-// run. A nil sink is equivalent to Rebalance.
-func RebalanceObs(in *instance.Instance, budget int64, sink *obs.Sink) (instance.Solution, error) {
+// run; a nil sink disables instrumentation.
+func Rebalance(in *instance.Instance, budget int64, sink *obs.Sink) (instance.Solution, error) {
 	if budget < 0 {
 		budget = 0
 	}

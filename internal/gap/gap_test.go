@@ -13,7 +13,7 @@ import (
 
 func TestAlreadyBalanced(t *testing.T) {
 	in := instance.MustNew(2, []int64{5, 5}, nil, []int{0, 1})
-	sol, err := Rebalance(in, 10)
+	sol, err := Rebalance(in, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestAlreadyBalanced(t *testing.T) {
 
 func TestSimpleMove(t *testing.T) {
 	in := instance.MustNew(2, []int64{4, 3}, nil, []int{0, 0})
-	sol, err := Rebalance(in, 1)
+	sol, err := Rebalance(in, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTwoApproximationGuarantee(t *testing.T) {
 			Placement: workload.PlaceRandom, Seed: seed,
 		})
 		for _, b := range []int64{0, 4, 15, 100} {
-			sol, err := Rebalance(in, b)
+			sol, err := Rebalance(in, b, nil)
 			if err != nil {
 				t.Fatalf("seed %d B %d: %v", seed, b, err)
 			}
@@ -75,7 +75,7 @@ func TestUnitCostsKMoveComparison(t *testing.T) {
 			Placement: workload.PlaceOneHot, Seed: seed,
 		})
 		k := 5
-		sol, err := Rebalance(in, int64(k))
+		sol, err := Rebalance(in, int64(k), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestZeroBudget(t *testing.T) {
 		N: 12, M: 3, MaxSize: 30, Costs: workload.CostProportional,
 		Placement: workload.PlaceSkewed, Seed: 2,
 	})
-	sol, err := Rebalance(in, 0)
+	sol, err := Rebalance(in, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestNeverWorseThanInitial(t *testing.T) {
 			N: 15, M: 4, MaxSize: 40, Costs: workload.CostRandom,
 			Placement: workload.PlaceBalanced, Seed: seed,
 		})
-		sol, err := Rebalance(in, 50)
+		sol, err := Rebalance(in, 50, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestMediumInstanceSmoke(t *testing.T) {
 		Placement: workload.PlaceSkewed, Seed: 13,
 	})
 	b := in.TotalSize() / 4
-	sol, err := Rebalance(in, b)
+	sol, err := Rebalance(in, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

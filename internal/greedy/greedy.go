@@ -44,7 +44,7 @@ const (
 // afterwards, so a recycled Scratch makes RebalanceFlat allocation-free.
 // A Scratch is confined to one goroutine at a time.
 type Scratch struct {
-	flat      instance.Flat // adapter-owned flat view (RebalanceObs)
+	flat      instance.Flat // adapter-owned flat view (Rebalance)
 	csr       instance.CSR
 	heads     []int32 // per-processor cursor into csr.Jobs
 	loads     []int64
@@ -71,14 +71,10 @@ type FlatResult struct {
 // Rebalance runs GREEDY with move budget k and returns the resulting
 // assignment with recomputed metrics. k may exceed n; removals stop
 // early once every processor is empty. The instance is not modified.
-func Rebalance(in *instance.Instance, k int, order Order) instance.Solution {
-	return RebalanceObs(in, k, order, nil)
-}
-
-// RebalanceObs is Rebalance with observability: Step 1 removals and
-// Step 2 placements emit removal/placement events and update the
-// greedy.* metrics in sink. A nil sink is equivalent to Rebalance.
-func RebalanceObs(in *instance.Instance, k int, order Order, sink *obs.Sink) instance.Solution {
+// Step 1 removals and Step 2 placements emit removal/placement events
+// and update the greedy.* metrics in sink; a nil sink disables
+// instrumentation.
+func Rebalance(in *instance.Instance, k int, order Order, sink *obs.Sink) instance.Solution {
 	if k <= 0 || in.N() == 0 {
 		return instance.NewSolution(in, in.Assign)
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestZeroMovesIsIdentity(t *testing.T) {
 	in := instance.MustNew(2, []int64{5, 3, 2}, nil, []int{0, 0, 1})
-	sol := Rebalance(in, 0, OrderRemoval)
+	sol := Rebalance(in, 0, OrderRemoval, nil)
 	if sol.Moves != 0 || sol.Makespan != in.InitialMakespan() {
 		t.Fatalf("k=0 changed the assignment: %+v", sol)
 	}
@@ -22,7 +22,7 @@ func TestSimpleImprovement(t *testing.T) {
 	// take the 4 to processor 1 for makespan 4... removal takes largest
 	// (4), placement puts it on the empty processor.
 	in := instance.MustNew(2, []int64{4, 3}, nil, []int{0, 0})
-	sol := Rebalance(in, 1, OrderRemoval)
+	sol := Rebalance(in, 1, OrderRemoval, nil)
 	if sol.Makespan != 4 {
 		t.Fatalf("makespan = %d, want 4", sol.Makespan)
 	}
@@ -34,7 +34,7 @@ func TestSimpleImprovement(t *testing.T) {
 func TestJobReturningHomeIsNotAMove(t *testing.T) {
 	// Perfectly balanced: the removed job goes right back.
 	in := instance.MustNew(2, []int64{5, 5}, nil, []int{0, 1})
-	sol := Rebalance(in, 1, OrderRemoval)
+	sol := Rebalance(in, 1, OrderRemoval, nil)
 	if sol.Moves != 0 {
 		t.Fatalf("moves = %d, want 0 (job returned home)", sol.Moves)
 	}
@@ -45,7 +45,7 @@ func TestJobReturningHomeIsNotAMove(t *testing.T) {
 
 func TestKLargerThanN(t *testing.T) {
 	in := instance.MustNew(3, []int64{6, 5, 4, 3, 2, 1}, nil, []int{0, 0, 0, 0, 0, 0})
-	sol := Rebalance(in, 100, OrderLargestFirst)
+	sol := Rebalance(in, 100, OrderLargestFirst, nil)
 	if _, err := verify.WithinMoves(in, sol.Assign, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTheorem1TightInstance(t *testing.T) {
 
 		// Adversarial order reproduces the initial configuration:
 		// makespan 2m−1 against OPT = m.
-		adv := Rebalance(in, k, OrderSmallestFirst)
+		adv := Rebalance(in, k, OrderSmallestFirst, nil)
 		if adv.Makespan != int64(2*m-1) {
 			t.Errorf("m=%d adversarial makespan = %d, want %d", m, adv.Makespan, 2*m-1)
 		}
@@ -72,7 +72,7 @@ func TestTheorem1TightInstance(t *testing.T) {
 
 		// The friendly order fixes it: big job placed first lands on a
 		// light processor.
-		good := Rebalance(in, k, OrderLargestFirst)
+		good := Rebalance(in, k, OrderLargestFirst, nil)
 		if good.Makespan >= adv.Makespan {
 			t.Errorf("m=%d friendly order %d not better than adversarial %d", m, good.Makespan, adv.Makespan)
 		}
@@ -95,7 +95,7 @@ func TestNeverWorseThanBoundOnRandom(t *testing.T) {
 			N: 80, M: 6, Sizes: workload.SizeZipf, Placement: workload.PlaceSkewed, Seed: seed,
 		})
 		k := 10
-		sol := Rebalance(in, k, OrderRemoval)
+		sol := Rebalance(in, k, OrderRemoval, nil)
 		if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -109,7 +109,7 @@ func TestImprovesSkewedLoad(t *testing.T) {
 	in := workload.Generate(workload.Config{
 		N: 200, M: 8, Sizes: workload.SizeUniform, Placement: workload.PlaceOneHot, Seed: 3,
 	})
-	sol := Rebalance(in, 150, OrderLargestFirst)
+	sol := Rebalance(in, 150, OrderLargestFirst, nil)
 	if sol.Makespan >= in.InitialMakespan()/2 {
 		t.Fatalf("one-hot load not substantially improved: %d -> %d", in.InitialMakespan(), sol.Makespan)
 	}
@@ -117,8 +117,8 @@ func TestImprovesSkewedLoad(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	in := workload.Generate(workload.Config{N: 50, M: 4, Seed: 9})
-	a := Rebalance(in, 7, OrderRemoval)
-	b := Rebalance(in, 7, OrderRemoval)
+	a := Rebalance(in, 7, OrderRemoval, nil)
+	b := Rebalance(in, 7, OrderRemoval, nil)
 	for j := range a.Assign {
 		if a.Assign[j] != b.Assign[j] {
 			t.Fatal("non-deterministic output")
@@ -129,7 +129,7 @@ func TestDeterministic(t *testing.T) {
 func TestInstanceNotMutated(t *testing.T) {
 	in := workload.Generate(workload.Config{N: 30, M: 3, Seed: 1})
 	before := in.Clone()
-	Rebalance(in, 5, OrderLargestFirst)
+	Rebalance(in, 5, OrderLargestFirst, nil)
 	for j := range in.Assign {
 		if in.Assign[j] != before.Assign[j] {
 			t.Fatal("Rebalance mutated the input instance")
@@ -146,7 +146,7 @@ func TestGreedyProperty(t *testing.T) {
 		})
 		k := int(kRaw % 41)
 		order := Order(ordRaw % 3)
-		sol := Rebalance(in, k, order)
+		sol := Rebalance(in, k, order, nil)
 		if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
 			return false
 		}

@@ -128,7 +128,7 @@ func TestRebalanceMatchesReference(t *testing.T) {
 		for _, ord := range orders {
 			for _, k := range []int{0, 1, 2, tc.In.N(), tc.In.N() + 3} {
 				want := refRebalance(tc.In, k, ord)
-				got := Rebalance(tc.In, k, ord)
+				got := Rebalance(tc.In, k, ord, nil)
 				t.Run(tc.Name, func(t *testing.T) { assertSameSolution(t, want, got) })
 			}
 		}
@@ -145,7 +145,7 @@ func TestRebalanceMatchesReferenceRandom(t *testing.T) {
 		k := rng.Intn(n + 4)
 		ord := orders[rng.Intn(len(orders))]
 		want := refRebalance(in, k, ord)
-		got := Rebalance(in, k, ord)
+		got := Rebalance(in, k, ord, nil)
 		assertSameSolution(t, want, got)
 	}
 }

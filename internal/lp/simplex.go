@@ -58,15 +58,10 @@ type Solution struct {
 }
 
 // Solve runs two-phase simplex and returns an optimal basic solution,
-// ErrInfeasible, or ErrUnbounded.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveObs(p, nil)
-}
-
-// SolveObs is Solve with observability: each call updates the lp.*
-// metrics (solves, pivots per phase) and emits one lp_solve event into
-// sink. A nil sink is equivalent to Solve.
-func SolveObs(p *Problem, sink *obs.Sink) (*Solution, error) {
+// ErrInfeasible, or ErrUnbounded. Each call updates the lp.* metrics
+// (solves, pivots per phase) and emits one lp_solve event into sink; a
+// nil sink disables instrumentation.
+func Solve(p *Problem, sink *obs.Sink) (*Solution, error) {
 	sol, ph1, ph2, err := solve(p)
 	if sink != nil {
 		sink.Count("lp.solves", 1)

@@ -20,7 +20,7 @@ func TestBasicMin(t *testing.T) {
 			{Coef: []float64{1, 0}, Rel: LE, RHS: 2},
 		},
 	}
-	s, err := Solve(p)
+	s, err := Solve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEqualityAndGE(t *testing.T) {
 			{Coef: []float64{1, 0}, Rel: GE, RHS: 4},
 		},
 	}
-	s, err := Solve(p)
+	s, err := Solve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestInfeasible(t *testing.T) {
 			{Coef: []float64{1}, Rel: LE, RHS: 3},
 		},
 	}
-	if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
+	if _, err := Solve(p, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestUnbounded(t *testing.T) {
 			{Coef: []float64{1}, Rel: GE, RHS: 0},
 		},
 	}
-	if _, err := Solve(p); !errors.Is(err, ErrUnbounded) {
+	if _, err := Solve(p, nil); !errors.Is(err, ErrUnbounded) {
 		t.Fatalf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 			{Coef: []float64{-1}, Rel: LE, RHS: -3},
 		},
 	}
-	s, err := Solve(p)
+	s, err := Solve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDegenerateRedundantRows(t *testing.T) {
 			{Coef: []float64{1, 0}, Rel: GE, RHS: 1},
 		},
 	}
-	s, err := Solve(p)
+	s, err := Solve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestInputNotMutated(t *testing.T) {
 			{Coef: []float64{-1}, Rel: LE, RHS: -3},
 		},
 	}
-	if _, err := Solve(p); err != nil {
+	if _, err := Solve(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.Constraints[0].RHS != -3 || p.Constraints[0].Coef[0] != -1 || p.Constraints[0].Rel != LE {
@@ -131,12 +131,12 @@ func TestInputNotMutated(t *testing.T) {
 }
 
 func TestDimensionErrors(t *testing.T) {
-	if _, err := Solve(&Problem{NumVars: 2, Objective: []float64{1}}); err == nil {
+	if _, err := Solve(&Problem{NumVars: 2, Objective: []float64{1}}, nil); err == nil {
 		t.Fatal("bad objective accepted")
 	}
 	p := &Problem{NumVars: 2, Objective: []float64{1, 1},
 		Constraints: []Constraint{{Coef: []float64{1}, Rel: LE, RHS: 1}}}
-	if _, err := Solve(p); err == nil {
+	if _, err := Solve(p, nil); err == nil {
 		t.Fatal("bad constraint accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestTransportationIntegrality(t *testing.T) {
 			row[j*2+1] = 1
 			p.Constraints = append(p.Constraints, Constraint{Coef: row, Rel: EQ, RHS: 1})
 		}
-		s, err := Solve(p)
+		s, err := Solve(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestRandomLPsAgainstVertexEnumeration(t *testing.T) {
 				Rel:  LE, RHS: float64(5 + rng.Intn(20)),
 			})
 		}
-		s, err := Solve(p)
+		s, err := Solve(p, nil)
 		if errors.Is(err, ErrUnbounded) {
 			// Possible when the objective has a negative coefficient and
 			// no binding constraint — but all coefficients are positive

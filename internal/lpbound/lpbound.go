@@ -67,7 +67,7 @@ func feasibleAt(in *instance.Instance, t int64, moveLimit float64, useCost bool)
 		row[idx(j, in.Assign[j])] = -w
 	}
 	p.Constraints = append(p.Constraints, lp.Constraint{Coef: row, Rel: lp.LE, RHS: moveLimit - wTotal})
-	_, err := lp.Solve(p)
+	_, err := lp.Solve(p, nil)
 	return err == nil
 }
 

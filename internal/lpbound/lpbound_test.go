@@ -101,7 +101,7 @@ func TestMediumScaleBoundsMPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := core.MPartition(in, k, core.IncrementalScan)
+	sol, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, nil)
 	if sol.Makespan < lb {
 		t.Fatalf("M-PARTITION %d beat the LP lower bound %d", sol.Makespan, lb)
 	}

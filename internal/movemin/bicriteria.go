@@ -19,7 +19,7 @@ import (
 // the target itself (target below a packing lower bound, or with more
 // than m target-large jobs, is unreachable by any solution).
 func Bicriteria(in *instance.Instance, target int64) (instance.Solution, int, bool) {
-	r := core.Partition(in, target)
+	r := core.Partition(in, target, nil)
 	if !r.Feasible {
 		return instance.Solution{}, 0, false
 	}

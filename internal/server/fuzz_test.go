@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 	"unicode/utf8"
+
+	"repro/internal/engine"
+	"repro/internal/verify"
 )
 
 // fuzzHandler builds one shared server for the whole fuzz run: tight
@@ -53,7 +56,8 @@ var fuzzStatuses = map[int]bool{
 // arbitrary X-Request-ID: the handler must never panic, must always
 // answer with a status from the typed set, and must always produce a
 // JSON body (a SolveResponse on 200, an ErrorResponse otherwise). A 200
-// must echo the request ID, clamped to maxRequestIDLen, exactly. Every
+// must echo the request ID, clamped to maxRequestIDLen, exactly, and its
+// assignment must pass verify against its own request. Every
 // body that answered 200 is posted again: a cacheable one is then a hit,
 // served before admission (queue_ns 0), with the first answer's
 // assignment, makespan and moves — whichever decoder read the body, so
@@ -133,5 +137,38 @@ func fuzzPost(t *testing.T, body []byte, rid string) (resp SolveResponse, ok boo
 	if resp.Cache == "hit" && resp.Timing.QueueNS != 0 {
 		t.Fatalf("cache hit with queue_ns %d: admitted, not served by the probe (body %q)", resp.Timing.QueueNS, body)
 	}
+	if resp.Assign != nil {
+		fuzzVerify(t, body, resp)
+	}
 	return resp, true
+}
+
+// fuzzVerify checks a 200's assignment against its own request: within
+// the request's k or budget per the solver's caps (a negative one
+// counts as 0, as the solvers treat it), with the makespan, moves and
+// move cost the response claims.
+func fuzzVerify(t *testing.T, body []byte, resp SolveResponse) {
+	t.Helper()
+	var req SolveRequest
+	if err := DecodeSolve(body, &req); err != nil {
+		t.Fatalf("200 for a body DecodeSolve rejects: %v (body %q)", err, body)
+	}
+	spec, _ := engine.Lookup(req.Solver)
+	in := &req.Instance.Instance
+	var got verify.Report
+	var err error
+	switch {
+	case spec.Caps.K:
+		got, err = verify.WithinMoves(in, resp.Assign, max(req.K, 0))
+	case spec.Caps.Budget:
+		got, err = verify.WithinBudget(in, resp.Assign, max(req.Budget, 0))
+	default:
+		got, err = verify.Solution(in, resp.Assign)
+	}
+	if err != nil {
+		t.Fatalf("200 answer fails verification: %v (body %q)", err, body)
+	}
+	if claimed := (verify.Report{Makespan: resp.Makespan, Moves: resp.Moves, MoveCost: resp.MoveCost}); got != claimed {
+		t.Fatalf("200 claims %+v, recomputed %+v (body %q)", claimed, got, body)
+	}
 }

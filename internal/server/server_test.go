@@ -176,7 +176,7 @@ func TestSolveMatchesEngine(t *testing.T) {
 
 // TestSolveSweep pins that sweep-kind solvers are servable with zero
 // per-solver glue: the frontier over explicit ks matches a direct
-// FrontierCtx run.
+// Frontier run.
 func TestSolveSweep(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	in := testInstance()
@@ -193,7 +193,7 @@ func TestSolveSweep(t *testing.T) {
 	if got.Cache != "" {
 		t.Errorf("sweep answered with cache %q, want none: sweeps are never cached", got.Cache)
 	}
-	want, err := rebalance.FrontierCtx(context.Background(), in, req.Ks, rebalance.FrontierOptions{Workers: 1})
+	want, err := rebalance.Frontier(context.Background(), in, req.Ks, rebalance.FrontierOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,7 +286,7 @@ func (s *Session) rebalance(ctx context.Context, k int, target int64) ([]Move, b
 			sol, _, feasible = movemin.Bicriteria(snap, target)
 		} else {
 			var err error
-			sol, err = core.MPartitionCtx(ctx, snap, k, core.IncrementalScan, s.cfg.Obs)
+			sol, err = core.MPartition(ctx, snap, k, core.IncrementalScan, s.cfg.Obs)
 			if err != nil {
 				return nil, false, err
 			}

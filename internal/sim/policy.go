@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -48,5 +49,7 @@ func (p PolicyTriggered) Rebalance(in *instance.Instance, k int) instance.Soluti
 	if p.Inner != nil {
 		return p.Inner.Rebalance(in, k)
 	}
-	return core.MPartitionObs(in, k, core.IncrementalScan, p.Obs)
+	// The background context never fires, so the error is always nil.
+	sol, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, p.Obs)
+	return sol
 }

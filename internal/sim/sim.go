@@ -95,7 +95,7 @@ func (PolicyFull) Name() string { return "full" }
 
 // Rebalance implements Policy.
 func (p PolicyFull) Rebalance(in *instance.Instance, _ int) instance.Solution {
-	return greedy.RebalanceObs(in, in.N(), greedy.OrderLargestFirst, p.Obs)
+	return greedy.Rebalance(in, in.N(), greedy.OrderLargestFirst, p.Obs)
 }
 
 // Config describes a farm simulation.

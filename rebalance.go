@@ -76,12 +76,12 @@ const (
 // Greedy runs the §2 GREEDY algorithm with move budget k: a tight
 // (2 − 1/m)-approximation in O((n+k) log n) time.
 func Greedy(in *Instance, k int) Solution {
-	return greedy.Rebalance(in, k, greedy.OrderLargestFirst)
+	return greedy.Rebalance(in, k, greedy.OrderLargestFirst, nil)
 }
 
 // GreedyWithOrder is Greedy with an explicit Step 2 placement order.
 func GreedyWithOrder(in *Instance, k int, order GreedyOrder) Solution {
-	return greedy.Rebalance(in, k, order)
+	return greedy.Rebalance(in, k, order, nil)
 }
 
 // Partition runs §3.1 M-PARTITION with move budget k: a 1.5-approximation
@@ -89,21 +89,25 @@ func GreedyWithOrder(in *Instance, k int, order GreedyOrder) Solution {
 // O(n log n · log(makespan)) time. The returned solution never relocates
 // more than k jobs.
 func Partition(in *Instance, k int) Solution {
-	return core.MPartition(in, k, core.BinarySearch)
+	// The background context never fires, so the error is always nil.
+	sol, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, nil)
+	return sol
 }
 
 // PartitionAt runs one §3 PARTITION pass against an explicit target
 // value (a known or guessed OPT), returning feasibility, the removal
 // count, and the solution.
 func PartitionAt(in *Instance, target int64) core.Result {
-	return core.Partition(in, target)
+	return core.Partition(in, target, nil)
 }
 
 // PartitionBudget runs the §3.2 arbitrary-cost variant: relocation cost
 // at most budget, makespan at most 1.5·(1+ε)·OPT(budget) where ε is the
 // knapsack relaxation (0 whenever the exact knapsack DP is affordable).
 func PartitionBudget(in *Instance, budget int64) Solution {
-	return core.PartitionBudget(in, budget, core.BudgetOptions{})
+	// The background context never fires, so the error is always nil.
+	sol, _ := core.PartitionBudget(context.Background(), in, budget, core.BudgetOptions{}, nil)
+	return sol
 }
 
 // PTASOptions tunes the §4 approximation scheme.
@@ -111,17 +115,10 @@ type PTASOptions = ptas.Options
 
 // PTAS runs the §4 approximation scheme: relocation cost at most budget
 // and makespan at most (1+ε)·OPT(budget). Exponential in 1/ε; intended
-// for small instances (see Options.MaxJobs). Use PTASCtx to bound the
-// run with a deadline.
+// for small instances (see Options.MaxJobs). Bound the run with
+// Solve(ctx, "ptas", …) when a deadline is needed.
 func PTAS(in *Instance, budget int64, opts PTASOptions) (Solution, error) {
 	return ptas.Solve(context.Background(), in, budget, opts)
-}
-
-// PTASCtx is PTAS under a cancellable context: the guess ladder and
-// every DP inner loop poll ctx and return ctx.Err() promptly when it
-// fires.
-func PTASCtx(ctx context.Context, in *Instance, budget int64, opts PTASOptions) (Solution, error) {
-	return ptas.Solve(ctx, in, budget, opts)
 }
 
 // Exact solves the k-move problem optimally by branch and bound;
@@ -140,14 +137,14 @@ func ExactBudget(in *Instance, budget int64) (Solution, error) {
 // reduction to generalized assignment: relocation cost at most budget,
 // makespan at most 2·OPT(budget).
 func GAPBaseline(in *Instance, budget int64) (Solution, error) {
-	return gap.Rebalance(in, budget)
+	return gap.Rebalance(in, budget, nil)
 }
 
 // Observability (see internal/obs and DESIGN.md §"Observability"): a
 // Sink collects named counters/gauges/histograms and optionally streams
-// structured events through a Tracer; pass it to the *Obs solver
-// variants. A nil Sink disables instrumentation at the cost of one nil
-// check per probe.
+// structured events through a Tracer; pass it to Solve as
+// SolverParams.Obs. A nil Sink disables instrumentation at the cost of
+// one nil check per probe.
 type (
 	// Sink bundles a metric registry with an optional tracer.
 	Sink = obs.Sink
@@ -167,29 +164,6 @@ func NewSink() *Sink { return obs.New() }
 func NewTracingSink(w io.Writer) (*Sink, *obs.JSONLTracer) {
 	tr := obs.NewJSONL(w)
 	return obs.NewTracing(tr), tr
-}
-
-// GreedyObs is Greedy with observability.
-func GreedyObs(in *Instance, k int, sink *Sink) Solution {
-	return greedy.RebalanceObs(in, k, greedy.OrderLargestFirst, sink)
-}
-
-// PartitionObs is Partition with observability: every PARTITION probe
-// of the search emits probe_start/removal/probe_result events and
-// updates the core.* metrics.
-func PartitionObs(in *Instance, k int, sink *Sink) Solution {
-	return core.MPartitionObs(in, k, core.BinarySearch, sink)
-}
-
-// PartitionBudgetObs is PartitionBudget with observability.
-func PartitionBudgetObs(in *Instance, budget int64, sink *Sink) Solution {
-	return core.PartitionBudgetObs(in, budget, core.BudgetOptions{}, sink)
-}
-
-// GAPBaselineObs is GAPBaseline with observability (gap.* and lp.*
-// metrics, gap_target and lp_solve events).
-func GAPBaselineObs(in *Instance, budget int64, sink *Sink) (Solution, error) {
-	return gap.RebalanceObs(in, budget, sink)
 }
 
 // Check independently verifies a solution against its instance,

@@ -10,10 +10,13 @@ import (
 // named entry in the internal/engine registry, carrying capability
 // metadata (which tuning parameters it consumes, whether it needs the
 // extended instance format, whether it is exponential) and honoring
-// context cancellation in its long-running inner loops. The CLI, the
-// simulator, the experiment suite and the adversary hunt all dispatch
-// through this surface; the classic per-algorithm functions above
-// remain as convenience shims over it. See DESIGN.md §8.
+// context cancellation in its long-running inner loops. The CLI and the
+// daemon dispatch every solve through it, and the simulator, the
+// experiment suite and the adversary hunt do whenever a caller names a
+// solver. The paper-level functions in rebalance.go call the algorithm
+// packages directly, with the parameters the registry does not expose
+// (a greedy placement order, an M-PARTITION search mode). Pass a sink
+// as SolverParams.Obs to instrument any of them. See DESIGN.md §8.
 
 type (
 	// SolverParams is the uniform parameter bundle passed to Solve;
@@ -23,9 +26,6 @@ type (
 	SolverCaps = engine.Caps
 	// SolverSpec is one registry entry: a named solver plus metadata.
 	SolverSpec = engine.Spec
-	// Solver is the uniform solve interface every registered algorithm
-	// satisfies.
-	Solver = engine.Solver
 )
 
 // Engine error model, re-exported.
@@ -45,17 +45,7 @@ func Solve(ctx context.Context, name string, in *Instance, p SolverParams) (Solu
 	return engine.Solve(ctx, name, in, p)
 }
 
-// GetSolver returns the named solver as a Solver interface value.
-func GetSolver(name string) (Solver, error) {
-	return engine.Get(name)
-}
-
 // Solvers returns every registered solver spec, sorted by name.
 func Solvers() []SolverSpec {
 	return engine.Specs()
-}
-
-// SolverNames returns every registered solver name, sorted.
-func SolverNames() []string {
-	return engine.Names()
 }

@@ -1,6 +1,7 @@
 package rebalance
 
 import (
+	"context"
 	"testing"
 )
 
@@ -70,7 +71,10 @@ func TestStressFrontierParallel(t *testing.T) {
 	for i := range ks {
 		ks[i] = i * 800
 	}
-	pts := Frontier(in, ks)
+	pts, err := Frontier(context.Background(), in, ks, FrontierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, pt := range pts {
 		if pt.K != ks[i] || pt.Moves > pt.K {
 			t.Fatalf("point %d: %+v", i, pt)
