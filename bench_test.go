@@ -220,7 +220,7 @@ func BenchmarkE9WebFarm(b *testing.B) {
 		Sites: 100, Servers: 8, Steps: 50, RebalanceEvery: 5,
 		MovesPerRound: 5, FlashProb: 0.15, Seed: 42,
 	}
-	for _, p := range []sim.Policy{sim.PolicyGreedy{}, sim.PolicyMPartition{}, sim.PolicyFull{}} {
+	for _, p := range []sim.Policy{sim.PolicyEngine{Solver: "greedy"}, sim.PolicyEngine{Solver: "mpartition"}, sim.PolicyFull{}} {
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.Run(cfg, p); err != nil {

@@ -7,12 +7,13 @@
 //	experiments [-only E1,E5] [-list] [-workers N]
 //	experiments -only E9 -trace e9.jsonl -metrics -debug-addr localhost:6060
 //
-// -workers N bounds the worker pool that experiments.RunAll fans the
-// experiments out on and is also handed to the internally parallel
-// surfaces (the E9 policy comparison, the E15 adversary hunt). The
-// default is runtime.GOMAXPROCS(0); table contents are identical at
+// -workers N sizes the worker pool that experiments.RunAll fans the
+// experiments out on; each experiment itself runs on one goroutine.
+// The default is runtime.GOMAXPROCS(0); table contents are identical at
 // every worker count, but wall-clock columns (E3, E7, E11) are
 // distorted by concurrency — use -workers 1 when recording those.
+// -only runs the listed IDs and exits 1, naming them, if any matches no
+// experiment.
 //
 // Observability: -trace FILE streams the solvers' structured JSONL
 // events, -metrics prints the aggregated metric summary to stderr after
@@ -31,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -87,13 +89,6 @@ func main() {
 		}()
 	}
 
-	selected := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			selected[strings.ToUpper(id)] = true
-		}
-	}
-
 	all := experiments.All()
 	if *list {
 		for _, e := range all {
@@ -102,18 +97,16 @@ func main() {
 		return
 	}
 
-	var chosen []experiments.Experiment
-	for _, e := range all {
-		if len(selected) == 0 || selected[e.ID] {
-			chosen = append(chosen, e)
-		}
-	}
+	chosen, unknown := choose(all, *only)
 	if len(chosen) == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matched %q; use -list\n", *only)
 		os.Exit(1)
 	}
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "no experiment matched %s; use -list\n", strings.Join(unknown, ", "))
+		os.Exit(1)
+	}
 
-	experiments.SetWorkers(*workers)
 	// Ctrl-C / SIGTERM cancels the fan-out context: experiments not yet
 	// claimed are skipped, and the suite exits with the context error
 	// instead of dying mid-table. -workers 1 runs the suite in order on
@@ -144,4 +137,27 @@ func main() {
 			log.Fatalf("trace: %v", err)
 		}
 	}
+}
+
+// choose returns the experiments of all named in the comma-separated
+// only list (case-insensitive; empty means all), in suite order, and the
+// listed IDs that name none of them, in list order.
+func choose(all []experiments.Experiment, only string) (chosen []experiments.Experiment, unknown []string) {
+	var ids []string
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
+		}
+	}
+	for _, e := range all {
+		if len(ids) == 0 || slices.ContainsFunc(ids, func(id string) bool { return strings.EqualFold(id, e.ID) }) {
+			chosen = append(chosen, e)
+		}
+	}
+	for _, id := range ids {
+		if !slices.ContainsFunc(all, func(e experiments.Experiment) bool { return strings.EqualFold(id, e.ID) }) {
+			unknown = append(unknown, id)
+		}
+	}
+	return chosen, unknown
 }

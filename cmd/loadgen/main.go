@@ -57,7 +57,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -221,13 +220,7 @@ func main() {
 	cl := client.New(*addr, nil)
 	target := *addr
 	if *fleet != "" {
-		var shards []string
-		for _, s := range strings.Split(*fleet, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				shards = append(shards, s)
-			}
-		}
-		rt := router.New(router.Config{Shards: shards})
+		rt := router.New(router.Config{Shards: server.BaseURLs(*fleet)})
 		rt.ProbeNow(ctx)
 		defer rt.Close()
 		cl = client.New("http://fleet", &http.Client{Transport: rt.Transport()})

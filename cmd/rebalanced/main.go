@@ -37,6 +37,10 @@
 // clamped to -max-timeout, else -timeout) that cancels the solver
 // mid-search on expiry (504).
 //
+// Fleet mode: -shard-id stamps responses, and -peer-fill lists the
+// fleet's shard URLs; a miss whose X-Peer-Fill header names one of them
+// is first peeked from that shard's cache (any other name is ignored).
+//
 // Shutdown: SIGINT/SIGTERM begins a graceful drain — the listener stops
 // accepting, readyz flips to 503, waiting and running solves finish,
 // and after -drain the stragglers are cancelled.
@@ -77,7 +81,7 @@ func main() {
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "max live rebalancing sessions; beyond it creates get 429")
 	sessionTTL := flag.Duration("session-ttl", server.DefaultSessionTTL, "idle lifetime of a rebalancing session before eviction")
 	shardID := flag.String("shard-id", "", "fleet identity stamped into every solve response (empty: standalone)")
-	peerFill := flag.Bool("peer-fill", false, "warm the cache from the peer named in X-Peer-Fill on local misses (fleet mode)")
+	peerFill := flag.String("peer-fill", "", "comma-separated fleet shard base URLs: on a local miss, warm the cache from the X-Peer-Fill peer if it is one of them (empty: peer fill off)")
 	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "bound on one peer cache-fill peek")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown grace before in-flight solves are cancelled")
 	debugAddr := flag.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address")
@@ -140,8 +144,8 @@ func main() {
 	tracer := obs.NewSpanTracer(spanCfg)
 
 	var fill server.FillFunc
-	if *peerFill {
-		fill = client.PeerFill(nil, *peerTimeout)
+	if peers := server.BaseURLs(*peerFill); len(peers) > 0 {
+		fill = client.PeerFill(nil, *peerTimeout, peers)
 	}
 	srv := server.New(server.Config{
 		Workers:        *pool,

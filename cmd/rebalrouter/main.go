@@ -34,13 +34,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/obs"
 	"repro/internal/router"
+	"repro/internal/server"
 )
 
 func main() {
@@ -61,12 +61,7 @@ func main() {
 		fmt.Println(rebalance.Version())
 		return
 	}
-	var urls []string
-	for _, s := range strings.Split(*shards, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			urls = append(urls, s)
-		}
-	}
+	urls := server.BaseURLs(*shards)
 	if len(urls) == 0 {
 		log.Fatal("no shards: pass -shards with at least one base URL")
 	}

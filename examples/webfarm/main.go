@@ -28,10 +28,10 @@ func main() {
 		cfg.Sites, cfg.Servers, cfg.Steps, cfg.MovesPerRound, cfg.RebalanceEvery)
 
 	policies := []sim.Policy{
-		sim.PolicyNone{},       // never migrate
-		sim.PolicyGreedy{},     // §2 GREEDY with budget k
-		sim.PolicyMPartition{}, // §3 M-PARTITION with budget k
-		sim.PolicyFull{},       // unlimited migrations (upper envelope)
+		sim.PolicyNone{},                       // never migrate
+		sim.PolicyEngine{Solver: "greedy"},     // §2 GREEDY with budget k
+		sim.PolicyEngine{Solver: "mpartition"}, // §3 M-PARTITION with budget k
+		sim.PolicyFull{},                       // unlimited migrations (upper envelope)
 	}
 	fmt.Printf("%-12s %14s %14s %12s %12s\n", "policy", "peak load", "mean load", "imbalance", "migrations")
 	var none, full, budgeted sim.Metrics
@@ -42,12 +42,12 @@ func main() {
 		}
 		fmt.Printf("%-12s %14d %14.0f %12.3f %12d\n",
 			m.Policy, m.PeakMakespan, m.MeanMakespan, m.MeanImbalance, m.TotalMoves)
-		switch p.(type) {
-		case sim.PolicyNone:
+		switch m.Policy {
+		case "none":
 			none = m
-		case sim.PolicyFull:
+		case "full":
 			full = m
-		case sim.PolicyMPartition:
+		case "mpartition":
 			budgeted = m
 		}
 	}

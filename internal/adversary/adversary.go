@@ -12,11 +12,9 @@ import (
 	"errors"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/exact"
 	"repro/internal/greedy"
 	"repro/internal/instance"
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -54,17 +52,6 @@ type Config struct {
 	MaxSize int64 // size range (default 12; small ranges create ties)
 	K       int   // move budget (default N/2)
 	Seed    uint64
-	// Workers bounds the concurrency of trial evaluation (≤ 0 means
-	// runtime.GOMAXPROCS(0), 1 forces sequential). Instances are drawn
-	// from one deterministic stream before evaluation and the reduction
-	// keeps the earliest trial among ratio ties, so the hunt's result
-	// is identical at every worker count.
-	Workers int
-	// Alg, when non-empty, attacks the named engine solver instead of
-	// the built-in Target — any k-capable registry entry can be hunted
-	// without adversary-specific wiring. The Target argument is ignored
-	// (use it only for Bound lookups).
-	Alg string
 }
 
 func (c *Config) defaults() {
@@ -96,79 +83,51 @@ type Worst struct {
 }
 
 // Hunt random-searches for the worst ratio of the target algorithm
-// against the exact optimum. Instances whose exact solve exceeds the
-// limits are skipped. Trials are drawn from one deterministic stream up
-// front and then scored concurrently on up to cfg.Workers goroutines;
-// the order-restored reduction keeps the earliest trial achieving the
-// maximum ratio, exactly what a sequential scan returns. The exact
-// reference solves and the attacked algorithm both poll ctx, so a
-// deadline interrupts the hunt mid-trial and returns ctx.Err(). A bad
-// cfg.Alg name skips every trial, and the zero Worst returns.
+// against the exact optimum, drawing and scoring one trial at a time
+// from one deterministic stream; it keeps the earliest trial achieving
+// the maximum ratio. Instances whose exact solve exceeds the limits are
+// skipped. The exact reference solves and the attacked algorithm both
+// poll ctx, so a deadline interrupts the hunt mid-trial and returns
+// ctx.Err().
 func Hunt(ctx context.Context, target Target, cfg Config) (Worst, error) {
 	cfg.defaults()
 	rng := workload.NewRNG(cfg.Seed)
-	trials := make([]*instance.Instance, cfg.Trials)
-	for t := range trials {
+	var worst Worst
+	for t := 0; t < cfg.Trials; t++ {
+		if err := ctx.Err(); err != nil {
+			return Worst{}, err
+		}
 		sizes := make([]int64, cfg.N)
 		assign := make([]int, cfg.N)
 		for i := range sizes {
 			sizes[i] = 1 + rng.Int63n(cfg.MaxSize)
 			assign[i] = rng.Intn(cfg.M)
 		}
-		trials[t] = instance.MustNew(cfg.M, sizes, nil, assign)
-	}
-
-	type score struct {
-		ok       bool
-		makespan int64
-		opt      int64
-		ratio    float64
-	}
-	// A skipped trial (exact solve over its limits, or a solver error)
-	// is data, not a failure; only ctx expiry aborts the hunt.
-	scores, err := par.Map(ctx, cfg.Trials, cfg.Workers, func(t int) (score, error) {
-		in := trials[t]
+		in := instance.MustNew(cfg.M, sizes, nil, assign)
+		// A trial whose exact solve fails is skipped; only ctx expiry
+		// aborts the hunt.
 		opt, err := exact.Solve(ctx, in, cfg.K, exact.Limits{})
 		if isCtxErr(err) {
-			return score{}, err
+			return Worst{}, err
 		}
 		if err != nil || opt.Makespan == 0 {
-			return score{}, nil
+			continue
 		}
 		var ms int64
-		if cfg.Alg != "" {
-			sol, err := engine.Solve(ctx, cfg.Alg, in, engine.Params{K: cfg.K})
-			if isCtxErr(err) {
-				return score{}, err
-			}
+		switch target {
+		case TargetGreedy:
+			ms = greedy.Rebalance(in, cfg.K, greedy.OrderSmallestFirst, nil).Makespan
+		case TargetGreedyLPT:
+			ms = greedy.Rebalance(in, cfg.K, greedy.OrderLargestFirst, nil).Makespan
+		case TargetMPartition:
+			sol, err := core.MPartition(ctx, in, cfg.K, core.IncrementalScan, nil)
 			if err != nil {
-				return score{}, nil
+				return Worst{}, err
 			}
 			ms = sol.Makespan
-		} else {
-			switch target {
-			case TargetGreedy:
-				ms = greedy.Rebalance(in, cfg.K, greedy.OrderSmallestFirst, nil).Makespan
-			case TargetGreedyLPT:
-				ms = greedy.Rebalance(in, cfg.K, greedy.OrderLargestFirst, nil).Makespan
-			case TargetMPartition:
-				sol, err := core.MPartition(ctx, in, cfg.K, core.IncrementalScan, nil)
-				if err != nil {
-					return score{}, err
-				}
-				ms = sol.Makespan
-			}
 		}
-		return score{ok: true, makespan: ms, opt: opt.Makespan, ratio: float64(ms) / float64(opt.Makespan)}, nil
-	})
-	if err != nil {
-		return Worst{}, err
-	}
-
-	var worst Worst
-	for t, sc := range scores {
-		if sc.ok && sc.ratio > worst.Ratio {
-			worst = Worst{Instance: trials[t], K: cfg.K, Makespan: sc.makespan, Opt: sc.opt, Ratio: sc.ratio}
+		if ratio := float64(ms) / float64(opt.Makespan); ratio > worst.Ratio {
+			worst = Worst{Instance: in, K: cfg.K, Makespan: ms, Opt: opt.Makespan, Ratio: ratio}
 		}
 	}
 	return worst, nil

@@ -43,19 +43,6 @@ var sink *obs.Sink
 // concurrently with a running experiment.
 func SetSink(s *obs.Sink) { sink = s }
 
-// workers is the worker budget handed to the internally parallel
-// surfaces (the E9 policy comparison, the E15 adversary hunt). The
-// default 1 keeps each experiment sequential, which is what the
-// timing-sensitive tables want.
-var workers = 1
-
-// SetWorkers sets the worker budget of subsequent experiment runs;
-// n ≤ 0 means runtime.GOMAXPROCS(0). Call before Run; not safe
-// concurrently with a running experiment. Tables are identical at
-// every worker count (the parallel surfaces are determinized), except
-// for wall-clock columns, which parallelism distorts.
-func SetWorkers(n int) { workers = n }
-
 // Result is one finished experiment: its table and how long it ran.
 type Result struct {
 	Table   *stats.Table
@@ -314,7 +301,7 @@ func E6() *stats.Table {
 		maxB := in.TotalSize()
 		for _, frac := range []int64{0, 5, 10, 25, 50, 100} {
 			b := maxB * frac / 100
-			pb, _ := core.PartitionBudget(context.Background(), in, b, core.BudgetOptions{}, nil)
+			pb, _ := core.PartitionBudget(context.Background(), in, b, core.BudgetOptions{}, sink)
 			gb, err := gap.Rebalance(in, b, sink)
 			gms := int64(-1)
 			if err == nil {
@@ -409,12 +396,14 @@ func E9() *stats.Table {
 		Sites: 200, Servers: 10, Steps: 300, RebalanceEvery: 5,
 		MovesPerRound: 8, FlashProb: 0.15, Seed: 42, Obs: sink,
 	}
-	policies := []sim.Policy{sim.PolicyNone{}, sim.PolicyGreedy{Obs: sink}, sim.PolicyMPartition{Obs: sink}, sim.PolicyTriggered{Trigger: 1.5, Obs: sink}, sim.PolicyFull{Obs: sink}}
-	runs, err := sim.Compare(cfg, policies, workers)
-	if err != nil {
-		panic(err)
-	}
-	for _, m := range runs {
+	for _, p := range []sim.Policy{
+		sim.PolicyNone{}, sim.PolicyEngine{Solver: "greedy"}, sim.PolicyEngine{Solver: "mpartition"},
+		sim.PolicyTriggered{Trigger: 1.5}, sim.PolicyFull{},
+	} {
+		m, err := sim.Run(cfg, p)
+		if err != nil {
+			panic(err)
+		}
 		t.Addf(m.Policy, m.PeakMakespan, m.MeanMakespan, m.MeanImbalance, m.TotalMoves)
 	}
 	return t
@@ -568,7 +557,7 @@ func E15() *stats.Table {
 	for _, target := range []adversary.Target{
 		adversary.TargetGreedy, adversary.TargetGreedyLPT, adversary.TargetMPartition,
 	} {
-		cfg := adversary.Config{Trials: 600, N: 8, M: 3, Seed: 2003, Workers: workers}
+		cfg := adversary.Config{Trials: 600, N: 8, M: 3, Seed: 2003}
 		w, _ := adversary.Hunt(context.Background(), target, cfg)
 		desc := "-"
 		if w.Instance != nil {

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestSuiteIsComplete(t *testing.T) {
@@ -99,5 +101,24 @@ func TestE10AllDecisionsCorrect(t *testing.T) {
 		if row[4] != "true" {
 			t.Fatalf("reduction decision incorrect: %v", row)
 		}
+	}
+}
+
+// TestE6ReportsToTheSuiteSink pins that E6's budget PARTITION reports
+// into the suite's sink, as the GAP baseline beside it does, so
+// `experiments -only E6 -metrics` shows both solvers' counters.
+func TestE6ReportsToTheSuiteSink(t *testing.T) {
+	s := obs.New()
+	SetSink(s)
+	t.Cleanup(func() { SetSink(nil) })
+	E6()
+	var budget int64
+	for name, v := range s.Snapshot().Counters {
+		if strings.HasPrefix(name, "core.budget_") {
+			budget += v
+		}
+	}
+	if budget == 0 {
+		t.Fatal("E6 recorded no core.budget_* counter in the suite's sink")
 	}
 }

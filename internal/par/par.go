@@ -1,10 +1,9 @@
 // Package par is the repository's worker-pool engine for embarrassingly
 // parallel aggregation: the frontier k-sweep, the experiment suite
-// fan-out, simulation policy comparisons, the adversary hunt, the
-// router's health probes, and the server's and router's /v1/batch
-// fan-outs all funnel through it. A single solve never does: every
-// solver runs on its caller's goroutine. Stdlib-only, like everything
-// else in this repository.
+// fan-out, the router's health probes, and the server's and router's
+// /v1/batch fan-outs all funnel through it. A single solve never does:
+// every solver runs on its caller's goroutine. Stdlib-only, like
+// everything else in this repository.
 //
 // Design contract (DESIGN.md §7):
 //
@@ -13,10 +12,10 @@
 //     the task count. workers == 1 runs every task inline on the calling
 //     goroutine, which callers use as the byte-identical sequential
 //     reference path.
-//   - Deterministic result ordering: tasks are addressed by index and
-//     results land in index order, so the output of Map is independent
-//     of scheduling. Side effects (metrics, trace events) may interleave
-//     across tasks when workers > 1.
+//   - Deterministic result ordering: tasks are addressed by index, so
+//     a task that stores its result at its own index leaves the output
+//     independent of scheduling. Side effects (metrics, trace events)
+//     may interleave across tasks when workers > 1.
 //   - Context cancellation: once ctx is done, no new task starts; Do
 //     returns ctx.Err() if it cancelled the run and no task error
 //     preceded it.
@@ -36,7 +35,7 @@ import (
 )
 
 // Panic wraps a panic recovered from a pool task; it is re-raised on
-// the goroutine that called Do or Map so a worker panic behaves like a
+// the goroutine that called Do so a worker panic behaves like a
 // plain function-call panic with the original stack attached.
 type Panic struct {
 	// Value is the original panic value.
@@ -154,23 +153,4 @@ func runTask(fn func(i int) error, i int) (err error, pan *Panic) {
 		}
 	}()
 	return fn(i), nil
-}
-
-// Map runs fn(i) for every i in [0, tasks) under the same pool contract
-// as Do and returns the results in index order, independent of
-// scheduling. On error the partial results are discarded.
-func Map[T any](ctx context.Context, tasks, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, tasks)
-	err := Do(ctx, tasks, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

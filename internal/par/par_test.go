@@ -28,26 +28,6 @@ func TestWorkersClamping(t *testing.T) {
 	}
 }
 
-func TestMapOrderDeterministic(t *testing.T) {
-	const n = 200
-	for _, workers := range []int{1, 2, 7, n + 5} {
-		out, err := Map(context.Background(), n, workers, func(i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(out) != n {
-			t.Fatalf("workers=%d: %d results", workers, len(out))
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
 func TestDoRunsEveryTaskExactlyOnce(t *testing.T) {
 	const n = 500
 	var counts [n]atomic.Int32
@@ -161,21 +141,6 @@ func TestDoZeroTasks(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatalf("fn called %d times for zero tasks", calls)
-	}
-}
-
-func TestMapErrorDiscardsResults(t *testing.T) {
-	out, err := Map(context.Background(), 10, 3, func(i int) (int, error) {
-		if i == 5 {
-			return 0, errors.New("boom")
-		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if out != nil {
-		t.Fatalf("results not discarded on error: %v", out)
 	}
 }
 

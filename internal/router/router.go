@@ -33,7 +33,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,10 +62,6 @@ type Config struct {
 	// "http://10.0.0.1:8080"). The set is fixed for the router's
 	// lifetime; health probing decides which members are in the ring.
 	Shards []string
-	// Client issues the proxied requests and health probes; nil means
-	// http.DefaultClient. Per-request deadlines ride on the incoming
-	// request contexts.
-	Client *http.Client
 	// ProbeInterval is the health-probe period. ≤ 0 means the default;
 	// tests drive probes synchronously with ProbeNow instead.
 	ProbeInterval time.Duration
@@ -115,15 +110,12 @@ type Router struct {
 	closed  bool
 }
 
-// New normalizes cfg and returns a router. Shard addresses are
-// normalized like client.New's base: a bare host:port is promoted to
-// http:// and a trailing slash is trimmed. The ring is empty until the
-// first probe; call ProbeNow before serving (the daemon does, and
+// New normalizes cfg and returns a router. Shard addresses go through
+// server.BaseURL, like client.New's base: a bare host:port is promoted
+// to http:// and a trailing slash is trimmed. The ring is empty until
+// the first probe; call ProbeNow before serving (the daemon does, and
 // tests do) so startup does not answer 503 for a probe interval.
 func New(cfg Config) *Router {
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
@@ -145,10 +137,7 @@ func New(cfg Config) *Router {
 		done: make(chan struct{}),
 	}
 	for _, u := range cfg.Shards {
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		rt.members = append(rt.members, &member{url: strings.TrimRight(u, "/")})
+		rt.members = append(rt.members, &member{url: server.BaseURL(u)})
 	}
 	go rt.probeLoop()
 	return rt
@@ -227,7 +216,7 @@ func (rt *Router) probeMember(ctx context.Context, m *member) {
 		m.healthy.Store(false)
 		return
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	ok := false
 	if err == nil {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
@@ -501,7 +490,7 @@ func (rt *Router) send(ctx context.Context, shard, path string, body []byte, rid
 		req.Header.Set("X-Peer-Fill", peer)
 		rt.cfg.Obs.Count("router.peer_fill_hints", 1)
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
 	}

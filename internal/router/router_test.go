@@ -41,16 +41,17 @@ func (s *shard) close() {
 	s.srv.Close()
 }
 
-// startShard boots a daemon with a shard identity and the peer-fill
-// hook enabled, exactly as `rebalanced -shard-id sN -peer-fill` would.
+// startShard boots a daemon with a shard identity, exactly as
+// `rebalanced -shard-id sN` would. Its peer fill is off: only
+// TestRouterPeerFillOnJoin's joiner, started after its peers, has their
+// URLs to list.
 func startShard(t *testing.T, id string) *shard {
 	t.Helper()
 	sink := obs.New()
 	srv := server.New(server.Config{
-		Workers:  2,
-		ShardID:  id,
-		PeerFill: client.PeerFill(nil, time.Second),
-		Obs:      sink,
+		Workers: 2,
+		ShardID: id,
+		Obs:     sink,
 	})
 	sh := &shard{id: id, srv: srv, sink: sink}
 	h := srv.Handler()
@@ -357,7 +358,7 @@ func TestRouterPeerFillOnJoin(t *testing.T) {
 	jsrv := server.New(server.Config{
 		Workers:  2,
 		ShardID:  "joiner",
-		PeerFill: client.PeerFill(nil, time.Second),
+		PeerFill: client.PeerFill(nil, time.Second, []string{a.ts.URL, b.ts.URL}),
 		Obs:      joiner,
 	})
 	jts := &httptest.Server{Listener: ln, Config: &http.Server{Handler: jsrv.Handler()}}

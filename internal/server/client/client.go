@@ -48,18 +48,16 @@ type Client struct {
 }
 
 // New returns a client for the daemon at base (e.g.
-// "http://localhost:8080"; a bare host:port is promoted to http://).
+// "http://localhost:8080"; normalized by server.BaseURL, so a bare
+// host:port is promoted to http://).
 // httpClient may be nil for http.DefaultClient; per-request deadlines
 // come from the contexts (and the timeout_ms request field), so the
 // default client's lack of a global timeout is fine.
 func New(base string, httpClient *http.Client) *Client {
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: strings.TrimRight(base, "/"), http: httpClient}
+	return &Client{base: server.BaseURL(base), http: httpClient}
 }
 
 // do issues one request and decodes the response into out, converting
@@ -135,13 +133,23 @@ func (c *Client) Peek(ctx context.Context, req server.SolveRequest) (*server.Sol
 
 // PeerFill builds the dispatch-core fill hook a shard daemon uses to
 // warm its cache from a key's previous owner: a POST /v1/peek against
-// the peer URL the router supplied in X-Peer-Fill. Any error — peer
-// down, cache miss (404), cached infeasibility (422) — reports a miss
-// and the shard computes locally; peer fill is an optimization, never
-// a dependency. timeout bounds the peek on top of the solve's own
+// the peer URL the router supplied in X-Peer-Fill. Only a peer in peers
+// (the fleet's shard URLs, compared after server.BaseURL) is contacted:
+// any other name is a miss without a request, so a client cannot make
+// the shard post an instance to a URL of its choosing. Any error —
+// peer down, cache miss (404), cached infeasibility (422) — reports a
+// miss and the shard computes locally; peer fill is an optimization,
+// never a dependency. timeout bounds the peek on top of the solve's own
 // context (0 means the solve context alone).
-func PeerFill(httpClient *http.Client, timeout time.Duration) server.FillFunc {
+func PeerFill(httpClient *http.Client, timeout time.Duration, peers []string) server.FillFunc {
+	listed := make(map[string]bool, len(peers))
+	for _, p := range peers {
+		listed[server.BaseURL(p)] = true
+	}
 	return func(ctx context.Context, peer, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, bool) {
+		if !listed[server.BaseURL(peer)] {
+			return instance.Solution{}, false
+		}
 		if timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, timeout)

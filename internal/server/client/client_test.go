@@ -1,10 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,5 +168,60 @@ func TestBaseURLPromotion(t *testing.T) {
 	c = New("https://example.com", nil)
 	if c.base != "https://example.com" {
 		t.Errorf("base = %q, want explicit scheme preserved", c.base)
+	}
+}
+
+// TestPeerFillContactsOnlyListedPeers pins the peer-fill allow list: a
+// shard whose X-Peer-Fill header names a peer outside its list never
+// sends that peer a request, and one naming a listed peer (listed in a
+// different spelling of the same base URL) peeks it once.
+func TestPeerFillContactsOnlyListedPeers(t *testing.T) {
+	var peeks atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		peeks.Add(1)
+		http.Error(w, `{"error":"not cached"}`, http.StatusNotFound)
+	}))
+	defer peer.Close()
+
+	in := instance.MustNew(2, []int64{5, 4, 3, 2}, nil, []int{0, 0, 0, 0})
+	req := server.SolveRequest{Solver: "mpartition", K: 2}
+	req.Instance.Instance = *in
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		list  string
+		peeks int64
+	}{
+		{"unlisted", "http://127.0.0.1:1", 0},
+		{"listed", strings.TrimPrefix(peer.URL, "http://") + "/", 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peeks.Store(0)
+			s := server.New(server.Config{Workers: 1, PeerFill: PeerFill(nil, time.Second, []string{c.list})})
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				ts.Close()
+				s.Close()
+			}()
+			hr, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr.Header.Set("X-Peer-Fill", peer.URL)
+			resp, err := http.DefaultClient.Do(hr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("solve status %d, want 200", resp.StatusCode)
+			}
+			if got := peeks.Load(); got != c.peeks {
+				t.Fatalf("peer received %d requests, want %d", got, c.peeks)
+			}
+		})
 	}
 }

@@ -58,6 +58,7 @@ import (
 	"log/slog"
 	"net/http"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/dispatch"
@@ -133,9 +134,10 @@ type Config struct {
 	ShardID string
 	// PeerFill, when set, lets this shard warm its cache from a peer: a
 	// request arriving with an X-Peer-Fill header (the previous owner
-	// of its key, per the router's ring) consults that peer's /v1/peek
-	// before running the engine on a local miss. Nil disables peer
-	// fill; requests with the header still solve locally.
+	// of its key, per the router's ring) hands that peer's base URL to
+	// the hook before the engine runs on a local miss; the daemon's hook
+	// (client.PeerFill) peeks only a listed fleet member. Nil disables
+	// peer fill; requests with the header still solve locally.
 	PeerFill FillFunc
 	// Obs receives the serving metrics (request counts, latency
 	// histograms, queue depth, rejections) and is threaded into every
@@ -168,6 +170,30 @@ type Config struct {
 // peerFillHeader names the routing tier's peer-fill hint: the base URL
 // of the shard that owned the request's key before a membership change.
 const peerFillHeader = "X-Peer-Fill"
+
+// BaseURL normalizes a daemon address to the base URL form every fleet
+// component compares and dials: a bare host:port is promoted to
+// http:// and trailing slashes are trimmed. client.New's base, the
+// router's shard list, and the peer-fill allow list and X-Peer-Fill
+// header all go through it, so one shard has one spelling.
+func BaseURL(addr string) string {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	return strings.TrimRight(addr, "/")
+}
+
+// BaseURLs splits a comma-separated list of daemon addresses (a fleet
+// flag's value), drops empty entries and normalizes each with BaseURL.
+func BaseURLs(list string) []string {
+	var urls []string
+	for _, addr := range strings.Split(list, ",") {
+		if addr = strings.TrimSpace(addr); addr != "" {
+			urls = append(urls, BaseURL(addr))
+		}
+	}
+	return urls
+}
 
 // Server adapts HTTP onto the dispatch core. Create with New, expose
 // Handler on an http.Server, and call Shutdown to drain; a Server must

@@ -686,3 +686,17 @@ func getStatus(t *testing.T, url string) int {
 	resp.Body.Close()
 	return resp.StatusCode
 }
+
+// TestBaseURLs pins the fleet-flag form of the address rule: entries
+// are trimmed, empty ones dropped, and each normalized by BaseURL, so
+// a shard listed as host:port matches the router's http:// spelling.
+func TestBaseURLs(t *testing.T) {
+	got := BaseURLs(" localhost:8081/, ,https://10.0.0.2:8082,")
+	want := []string{"http://localhost:8081", "https://10.0.0.2:8082"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("BaseURLs = %q, want %q", got, want)
+	}
+	if got := BaseURLs(""); len(got) != 0 {
+		t.Fatalf("BaseURLs(\"\") = %q, want none", got)
+	}
+}

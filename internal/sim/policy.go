@@ -14,17 +14,13 @@ import (
 // exceeds Trigger. Operators run exactly this loop — rebalancing has a
 // cost, so a farm within tolerance is left alone — and the experiment
 // suite uses it to show how much of the migration budget the trigger
-// saves at a small balance penalty.
+// saves at a small balance penalty. When the trigger fires it runs
+// incremental-scan M-PARTITION, whose ladder amortizes well across the
+// repeated nearby targets a drifting farm produces.
 type PolicyTriggered struct {
 	// Trigger is the imbalance factor above which a rebalance runs
 	// (default 1.3).
 	Trigger float64
-	// Inner is the policy invoked when the trigger fires; nil uses
-	// incremental-scan M-PARTITION, whose ladder amortizes well across
-	// the repeated nearby targets a drifting farm produces.
-	Inner Policy
-	// Obs threads solver instrumentation through every invocation.
-	Obs *obs.Sink
 }
 
 // Name implements Policy.
@@ -37,7 +33,7 @@ func (p PolicyTriggered) Name() string {
 }
 
 // Rebalance implements Policy.
-func (p PolicyTriggered) Rebalance(in *instance.Instance, k int) instance.Solution {
+func (p PolicyTriggered) Rebalance(in *instance.Instance, k int, sink *obs.Sink) instance.Solution {
 	trigger := p.Trigger
 	if trigger <= 1 {
 		trigger = 1.3
@@ -46,10 +42,7 @@ func (p PolicyTriggered) Rebalance(in *instance.Instance, k int) instance.Soluti
 	if avg <= 0 || float64(in.InitialMakespan()) <= trigger*avg {
 		return instance.NewSolution(in, in.Assign)
 	}
-	if p.Inner != nil {
-		return p.Inner.Rebalance(in, k)
-	}
 	// The background context never fires, so the error is always nil.
-	sol, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, p.Obs)
+	sol, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, sink)
 	return sol
 }

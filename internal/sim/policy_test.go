@@ -9,7 +9,7 @@ import (
 func TestTriggeredLeavesBalancedFarmAlone(t *testing.T) {
 	// Perfectly balanced: imbalance 1.0 < any trigger.
 	in := instance.MustNew(2, []int64{5, 5}, nil, []int{0, 1})
-	sol := PolicyTriggered{Trigger: 1.3}.Rebalance(in, 2)
+	sol := PolicyTriggered{Trigger: 1.3}.Rebalance(in, 2, nil)
 	if sol.Moves != 0 {
 		t.Fatalf("moved %d jobs on a balanced farm", sol.Moves)
 	}
@@ -18,7 +18,7 @@ func TestTriggeredLeavesBalancedFarmAlone(t *testing.T) {
 func TestTriggeredFiresAboveThreshold(t *testing.T) {
 	// One-hot: imbalance = m = 2 > 1.3.
 	in := instance.MustNew(2, []int64{5, 5}, nil, []int{0, 0})
-	sol := PolicyTriggered{Trigger: 1.3}.Rebalance(in, 2)
+	sol := PolicyTriggered{Trigger: 1.3}.Rebalance(in, 2, nil)
 	if sol.Moves == 0 {
 		t.Fatal("did not fire on a one-hot farm")
 	}
@@ -43,7 +43,7 @@ func TestTriggeredSavesMovesInSimulation(t *testing.T) {
 		Sites: 80, Servers: 6, Steps: 120, RebalanceEvery: 3,
 		MovesPerRound: 6, FlashProb: 0.3, FlashFactor: 15, Seed: 17,
 	}
-	always, err := Run(cfg, PolicyMPartition{})
+	always, err := Run(cfg, PolicyEngine{Solver: "mpartition"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,10 @@ import (
 )
 
 // Policy produces a bounded-move rebalancing of the current assignment.
+// Run passes its Config.Obs as sink; nil disables instrumentation.
 type Policy interface {
 	Name() string
-	Rebalance(in *instance.Instance, k int) instance.Solution
+	Rebalance(in *instance.Instance, k int, sink *obs.Sink) instance.Solution
 }
 
 // PolicyNone never moves a site (the do-nothing baseline).
@@ -33,69 +34,44 @@ type PolicyNone struct{}
 func (PolicyNone) Name() string { return "none" }
 
 // Rebalance implements Policy.
-func (PolicyNone) Rebalance(in *instance.Instance, _ int) instance.Solution {
+func (PolicyNone) Rebalance(in *instance.Instance, _ int, _ *obs.Sink) instance.Solution {
 	return instance.NewSolution(in, in.Assign)
 }
 
 // PolicyEngine runs any registered engine solver (by name) each round,
 // so a simulation can exercise every k-capable algorithm the registry
-// knows without sim-specific wiring. A solve failure (unknown name, or
-// a solver error) leaves the assignment unchanged for that round —
+// knows — §2 GREEDY as "greedy", §3.1 M-PARTITION as "mpartition" —
+// without sim-specific wiring. A solve failure (unknown name, or a
+// solver error) leaves the assignment unchanged for that round —
 // operationally, a rebalancer that fails leaves the farm as it is.
 type PolicyEngine struct {
 	// Solver is the engine registry name ("greedy", "mpartition", …).
 	Solver string
-	// Obs threads solver instrumentation through every invocation.
-	Obs *obs.Sink
 }
 
 // Name implements Policy.
 func (p PolicyEngine) Name() string { return p.Solver }
 
 // Rebalance implements Policy.
-func (p PolicyEngine) Rebalance(in *instance.Instance, k int) instance.Solution {
-	sol, err := engine.Solve(context.Background(), p.Solver, in, engine.Params{K: k, Obs: p.Obs})
+func (p PolicyEngine) Rebalance(in *instance.Instance, k int, sink *obs.Sink) instance.Solution {
+	sol, err := engine.Solve(context.Background(), p.Solver, in, engine.Params{K: k, Obs: sink})
 	if err != nil {
 		return instance.NewSolution(in, in.Assign)
 	}
 	return sol
 }
 
-// PolicyGreedy applies the §2 GREEDY algorithm each round. A non-nil
-// Obs threads solver instrumentation through every invocation.
-type PolicyGreedy struct{ Obs *obs.Sink }
-
-// Name implements Policy.
-func (PolicyGreedy) Name() string { return "greedy" }
-
-// Rebalance implements Policy.
-func (p PolicyGreedy) Rebalance(in *instance.Instance, k int) instance.Solution {
-	return PolicyEngine{Solver: "greedy", Obs: p.Obs}.Rebalance(in, k)
-}
-
-// PolicyMPartition applies the §3.1 M-PARTITION algorithm each round.
-// A non-nil Obs threads solver instrumentation through every invocation.
-type PolicyMPartition struct{ Obs *obs.Sink }
-
-// Name implements Policy.
-func (PolicyMPartition) Name() string { return "mpartition" }
-
-// Rebalance implements Policy.
-func (p PolicyMPartition) Rebalance(in *instance.Instance, k int) instance.Solution {
-	return PolicyEngine{Solver: "mpartition", Obs: p.Obs}.Rebalance(in, k)
-}
-
 // PolicyFull repacks every site from scratch each round (GREEDY with an
 // unlimited move budget, i.e. an LPT repack) — the upper envelope on
 // achievable balance, at maximal migration cost.
-type PolicyFull struct{ Obs *obs.Sink }
+type PolicyFull struct{}
 
 // Name implements Policy.
 func (PolicyFull) Name() string { return "full" }
 
 // Rebalance implements Policy.
-func (p PolicyFull) Rebalance(in *instance.Instance, _ int) instance.Solution {
-	return greedy.Rebalance(in, in.N(), greedy.OrderLargestFirst, p.Obs)
+func (PolicyFull) Rebalance(in *instance.Instance, _ int, sink *obs.Sink) instance.Solution {
+	return greedy.Rebalance(in, in.N(), greedy.OrderLargestFirst, sink)
 }
 
 // Config describes a farm simulation.
@@ -111,8 +87,9 @@ type Config struct {
 	MaxLoad        int64   // per-site load cap (default 1e6)
 	Seed           uint64
 	// Obs receives per-round trace events (round: step, makespan, moves,
-	// policy latency) and the sim.* metrics; nil disables instrumentation.
-	// The traffic trace itself is unaffected, so runs stay reproducible.
+	// policy latency), the sim.* metrics and the policy's solver
+	// instrumentation; nil disables instrumentation. The traffic trace
+	// itself is unaffected, so runs stay reproducible.
 	Obs *obs.Sink
 }
 
@@ -197,7 +174,7 @@ func Run(cfg Config, policy Policy) (Metrics, error) {
 			if cfg.Obs != nil {
 				start = time.Now()
 			}
-			sol := policy.Rebalance(in, cfg.MovesPerRound)
+			sol := policy.Rebalance(in, cfg.MovesPerRound, cfg.Obs)
 			if cfg.Obs != nil {
 				policyNs = time.Since(start).Nanoseconds()
 			}

@@ -48,7 +48,7 @@ func TestRebalancingImprovesPeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp, err := Run(cfg(seed), PolicyMPartition{})
+		mp, err := Run(cfg(seed), PolicyEngine{Solver: "mpartition"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestRebalancingImprovesPeak(t *testing.T) {
 
 func TestFullIsAtLeastAsBalancedAsBudgeted(t *testing.T) {
 	c := cfg(7)
-	budgeted, err := Run(c, PolicyMPartition{})
+	budgeted, err := Run(c, PolicyEngine{Solver: "mpartition"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFullIsAtLeastAsBalancedAsBudgeted(t *testing.T) {
 }
 
 func TestGreedyPolicyRuns(t *testing.T) {
-	m, err := Run(cfg(9), PolicyGreedy{})
+	m, err := Run(cfg(9), PolicyEngine{Solver: "greedy"})
 	if err != nil {
 		t.Fatal(err)
 	}
