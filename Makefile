@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race race-fast vet bench bench-json bench-diff bench-profile serve loadtest lint-metrics metrics-smoke sim-validate hypotheses hypotheses-check fuzz-short perfbench-smoke ci check clean
+.PHONY: build test short race race-fast vet bench bench-json bench-diff bench-miss bench-profile serve loadtest lint-metrics metrics-smoke sim-validate hypotheses hypotheses-check fuzz-short perfbench-smoke ci check clean
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,17 @@ BENCH_TOLERANCE ?= 0.20
 BENCH_GATE_RE = ^(BenchmarkCalibration|BenchmarkE2PartitionRatio|BenchmarkE3Scaling|BenchmarkE4PTAS|BenchmarkE11Ablation|BenchmarkServerSolveHit|BenchmarkServerSolveMiss|BenchmarkServerBatch|BenchmarkSessionDelta|BenchmarkSessionColdResolve)$$
 bench-diff:
 	$(GO) test -bench='$(BENCH_GATE_RE)' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) -run=^$$ . ./internal/server ./internal/session | $(GO) run ./cmd/benchdiff -baseline BENCH.json -tolerance $(BENCH_TOLERANCE)
+
+# bench-miss runs the layer benchmarks of a cold miss five times each:
+# the strict decode of the 63 KiB cold-solve body, its canonical key,
+# the BinarySearch M-PARTITION behind it, and a whole miss through the
+# handler. Compare two commits by running it on each, alternating. It
+# gates nothing: BENCH.json holds no baseline for these names.
+bench-miss:
+	$(GO) test -run '^$$' -bench '^BenchmarkDecodeSolve$$/^strict$$' -benchmem -count 5 ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkCanonicalize$$/^n=2000$$/^pooled$$' -benchmem -count 5 ./internal/cache
+	$(GO) test -run '^$$' -bench '^BenchmarkMPartitionCold$$' -benchmem -count 5 ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkServerSolveMiss$$' -benchmem -count 5 ./internal/server
 
 # bench-profile captures CPU and allocation profiles for the serving mix
 # benchmark (the loadgen-shaped 70/30 hit/miss traffic); inspect with

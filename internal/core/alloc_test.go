@@ -1,10 +1,11 @@
 package core
 
 // Allocation guards for the PARTITION kernels: with a warmed solver and
-// no sink, the probe, the light search wrapper, and the threshold
-// ladder must not touch the heap. These pin the zero-alloc contract the
-// flat rewrite exists for; any append that escapes scratch reuse or
-// closure that slips into a hot loop fails here, not in a profile.
+// no sink, the probe, the light search wrapper, the count probe and the
+// threshold ladder must not touch the heap. These pin the zero-alloc
+// contract the flat rewrite exists for; any append that escapes scratch
+// reuse or closure that slips into a hot loop fails here, not in a
+// profile.
 
 import (
 	"testing"
@@ -61,6 +62,19 @@ func TestRunLightZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("runLight allocates %.1f per target sweep, want 0", n)
+	}
+}
+
+func TestProbeCountZeroAllocs(t *testing.T) {
+	in := allocGuardInstance()
+	s := newSolver(in, nil)
+	targets := guardTargets(in)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, v := range targets {
+			s.runCount(v)
+		}
+	}); n != 0 {
+		t.Fatalf("runCount allocates %.1f per target sweep, want 0", n)
 	}
 }
 

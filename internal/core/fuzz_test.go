@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/instance"
+	"repro/internal/obs"
 	"repro/internal/verify"
 )
 
@@ -30,7 +33,8 @@ func fuzzInstance(mRaw uint8, raw []byte) *instance.Instance {
 // FuzzMPartitionInvariants checks on arbitrary inputs that M-PARTITION
 // (both search modes) returns a verified assignment within the move
 // budget, never worse than the initial makespan, and at least the
-// packing lower bound.
+// packing lower bound; and that a traced binary search, which also runs
+// the full probe at every rung, returns the untraced solution.
 func FuzzMPartitionInvariants(f *testing.F) {
 	f.Add(uint8(3), uint8(2), []byte{5, 9, 2, 200, 17})
 	f.Add(uint8(1), uint8(0), []byte{255})
@@ -49,6 +53,14 @@ func FuzzMPartitionInvariants(f *testing.F) {
 			}
 			if sol.Makespan < in.LowerBound() {
 				t.Fatalf("mode %d: %d below lower bound %d", mode, sol.Makespan, in.LowerBound())
+			}
+			if mode != BinarySearch {
+				continue
+			}
+			traced, _ := MPartition(context.Background(), in, k, mode, obs.NewTracing(obs.NewJSONL(io.Discard)))
+			if !slices.Equal(traced.Assign, sol.Assign) || traced.Makespan != sol.Makespan || traced.Moves != sol.Moves {
+				t.Fatalf("traced binary search %d/%d moves %v, untraced %d/%d moves %v",
+					traced.Makespan, traced.Moves, traced.Assign, sol.Makespan, sol.Moves, sol.Assign)
 			}
 		}
 	})

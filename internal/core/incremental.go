@@ -75,65 +75,7 @@ func (ic *incrementalScan) reset() {
 // refresh recomputes processor p's state for threshold v in O(log n_p)
 // via binary searches over the row prefix sums.
 func (ic *incrementalScan) refresh(p int, v int64) {
-	s := ic.s
-	row := s.csr.Row(p)
-	sizes := s.flat.Sizes
-	n := len(row)
-
-	// Large jobs are the prefix with 2·size > v: find the first index
-	// whose doubled size is ≤ v (sizes decrease along the row).
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if 2*sizes[row[mid]] <= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	t := lo
-
-	// b_p: smallest q with total − prefix[q] ≤ v (strip largest first;
-	// the retained large job is the largest, matching prefix order).
-	// b counts removals from the post-Step-1 configuration, whose load
-	// is total − (extra large jobs); the extras are jobs row[0..t-2]
-	// when t ≥ 1 — the paper's b_i applies after Step 1, so strip the
-	// extra-large prefix sum first.
-	var extra int64
-	base := 0
-	if t >= 1 {
-		extra = s.rowPrefixSum(p, t-1) // sizes of all large jobs except the smallest
-		base = t - 1
-	}
-	total := s.rowTotal(p)
-	adjTotal := total - extra
-	baseSum := s.rowPrefixSum(p, base)
-	// Removal order after Step 1: the kept large (index t−1), then the
-	// smalls (indices ≥ t). Removing q jobs removes prefix[base+q] −
-	// prefix[base] of load.
-	lo, hi = 0, n-base
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if adjTotal-(s.rowPrefixSum(p, base+mid)-baseSum) <= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	b := lo
-
-	// a_p: smallest r with 2·(smallTotal − topSmallSum_r) ≤ v, i.e.
-	// smallest q ≥ t with 2·(total − prefix[q]) ≤ v, minus t.
-	lo, hi = 0, n-t
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if 2*(total-s.rowPrefixSum(p, t+mid)) <= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	a := lo
+	t, a, b := ic.s.rowCounts(p, v)
 
 	// Apply the diffs to the aggregates.
 	oldLarge := int(ic.largeCnt[p])

@@ -17,6 +17,8 @@ const (
 	// correct without monotonicity assumptions: on termination the value
 	// below the returned target is infeasible, and every value ≥ OPT is
 	// feasible (the paper's Lemma 4), so the returned target is ≤ OPT.
+	// Each rung is a count probe, O(m log n); PARTITION runs in full
+	// once, at the accepted target.
 	BinarySearch SearchMode = iota
 	// ThresholdScan walks the paper's discrete threshold ladder (all
 	// values at which L_T, any a_i or any b_i can change) upward from
@@ -74,28 +76,18 @@ func runMPartition(ctx context.Context, s *solver, ic *incrementalScan, k int, m
 		return sol, nil
 	}
 
-	lo := in.LowerBound()
-	hi := in.InitialMakespan()
+	lo, initial := in.LowerBound(), in.InitialMakespan()
+	hi := initial
 	if lo >= hi {
 		// The initial assignment is already optimal.
 		return finish(instance.NewSolution(in, in.Assign), hi)
 	}
 
-	// Every search mode drives zero-alloc light probes; the accepted
-	// probe's assignment is snapshotted into s.bestAssign and only the
-	// final winner is materialized into an escaping Solution.
-	var bestTarget, bestMakespan int64
+	// Every search mode leaves the accepted target's PARTITION run as
+	// the solver's last full probe, so its assignment is materialized
+	// straight from s.assign.
+	var best int64
 	found := false
-	accept := func(target int64) {
-		found = true
-		bestTarget, bestMakespan = target, s.probeMakespan
-		s.bestAssign = instance.GrowSlice(s.bestAssign, len(s.assign))
-		copy(s.bestAssign, s.assign)
-	}
-	probe := func(v int64) bool {
-		return s.runLight(v) && s.lastRemovals <= k
-	}
-
 	switch mode {
 	case ThresholdScan:
 		s.ladderBuf = s.ladder(lo, hi, s.ladderBuf)
@@ -104,8 +96,8 @@ func runMPartition(ctx context.Context, s *solver, ic *incrementalScan, k int, m
 			if err := ctx.Err(); err != nil {
 				return instance.Solution{}, err
 			}
-			if probe(v) {
-				accept(v)
+			if s.runLight(v) && s.lastRemovals <= k {
+				best, found = v, true
 				break
 			}
 		}
@@ -113,20 +105,19 @@ func runMPartition(ctx context.Context, s *solver, ic *incrementalScan, k int, m
 		if ic == nil {
 			ic = newIncrementalScan(s)
 		}
-		target, ok, err := ic.scan(ctx, k)
-		if err != nil {
+		var err error
+		if best, found, err = ic.scan(ctx, k); err != nil {
 			return instance.Solution{}, err
 		}
-		if ok {
-			// The accepted rung's full PARTITION run was the last probe,
-			// so the solver still holds its assignment.
-			accept(target)
-		}
 	default:
-		// Invariant: hi is feasible (if it is — verified below), and
-		// whenever lo is raised the value below it was infeasible.
+		// Count probes decide every rung. Invariant: hi is feasible (if
+		// it is — verified below), and whenever lo is raised the value
+		// below it was infeasible.
+		probe := func(v int64) bool {
+			return s.runCount(v) && s.lastRemovals <= k
+		}
 		if probe(hi) {
-			accept(hi)
+			best, found = hi, true
 			for lo < hi {
 				// Cancellation point: one probe per bisection step.
 				if err := ctx.Err(); err != nil {
@@ -134,24 +125,26 @@ func runMPartition(ctx context.Context, s *solver, ic *incrementalScan, k int, m
 				}
 				mid := lo + (hi-lo)/2
 				if probe(mid) {
-					accept(mid)
+					best, found = mid, true
 					hi = mid
 				} else {
 					lo = mid + 1
 				}
 			}
+			// PARTITION runs once, in full, at the accepted target. Its
+			// rung already reported to the sink, so this run is silent.
+			sink := s.sink
+			s.sink = nil
+			found = s.probeFlat(best)
+			s.sink = sink
 		}
 	}
-	if !found {
-		// Defensive: with k ≥ 0 the initial makespan is always reachable
-		// with zero moves.
+	// Defensive: with k ≥ 0 the initial makespan is always reachable
+	// with zero moves. Never return something worse than doing nothing.
+	if !found || s.probeMakespan >= initial {
 		return finish(instance.NewSolution(in, in.Assign), 0)
 	}
-	// Never return something worse than doing nothing.
-	if bestMakespan >= in.InitialMakespan() {
-		return finish(instance.NewSolution(in, in.Assign), 0)
-	}
-	return finish(s.materialize(s.bestAssign), bestTarget)
+	return finish(s.materialize(s.assign), best)
 }
 
 // String names the search mode for trace events.

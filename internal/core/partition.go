@@ -51,10 +51,10 @@ type Result struct {
 //
 // A solver also owns all per-probe scratch, so repeated probes (the
 // bisection and incremental-scan loops) run with zero steady-state heap
-// allocations: probeFlat touches only the flat arrays below, and the
-// parts of Result that escape to the caller (Selected, the Solution's
-// copied assignment) are materialized only by run(), once per accepted
-// target on the search paths. A solver is confined to a single
+// allocations: probeFlat and probeCount touch only the flat arrays
+// below, and the parts of Result that escape to the caller (Selected,
+// the Solution's copied assignment) are materialized once, by run() or
+// at a search's accepted target. A solver is confined to a single
 // goroutine; the parallel surfaces build one solver per M-PARTITION
 // call, so the scratch is never shared.
 type solver struct {
@@ -98,9 +98,8 @@ type solver struct {
 	probeMakespan  int64
 
 	// Search scratch (MPartition).
-	bestAssign []int32
-	assignInt  []int
-	ladderBuf  []int64
+	assignInt []int
+	ladderBuf []int64
 }
 
 func newSolver(in *instance.Instance, sink *obs.Sink) *solver {
@@ -151,6 +150,72 @@ func (s *solver) rowTotal(p int) int64 {
 	return s.rowPrefixSum(p, int(s.csr.Start[p+1]-s.csr.Start[p]))
 }
 
+// rowCounts returns processor p's PARTITION counts at target v in
+// O(log n_p), by binary searches over the size-ordered row and its
+// prefix sums: t, its number of large jobs, and the Step 2 removal
+// counts a_p and b_p. The count probe and the incremental scan both
+// read PARTITION's per-processor state from here.
+func (s *solver) rowCounts(p int, v int64) (t, a, b int) {
+	row := s.csr.Row(p)
+	sizes := s.flat.Sizes
+	n := len(row)
+
+	// Large jobs are the prefix with 2·size > v: find the first index
+	// whose doubled size is ≤ v (sizes decrease along the row).
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if 2*sizes[row[mid]] <= v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	t = lo
+
+	// b_p: smallest q with total − prefix[q] ≤ v (strip largest first;
+	// the retained large job is the largest, matching prefix order).
+	// b counts removals from the post-Step-1 configuration, whose load
+	// is total − (extra large jobs); the extras are jobs row[0..t-2]
+	// when t ≥ 1 — the paper's b_i applies after Step 1, so strip the
+	// extra-large prefix sum first.
+	var extra int64
+	base := 0
+	if t >= 1 {
+		extra = s.rowPrefixSum(p, t-1) // sizes of all large jobs except the smallest
+		base = t - 1
+	}
+	total := s.rowTotal(p)
+	adjTotal := total - extra
+	baseSum := s.rowPrefixSum(p, base)
+	// Removal order after Step 1: the kept large (index t−1), then the
+	// smalls (indices ≥ t). Removing q jobs removes prefix[base+q] −
+	// prefix[base] of load.
+	lo, hi = 0, n-base
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if adjTotal-(s.rowPrefixSum(p, base+mid)-baseSum) <= v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	b = lo
+
+	// a_p: smallest r with 2·(smallTotal − topSmallSum_r) ≤ v, i.e.
+	// smallest q ≥ t with 2·(total − prefix[q]) ≤ v, minus t.
+	lo, hi = 0, n-t
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if 2*(total-s.rowPrefixSum(p, t+mid)) <= v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return t, lo, b
+}
+
 // Partition runs the §3 PARTITION algorithm against target value target
 // (the guessed optimal makespan). The produced solution has makespan at
 // most 1.5·target whenever target is at least the true optimum, and its
@@ -192,11 +257,35 @@ func (s *solver) runLight(target int64) bool {
 	if s.sink == nil {
 		return s.probeFlat(target)
 	}
-	s.probes.Inc()
 	if s.sink.Tracing() {
 		s.sink.Emit("probe_start", obs.Fields{"target": target})
 	}
 	ok := s.probeFlat(target)
+	s.record(target, ok)
+	return ok
+}
+
+// runCount is one BinarySearch rung: probeCount decides it and feeds
+// the counters. A tracing sink still gets the rung's full event
+// stream: probeFlat runs first, only to emit its removal events and
+// the makespan that probe_result reports.
+func (s *solver) runCount(target int64) bool {
+	if s.sink == nil {
+		return s.probeCount(target)
+	}
+	if s.sink.Tracing() {
+		s.sink.Emit("probe_start", obs.Fields{"target": target})
+		s.probeFlat(target)
+	}
+	ok := s.probeCount(target)
+	s.record(target, ok)
+	return ok
+}
+
+// record updates the per-probe counters for one probe's outcome and
+// emits its probe_result event.
+func (s *solver) record(target int64, ok bool) {
+	s.probes.Inc()
 	if ok {
 		s.probesOK.Inc()
 		s.removalsTotal.Add(int64(s.lastRemovals))
@@ -212,7 +301,6 @@ func (s *solver) runLight(target int64) bool {
 		}
 		s.sink.Emit("probe_result", f)
 	}
-	return ok
 }
 
 // materialize converts a kernel assignment into an escaping Solution
@@ -321,12 +409,7 @@ func (s *solver) probeFlat(target int64) bool {
 	// Step 3: pick the L_T processors with the smallest c_i, preferring
 	// large-holding processors on ties, and strip their a_i largest
 	// small jobs.
-	order := s.order
-	for p := range order {
-		order[p] = int32(p)
-	}
-	s.orderSorter = procCSorter{order: order, c: s.cArr, largeCnt: s.largeCnt}
-	sort.Sort(&s.orderSorter)
+	order := s.sortByC()
 	selected := s.selected
 	for p := range selected {
 		selected[p] = false
@@ -447,6 +530,64 @@ func (s *solver) probeFlat(target int64) bool {
 	s.probeMakespan = max
 	s.lastRemovals = removals
 	return true
+}
+
+// probeCount decides PARTITION at target without running it: the
+// feasibility and the removal count probeFlat would report, from
+// rowCounts for every processor and one sort of the m values of c_i —
+// O(m log n) against probeFlat's O(n). The counts go to the last*
+// fields; s.assign and s.probeMakespan are left alone.
+func (s *solver) probeCount(target int64) bool {
+	f := &s.flat
+	m := f.M
+	if target < f.Max || target*int64(m) < f.Total {
+		return false
+	}
+	totalLarge, extra := 0, 0
+	for p := 0; p < m; p++ {
+		t, a, b := s.rowCounts(p, target)
+		s.largeCnt[p], s.aArr[p], s.bArr[p], s.cArr[p] = int32(t), int32(a), int32(b), int32(a-b)
+		totalLarge += t
+		if t > 1 {
+			extra += t - 1 // Step 1 keeps one large job per processor
+		}
+	}
+	if totalLarge > m {
+		return false
+	}
+	// Step 3 strips a_i from the L_T processors first in c order, Step 4
+	// b_i from the rest; each displaced large job (Steps 1 and 4) needs
+	// a large-free selected processor, as probeFlat's Step 5 checks.
+	removals, displaced, free := extra, extra, 0
+	for i, p := range s.sortByC() {
+		if i < totalLarge {
+			removals += int(s.aArr[p])
+			if s.largeCnt[p] == 0 {
+				free++
+			}
+		} else {
+			removals += int(s.bArr[p])
+			if s.largeCnt[p] > 0 && s.bArr[p] > 0 {
+				displaced++
+			}
+		}
+	}
+	if displaced > free {
+		return false
+	}
+	s.lastRemovals, s.lastLargeTotal, s.lastLargeExtra = removals, totalLarge, extra
+	return true
+}
+
+// sortByC orders the processors for the Step 3 selection over the
+// current largeCnt and cArr, into s.order, and returns it.
+func (s *solver) sortByC() []int32 {
+	for p := range s.order {
+		s.order[p] = int32(p)
+	}
+	s.orderSorter = procCSorter{order: s.order, c: s.cArr, largeCnt: s.largeCnt}
+	sort.Sort(&s.orderSorter)
+	return s.order
 }
 
 // procCSorter orders processor indices by increasing c_i, preferring

@@ -215,3 +215,47 @@ func TestMPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProbeCountMatchesProbeFlat is the count probe's differential
+// test: at every target in [lo−2, hi+2], probeCount must report the
+// feasibility, removal count and large-job counts that the full
+// PARTITION run reports. The shapes are the cold-solve and hot-fleet
+// serving instances and small uniform ones whose many equal sizes put
+// ties on every rung.
+func TestProbeCountMatchesProbeFlat(t *testing.T) {
+	var cases []*instance.Instance
+	for seed := uint64(0); seed < 2; seed++ {
+		cases = append(cases,
+			workload.Generate(workload.Config{
+				N: 2000, M: 16, MaxSize: 1000, Sizes: workload.SizeZipf,
+				Placement: workload.PlaceSkewed, Costs: workload.CostUnit, Seed: seed,
+			}),
+			workload.Generate(workload.Config{
+				N: 200, M: 8, MaxSize: 1000, Sizes: workload.SizeZipf,
+				Placement: workload.PlaceSkewed, Costs: workload.CostUnit, Seed: seed,
+			}))
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		cases = append(cases, workload.Generate(workload.Config{
+			N: 10 + int(seed), M: 2 + int(seed%5), MaxSize: 6,
+			Sizes: workload.SizeUniform, Placement: workload.PlaceSkewed, Seed: seed,
+		}))
+	}
+	for i, in := range cases {
+		full, count := newSolver(in, nil), newSolver(in, nil)
+		for v := in.LowerBound() - 2; v <= in.InitialMakespan()+2; v++ {
+			ok := full.probeFlat(v)
+			if got := count.probeCount(v); got != ok {
+				t.Fatalf("case %d (n=%d m=%d) target %d: probeCount feasible=%v, probeFlat %v", i, in.N(), in.M, v, got, ok)
+			}
+			if !ok {
+				continue
+			}
+			if full.lastRemovals != count.lastRemovals || full.lastLargeTotal != count.lastLargeTotal || full.lastLargeExtra != count.lastLargeExtra {
+				t.Fatalf("case %d target %d: count (removals %d, L_T %d, L_E %d), full (%d, %d, %d)", i, v,
+					count.lastRemovals, count.lastLargeTotal, count.lastLargeExtra,
+					full.lastRemovals, full.lastLargeTotal, full.lastLargeExtra)
+			}
+		}
+	}
+}

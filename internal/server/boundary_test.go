@@ -1,7 +1,7 @@
 package server
 
 import (
-	"go/parser"
+	goparser "go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -32,7 +32,7 @@ func TestServerImportBoundary(t *testing.T) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(".", name), nil, parser.ImportsOnly)
+		f, err := goparser.ParseFile(fset, filepath.Join(".", name), nil, goparser.ImportsOnly)
 		if err != nil {
 			t.Fatalf("parse %s: %v", name, err)
 		}

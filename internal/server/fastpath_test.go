@@ -29,7 +29,7 @@ import (
 func TestFastDecodeMatchesEncodingJSON(t *testing.T) {
 	for _, body := range servertest.FastDecodeCorpus() {
 		var fast SolveRequest
-		solver, ok := fastDecodeSolve([]byte(body), &fast)
+		solver, ok := decodeStrict([]byte(body), &fast)
 		if !ok {
 			continue // rejected: the slow path owns it
 		}
@@ -64,7 +64,7 @@ func TestFastDecodeMatchesEncodingJSONRandom(t *testing.T) {
 			`{"solver":"greedy","instance":{"m":2,"jobs":[{"id":0,"size":%d}],"assign":[%d]},"k":%d,"eps":%s}`,
 			1+rng.Int63n(1<<40), rng.Intn(2), rng.Int63n(1<<33)-1<<32, eps)
 		var fast SolveRequest
-		solver, ok := fastDecodeSolve([]byte(body), &fast)
+		solver, ok := decodeStrict([]byte(body), &fast)
 		if !ok {
 			t.Fatalf("fast decoder rejected canonical body: %s", body)
 		}

@@ -12,6 +12,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/engine"
+	"repro/internal/server/servertest"
 	"repro/internal/verify"
 )
 
@@ -62,7 +63,9 @@ var fuzzStatuses = map[int]bool{
 // served before admission (queue_ns 0), with the first answer's
 // assignment, makespan and moves — whichever decoder read the body, so
 // the committed corpus carries a solver name only the encoding/json
-// fallback reads (seed-escaped-solver).
+// fallback reads (seed-escaped-solver). The strict decoder's corpus
+// seeds it too, so every way out of its literal path is served end to
+// end.
 func FuzzServerSolve(f *testing.F) {
 	f.Add([]byte(`{"solver":"greedy","k":2,"instance":{"m":2,"jobs":[{"size":5},{"size":4},{"size":3}],"assign":[0,0,0]}}`), "")
 	f.Add([]byte(`{"solver":"exact-budget","budget":3,"instance":{"m":2,"jobs":[{"size":5,"cost":1},{"size":4,"cost":2}],"assign":[0,0]}}`), "")
@@ -77,6 +80,9 @@ func FuzzServerSolve(f *testing.F) {
 	f.Add([]byte(`{"solver":"greedy","k":1,"instance":{"m":3,"jobs":[{"size":1},{"size":1}],"assign":[0,9]}}`), "")
 	// m far past the processor bound: a 400, not per-processor state.
 	f.Add([]byte(`{"solver":"mpartition","k":1,"instance":{"m":1099511627776,"jobs":[{"size":5},{"size":3}],"assign":[0,1]}}`), "")
+	for _, body := range servertest.FastDecodeCorpus() {
+		f.Add([]byte(body), "")
+	}
 	f.Add(hitBody, `say "hi"`)
 	f.Add(hitBody, `<script>&amp;</script>`)
 	f.Add(hitBody, "line\u2028sep\u2029")
