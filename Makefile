@@ -61,19 +61,22 @@ bench-json:
 BENCHTIME ?= 1s
 BENCH_COUNT ?= 5
 BENCH_TOLERANCE ?= 0.20
-BENCH_GATE_RE = ^(BenchmarkCalibration|BenchmarkE2PartitionRatio|BenchmarkE3Scaling|BenchmarkE4PTAS|BenchmarkE11Ablation|BenchmarkServerSolveHit|BenchmarkServerSolveMiss|BenchmarkServerBatch|BenchmarkSessionDelta|BenchmarkSessionColdResolve)$$
+BENCH_GATE_RE = ^(BenchmarkCalibration|BenchmarkE2PartitionRatio|BenchmarkE3Scaling|BenchmarkE4PTAS|BenchmarkE11Ablation|BenchmarkE12Frontier|BenchmarkE15AdversaryHunt|BenchmarkServerSolveHit|BenchmarkServerSolveMiss|BenchmarkServerBatch|BenchmarkSessionDelta|BenchmarkSessionColdResolve)$$
 bench-diff:
 	$(GO) test -bench='$(BENCH_GATE_RE)' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) -run=^$$ . ./internal/server ./internal/session | $(GO) run ./cmd/benchdiff -baseline BENCH.json -tolerance $(BENCH_TOLERANCE)
 
 # bench-miss runs the layer benchmarks of a cold miss five times each:
 # the strict decode of the 63 KiB cold-solve body, its canonical key,
-# the BinarySearch M-PARTITION behind it, and a whole miss through the
-# handler. Compare two commits by running it on each, alternating. It
-# gates nothing: BENCH.json holds no baseline for these names.
+# the BinarySearch M-PARTITION behind it, a whole miss of that body
+# through the handler, and a whole miss of an 8-job body (the
+# handler's fixed overhead). Compare two commits by running it on
+# each, alternating. It gates nothing: BENCH.json holds no baseline
+# for these names.
 bench-miss:
 	$(GO) test -run '^$$' -bench '^BenchmarkDecodeSolve$$/^strict$$' -benchmem -count 5 ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkCanonicalize$$/^n=2000$$/^pooled$$' -benchmem -count 5 ./internal/cache
 	$(GO) test -run '^$$' -bench '^BenchmarkMPartitionCold$$' -benchmem -count 5 ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkServerSolveMissCold$$' -benchmem -count 5 ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkServerSolveMiss$$' -benchmem -count 5 ./internal/server
 
 # bench-profile captures CPU and allocation profiles for the serving mix

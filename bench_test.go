@@ -362,7 +362,7 @@ func BenchmarkE14Scheduling(b *testing.B) {
 	})
 	b.Run("mpartition-kn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.MPartition(context.Background(), in, in.N(), core.IncrementalScan, nil)
+			core.MPartition(context.Background(), in, in.N(), core.BinarySearch, nil)
 		}
 	})
 }

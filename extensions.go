@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/conflict"
 	"repro/internal/constrained"
-	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gap"
 	"repro/internal/hardness"
@@ -15,27 +14,8 @@ import (
 
 // Extensions beyond the core k-move / budget solvers: the §5 problem
 // variants with their reduction gadgets, the Lemma 4 bicriteria result,
-// the M-PARTITION ablation switch, and an online balancer for the
-// dynamic setting the paper's introduction motivates.
-
-// SearchMode selects how M-PARTITION locates its target value; see the
-// DESIGN.md §4 discussion of the two §3.1 strategies.
-type SearchMode = core.SearchMode
-
-// M-PARTITION search strategies.
-const (
-	BinarySearch    = core.BinarySearch
-	ThresholdScan   = core.ThresholdScan
-	IncrementalScan = core.IncrementalScan
-)
-
-// PartitionWithMode is Partition with an explicit §3.1 search strategy
-// (BinarySearch is the default used by Partition).
-func PartitionWithMode(in *Instance, k int, mode SearchMode) Solution {
-	// The background context never fires, so the error is always nil.
-	sol, _ := core.MPartition(context.Background(), in, k, mode, nil)
-	return sol
-}
+// and an online balancer for the dynamic setting the paper's
+// introduction motivates.
 
 // MoveMinimization
 

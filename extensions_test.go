@@ -38,18 +38,6 @@ func TestTightInstancesAPI(t *testing.T) {
 	}
 }
 
-func TestPartitionWithModeAgree(t *testing.T) {
-	in := Generate(WorkloadConfig{N: 40, M: 4, Seed: 8, Placement: PlaceSkewed})
-	a := PartitionWithMode(in, 5, BinarySearch)
-	b := PartitionWithMode(in, 5, ThresholdScan)
-	if err := CheckMoves(in, a, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckMoves(in, b, 5); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMinMovesAPI(t *testing.T) {
 	in := MustNew(2, []int64{3, 3, 3}, nil, []int{0, 0, 0})
 	k, sol, err := MinMoves(in, 6)

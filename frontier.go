@@ -52,16 +52,17 @@ func DefaultFrontierKs(n int) []int {
 }
 
 // Frontier computes the paper's central tradeoff — the best achievable
-// makespan as the move budget k varies — by running incremental-scan
-// M-PARTITION at each requested budget on the internal/par pool (each
-// run is independent and read-only on the instance). Results are
-// returned in the order of ks regardless of scheduling. When ctx fires,
+// makespan as the move budget k varies — by running M-PARTITION (the
+// count-probe bisection every solve uses) at each requested budget on
+// the internal/par pool (each run is independent and read-only on the
+// instance). Results are returned in the order of ks regardless of
+// scheduling. When ctx fires,
 // in-flight runs are interrupted mid-search, pending budgets are
 // skipped, and ctx.Err() is returned with nil points.
 func Frontier(ctx context.Context, in *Instance, ks []int, opts FrontierOptions) ([]FrontierPoint, error) {
 	points := make([]FrontierPoint, len(ks))
 	err := par.Do(ctx, len(ks), opts.Workers, func(i int) error {
-		sol, err := core.MPartition(ctx, in, ks[i], core.IncrementalScan, opts.Obs)
+		sol, err := core.MPartition(ctx, in, ks[i], core.BinarySearch, opts.Obs)
 		if err != nil {
 			return err
 		}

@@ -76,7 +76,7 @@ func TestFrontierMatchesSequentialRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range ks {
-		seq := PartitionWithMode(in, k, IncrementalScan)
+		seq := Partition(in, k)
 		if pts[i].Makespan != seq.Makespan || pts[i].Moves != seq.Moves {
 			t.Fatalf("k=%d: parallel (%d,%d) != sequential (%d,%d)",
 				k, pts[i].Makespan, pts[i].Moves, seq.Makespan, seq.Moves)

@@ -26,14 +26,8 @@ func TestDifferentialMatrix(t *testing.T) {
 		}
 	}
 	algos := []bounds{
-		{"mpartition-binary", func(in *Instance, k int) (Solution, error) {
-			return PartitionWithMode(in, k, BinarySearch), nil
-		}, within(3, 2)},
-		{"mpartition-ladder", func(in *Instance, k int) (Solution, error) {
-			return PartitionWithMode(in, k, ThresholdScan), nil
-		}, within(3, 2)},
-		{"mpartition-incremental", func(in *Instance, k int) (Solution, error) {
-			return PartitionWithMode(in, k, IncrementalScan), nil
+		{"mpartition", func(in *Instance, k int) (Solution, error) {
+			return Partition(in, k), nil
 		}, within(3, 2)},
 		{"partition-budget", func(in *Instance, k int) (Solution, error) {
 			return PartitionBudget(in, int64(k)), nil

@@ -120,7 +120,7 @@ func Hunt(ctx context.Context, target Target, cfg Config) (Worst, error) {
 		case TargetGreedyLPT:
 			ms = greedy.Rebalance(in, cfg.K, greedy.OrderLargestFirst, nil).Makespan
 		case TargetMPartition:
-			sol, err := core.MPartition(ctx, in, cfg.K, core.IncrementalScan, nil)
+			sol, err := core.MPartition(ctx, in, cfg.K, core.BinarySearch, nil)
 			if err != nil {
 				return Worst{}, err
 			}

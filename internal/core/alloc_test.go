@@ -83,9 +83,9 @@ func TestLadderZeroAllocs(t *testing.T) {
 	s := newSolver(in, nil)
 	lo := in.MaxSize()
 	hi := in.TotalSize()
-	s.ladderBuf = s.ladder(lo, hi, s.ladderBuf)
+	buf := s.ladder(lo, hi, nil)
 	if n := testing.AllocsPerRun(100, func() {
-		s.ladderBuf = s.ladder(lo, hi, s.ladderBuf)
+		buf = s.ladder(lo, hi, buf)
 	}); n != 0 {
 		t.Fatalf("ladder allocates %.1f/op, want 0", n)
 	}

@@ -31,10 +31,11 @@ func fuzzInstance(mRaw uint8, raw []byte) *instance.Instance {
 }
 
 // FuzzMPartitionInvariants checks on arbitrary inputs that M-PARTITION
-// (both search modes) returns a verified assignment within the move
-// budget, never worse than the initial makespan, and at least the
-// packing lower bound; and that a traced binary search, which also runs
-// the full probe at every rung, returns the untraced solution.
+// returns a verified assignment within the move budget, never worse
+// than the initial makespan, and at least the packing lower bound; that
+// all three search modes return the same assignment, makespan and move
+// count; and that a traced binary search, which also runs the full
+// probe at every rung, returns the untraced solution.
 func FuzzMPartitionInvariants(f *testing.F) {
 	f.Add(uint8(3), uint8(2), []byte{5, 9, 2, 200, 17})
 	f.Add(uint8(1), uint8(0), []byte{255})
@@ -43,25 +44,21 @@ func FuzzMPartitionInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mRaw, kRaw uint8, raw []byte) {
 		in := fuzzInstance(mRaw, raw)
 		k := int(kRaw % 16)
-		for _, mode := range []SearchMode{BinarySearch, ThresholdScan} {
-			sol, _ := MPartition(context.Background(), in, k, mode, nil)
-			if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
-				t.Fatalf("mode %d: %v", mode, err)
-			}
-			if sol.Makespan > in.InitialMakespan() {
-				t.Fatalf("mode %d: %d worse than initial %d", mode, sol.Makespan, in.InitialMakespan())
-			}
-			if sol.Makespan < in.LowerBound() {
-				t.Fatalf("mode %d: %d below lower bound %d", mode, sol.Makespan, in.LowerBound())
-			}
-			if mode != BinarySearch {
-				continue
-			}
-			traced, _ := MPartition(context.Background(), in, k, mode, obs.NewTracing(obs.NewJSONL(io.Discard)))
-			if !slices.Equal(traced.Assign, sol.Assign) || traced.Makespan != sol.Makespan || traced.Moves != sol.Moves {
-				t.Fatalf("traced binary search %d/%d moves %v, untraced %d/%d moves %v",
-					traced.Makespan, traced.Moves, traced.Assign, sol.Makespan, sol.Moves, sol.Assign)
-			}
+		sol, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
+		if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
+			t.Fatal(err)
+		}
+		if sol.Makespan > in.InitialMakespan() {
+			t.Fatalf("%d worse than initial %d", sol.Makespan, in.InitialMakespan())
+		}
+		if sol.Makespan < in.LowerBound() {
+			t.Fatalf("%d below lower bound %d", sol.Makespan, in.LowerBound())
+		}
+		assertModesAgree(t, in, k)
+		traced, _ := MPartition(context.Background(), in, k, BinarySearch, obs.NewTracing(obs.NewJSONL(io.Discard)))
+		if !slices.Equal(traced.Assign, sol.Assign) || traced.Makespan != sol.Makespan || traced.Moves != sol.Moves {
+			t.Fatalf("traced binary search %d/%d moves %v, untraced %d/%d moves %v",
+				traced.Makespan, traced.Moves, traced.Assign, sol.Makespan, sol.Moves, sol.Assign)
 		}
 	})
 }

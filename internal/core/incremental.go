@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/instance"
 	"repro/internal/obs"
 )
 
@@ -21,10 +20,10 @@ import (
 // the doubled remaining small loads 2·(total_i − prefix_i[q]) where a_i
 // steps (A_l in the paper) — O(n) values overall.
 //
-// State lives in flat int32 arrays sized once at construction; the
-// per-threshold work (refresh + moves) allocates nothing — the binary
-// searches are hand-rolled so no closure escapes, and the k̂ selection
-// sorts a reused order buffer with a concrete sorter.
+// State lives in flat int32 arrays sized at construction, once per
+// search; the per-threshold work (refresh + moves) allocates nothing —
+// the binary searches are hand-rolled so no closure escapes, and the k̂
+// selection sorts a reused order buffer with a concrete sorter.
 type incrementalScan struct {
 	s *solver
 
@@ -38,7 +37,6 @@ type incrementalScan struct {
 
 	order  []int32 // k̂ selection scratch
 	sorter procCSorter
-	events []scanEvent
 }
 
 // scanEvent is one (threshold, processor) refresh trigger.
@@ -48,28 +46,15 @@ type scanEvent struct {
 }
 
 func newIncrementalScan(s *solver) *incrementalScan {
-	ic := &incrementalScan{s: s}
-	ic.reset()
-	return ic
-}
-
-// reset sizes the per-processor state for the solver's current
-// processor count and zeroes it along with the aggregates. scan calls
-// it on entry, so a scan retained across solves of a mutating instance
-// (core.Warm) starts from exactly the state a freshly constructed one
-// would — the refresh diffs below are only correct when the aggregates
-// are consistent with the per-processor arrays.
-func (ic *incrementalScan) reset() {
-	m := ic.s.in.M
-	ic.largeCnt = instance.GrowSlice(ic.largeCnt, m)
-	ic.a = instance.GrowSlice(ic.a, m)
-	ic.b = instance.GrowSlice(ic.b, m)
-	ic.c = instance.GrowSlice(ic.c, m)
-	ic.order = instance.GrowSlice(ic.order, m)
-	for p := 0; p < m; p++ {
-		ic.largeCnt[p], ic.a[p], ic.b[p], ic.c[p] = 0, 0, 0, 0
+	m := s.in.M
+	return &incrementalScan{
+		s:        s,
+		largeCnt: make([]int32, m),
+		a:        make([]int32, m),
+		b:        make([]int32, m),
+		c:        make([]int32, m),
+		order:    make([]int32, m),
 	}
-	ic.sumB, ic.largeTotal, ic.largeProcs = 0, 0, 0
 }
 
 // refresh recomputes processor p's state for threshold v in O(log n_p)
@@ -123,7 +108,6 @@ func (ic *incrementalScan) scan(ctx context.Context, k int) (int64, bool, error)
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
 	}
-	ic.reset()
 	s := ic.s
 	in := s.in
 	lo, hi := in.LowerBound(), in.InitialMakespan()
@@ -131,7 +115,7 @@ func (ic *incrementalScan) scan(ctx context.Context, k int) (int64, bool, error)
 	// Collect events: (threshold, processor). Each processor contributes
 	// its 2·p_j flips, its remaining-total steps, and its doubled
 	// remaining-small steps.
-	events := ic.events[:0]
+	var events []scanEvent
 	sizes := s.flat.Sizes
 	for p := 0; p < in.M; p++ {
 		row := s.csr.Row(p)
@@ -153,7 +137,6 @@ func (ic *incrementalScan) scan(ctx context.Context, k int) (int64, bool, error)
 			}
 		}
 	}
-	ic.events = events
 	sort.Slice(events, func(x, y int) bool { return events[x].v < events[y].v })
 
 	// Initialize every processor at the lower bound.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,9 +12,11 @@ import (
 	"repro/internal/workload"
 )
 
-// The incremental scan must pick the same target as the materialized
-// ladder — both walk the identical threshold set and accept the first
-// rung whose move count fits.
+// The three search modes must return the same solution: both ladder
+// scans walk the identical threshold set and accept the first rung
+// whose move count fits, and the bisection lands on that rung's
+// behaviour class, so PARTITION runs with the same removals at the
+// accepted target of each.
 func TestIncrementalMatchesNaiveLadder(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		in := workload.Generate(workload.Config{
@@ -24,18 +26,41 @@ func TestIncrementalMatchesNaiveLadder(t *testing.T) {
 			Seed:      seed,
 		})
 		for _, k := range []int{0, 1, 3, 8} {
-			naive, _ := MPartition(context.Background(), in, k, ThresholdScan, nil)
-			inc, _ := MPartition(context.Background(), in, k, IncrementalScan, nil)
-			if naive.Makespan != inc.Makespan {
-				t.Fatalf("seed %d k %d: naive makespan %d, incremental %d",
-					seed, k, naive.Makespan, inc.Makespan)
-			}
-			if naive.Moves != inc.Moves {
-				t.Fatalf("seed %d k %d: naive moves %d, incremental %d",
-					seed, k, naive.Moves, inc.Moves)
-			}
+			assertModesAgree(t, in, k)
 		}
 	}
+}
+
+// The three modes agree on a skewed n=40 instance with the default
+// workload sizes.
+func TestPartitionWithModeAgree(t *testing.T) {
+	assertModesAgree(t, workload.Generate(workload.Config{N: 40, M: 4, Seed: 8, Placement: workload.PlaceSkewed}), 5)
+}
+
+// assertModesAgree fails unless ThresholdScan and IncrementalScan
+// return BinarySearch's assignment, makespan and move count.
+func assertModesAgree(t *testing.T, in *instance.Instance, k int) {
+	t.Helper()
+	bin, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
+	for _, mode := range []SearchMode{ThresholdScan, IncrementalScan} {
+		sol, _ := MPartition(context.Background(), in, k, mode, nil)
+		if !slices.Equal(sol.Assign, bin.Assign) || sol.Makespan != bin.Makespan || sol.Moves != bin.Moves {
+			t.Fatalf("n=%d m=%d k=%d: %s makespan %d moves %d, binary makespan %d moves %d (assignments equal: %v)",
+				in.N(), in.M, k, mode, sol.Makespan, sol.Moves, bin.Makespan, bin.Moves, slices.Equal(sol.Assign, bin.Assign))
+		}
+	}
+}
+
+// The three modes must also agree at scale, not just on small
+// instances.
+func TestStressLadderAgreement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test skipped in -short mode")
+	}
+	in := workload.Generate(workload.Config{
+		N: 5_000, M: 32, Sizes: workload.SizeZipf, Placement: workload.PlaceSkewed, Seed: 31,
+	})
+	assertModesAgree(t, in, 400)
 }
 
 // k̂ evaluated incrementally must equal the removals of a full PARTITION
@@ -106,10 +131,8 @@ func TestIncrementalTightInstances(t *testing.T) {
 	}
 }
 
-// Property: the incremental mode equals the binary search mode in
-// makespan whenever both find the same target class (they may differ —
-// binary search can stop at a non-threshold integer — but both must
-// obey the bound and budget).
+// Property: on random skewed instances the incremental mode stays
+// within the budget and returns the binary search's solution.
 func TestIncrementalProperty(t *testing.T) {
 	f := func(seed uint64, kRaw uint8) bool {
 		in := workload.Generate(workload.Config{
@@ -121,9 +144,7 @@ func TestIncrementalProperty(t *testing.T) {
 			return false
 		}
 		bin, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
-		// Both are 1.5-approximations of the same optimum; sanity: they
-		// are within 1.5× of each other.
-		return 2*inc.Makespan <= 3*bin.Makespan && 2*bin.Makespan <= 3*inc.Makespan
+		return slices.Equal(inc.Assign, bin.Assign) && inc.Makespan == bin.Makespan && inc.Moves == bin.Moves
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

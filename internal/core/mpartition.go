@@ -9,6 +9,9 @@ import (
 )
 
 // SearchMode selects how MPartition locates its target value (§3.1).
+// The three modes return identical solutions. BinarySearch is the one
+// every caller that answers runs; the two ladder scans stay as the E11
+// ablation and as test oracles.
 type SearchMode int
 
 const (
@@ -29,7 +32,10 @@ const (
 	// IncrementalScan is the paper's actual §3.1 algorithm: the same
 	// ladder walked with O(log n) incremental updates of L_T and every
 	// a_i, b_i, c_i per threshold, evaluating the move count k̂ directly
-	// and running PARTITION only once, at the accepted target.
+	// and running PARTITION only once, at the accepted target. It
+	// re-sorts the m processors by c_i at every threshold, which makes
+	// it about 2× slower than BinarySearch at n = 400
+	// (BenchmarkE11Ablation).
 	IncrementalScan
 )
 
@@ -48,17 +54,14 @@ const (
 // emits a search_result event; a nil sink disables instrumentation.
 func MPartition(ctx context.Context, in *instance.Instance, k int, mode SearchMode, sink *obs.Sink) (instance.Solution, error) {
 	s := newSolver(in, sink) // sort once; every probe reuses the order
-	return runMPartition(ctx, s, nil, k, mode)
+	return runMPartition(ctx, s, k, mode)
 }
 
 // runMPartition is the mode-dispatched target search over an already
 // built solver — shared verbatim by the cold path (MPartition) and
 // the warm session path (Warm.Solve), which is what guarantees the two
-// produce identical solutions for identical solver states. ic, when
-// non-nil, is a caller-retained incremental scan whose buffers persist
-// across calls (it is reset before use); nil builds a fresh one when
-// the mode needs it.
-func runMPartition(ctx context.Context, s *solver, ic *incrementalScan, k int, mode SearchMode) (instance.Solution, error) {
+// produce identical solutions for identical solver states.
+func runMPartition(ctx context.Context, s *solver, k int, mode SearchMode) (instance.Solution, error) {
 	if k < 0 {
 		k = 0
 	}
@@ -90,8 +93,7 @@ func runMPartition(ctx context.Context, s *solver, ic *incrementalScan, k int, m
 	found := false
 	switch mode {
 	case ThresholdScan:
-		s.ladderBuf = s.ladder(lo, hi, s.ladderBuf)
-		for _, v := range s.ladderBuf {
+		for _, v := range s.ladder(lo, hi, nil) {
 			// Cancellation point: one probe per ladder rung.
 			if err := ctx.Err(); err != nil {
 				return instance.Solution{}, err
@@ -102,11 +104,8 @@ func runMPartition(ctx context.Context, s *solver, ic *incrementalScan, k int, m
 			}
 		}
 	case IncrementalScan:
-		if ic == nil {
-			ic = newIncrementalScan(s)
-		}
 		var err error
-		if best, found, err = ic.scan(ctx, k); err != nil {
+		if best, found, err = newIncrementalScan(s).scan(ctx, k); err != nil {
 			return instance.Solution{}, err
 		}
 	default:

@@ -50,7 +50,7 @@ type Result struct {
 // radix build, DESIGN.md §12), keeps that cost from repeating per probe.
 //
 // A solver also owns all per-probe scratch, so repeated probes (the
-// bisection and incremental-scan loops) run with zero steady-state heap
+// bisection and the ladder scans) run with zero steady-state heap
 // allocations: probeFlat and probeCount touch only the flat arrays
 // below, and the parts of Result that escape to the caller (Selected,
 // the Solution's copied assignment) are materialized once, by run() or
@@ -62,7 +62,7 @@ type solver struct {
 	flat instance.Flat
 	csr  instance.CSR // rows sorted by (size desc, id asc)
 	// rowPrefix[csr.Start[p]+i] is the summed size of the first i+1 jobs
-	// of row p — the prefix sums the ladder and incremental scan need.
+	// of row p — the prefix sums rowCounts and the ladder read.
 	rowPrefix []int64
 
 	// sink is the observability handle; nil disables instrumentation
@@ -99,7 +99,6 @@ type solver struct {
 
 	// Search scratch (MPartition).
 	assignInt []int
-	ladderBuf []int64
 }
 
 func newSolver(in *instance.Instance, sink *obs.Sink) *solver {
@@ -476,11 +475,8 @@ func (s *solver) probeFlat(target int64) bool {
 	s.removedLarge, s.removedSmall, s.freeSlots = removedLarge, removedSmall, freeSlots
 
 	// Steps 4–5: place every displaced large job (from Steps 1 and 4) on
-	// its own large-free selected processor. The counting argument in
-	// DESIGN.md guarantees capacity; if violated the target is rejected.
-	if len(removedLarge) > len(freeSlots) {
-		return false
-	}
+	// its own large-free selected processor. Once L_T ≤ m there are
+	// always enough of them (the counting argument of DESIGN.md §8).
 	for i, j := range removedLarge {
 		assign[j] = freeSlots[i]
 	}
@@ -556,24 +552,14 @@ func (s *solver) probeCount(target int64) bool {
 		return false
 	}
 	// Step 3 strips a_i from the L_T processors first in c order, Step 4
-	// b_i from the rest; each displaced large job (Steps 1 and 4) needs
-	// a large-free selected processor, as probeFlat's Step 5 checks.
-	removals, displaced, free := extra, extra, 0
+	// b_i from the rest.
+	removals := extra
 	for i, p := range s.sortByC() {
 		if i < totalLarge {
 			removals += int(s.aArr[p])
-			if s.largeCnt[p] == 0 {
-				free++
-			}
 		} else {
 			removals += int(s.bArr[p])
-			if s.largeCnt[p] > 0 && s.bArr[p] > 0 {
-				displaced++
-			}
 		}
-	}
-	if displaced > free {
-		return false
 	}
 	s.lastRemovals, s.lastLargeTotal, s.lastLargeExtra = removals, totalLarge, extra
 	return true

@@ -219,7 +219,8 @@ func TestMPartitionProperty(t *testing.T) {
 // TestProbeCountMatchesProbeFlat is the count probe's differential
 // test: at every target in [lo−2, hi+2], probeCount must report the
 // feasibility, removal count and large-job counts that the full
-// PARTITION run reports. The shapes are the cold-solve and hot-fleet
+// PARTITION run reports, and the full run must never displace more
+// large jobs than it has large-free selected processors to take them. The shapes are the cold-solve and hot-fleet
 // serving instances and small uniform ones whose many equal sizes put
 // ties on every rung.
 func TestProbeCountMatchesProbeFlat(t *testing.T) {
@@ -250,6 +251,12 @@ func TestProbeCountMatchesProbeFlat(t *testing.T) {
 			}
 			if !ok {
 				continue
+			}
+			// DESIGN §8's counting argument: once L_T ≤ m, the displaced
+			// large jobs never outnumber the selected large-free processors.
+			if len(full.removedLarge) > len(full.freeSlots) {
+				t.Fatalf("case %d target %d: %d displaced large jobs, %d large-free selected processors",
+					i, v, len(full.removedLarge), len(full.freeSlots))
 			}
 			if full.lastRemovals != count.lastRemovals || full.lastLargeTotal != count.lastLargeTotal || full.lastLargeExtra != count.lastLargeExtra {
 				t.Fatalf("case %d target %d: count (removals %d, L_T %d, L_E %d), full (%d, %d, %d)", i, v,

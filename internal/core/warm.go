@@ -1,10 +1,9 @@
 // Warm solver state for incremental rebalancing sessions (DESIGN.md
-// §15): a live instance whose per-processor rows, loads, solver
-// buffers, and incremental-scan ladder state survive across mutations,
-// so a re-solve after a delta skips what a cold MPartition call pays
-// for — instance materialization and validation, the O(n · bytes)
-// radix build of the size-ordered rows (instance.CSR.Reset), and every
-// scratch allocation.
+// §15): a live instance whose per-processor rows, loads and solver
+// buffers survive across mutations, so a re-solve after a delta skips
+// what a cold MPartition call pays for — instance materialization and
+// validation, the O(n · bytes) radix build of the size-ordered rows
+// (instance.CSR.Reset), and every scratch allocation.
 //
 // Warm keeps its own ordered rows rather than rebuilding them with
 // CSR.Reset on each re-solve: a delta moves a handful of jobs, and a
@@ -30,7 +29,7 @@ import (
 // kernel.
 //
 // Equivalence contract: Solve and Probe produce results identical to
-// the cold path — MPartition(Snapshot(), k, IncrementalScan, ·) and
+// the cold path — MPartition(Snapshot(), k, BinarySearch, ·) and
 // Partition(Snapshot(), target) respectively — because both drive the
 // same kernel over byte-identical solver state. The session
 // differential harness (internal/session) pins this after every delta.
@@ -43,7 +42,6 @@ type Warm struct {
 	rows  [][]int32 // per-processor job indices, (size desc, index asc)
 	loads []int64
 	s     *solver
-	ic    *incrementalScan
 }
 
 // NewWarm builds warm solver state from a validated starting instance
@@ -55,7 +53,6 @@ func NewWarm(in *instance.Instance, sink *obs.Sink) (*Warm, error) {
 	w := &Warm{}
 	w.in = *in.Clone()
 	w.s = newSolver(&w.in, sink) // orders the rows once, cold
-	w.ic = newIncrementalScan(w.s)
 	w.rows = make([][]int32, w.in.M)
 	for p := 0; p < w.in.M; p++ {
 		w.rows[p] = append([]int32{}, w.s.csr.Row(p)...)
@@ -231,13 +228,13 @@ func (w *Warm) RemoveProc(p int) {
 }
 
 // Solve re-solves the current state with move budget k through the
-// incremental-scan ladder, reusing every warm buffer. The returned
+// count-probe bisection, reusing every warm buffer. The returned
 // solution is relative to the current assignment; it is NOT applied —
 // use Move for that. Identical to MPartition(ctx, Snapshot(), k,
-// IncrementalScan, sink).
+// BinarySearch, sink).
 func (w *Warm) Solve(ctx context.Context, k int) (instance.Solution, error) {
 	w.refresh()
-	return runMPartition(ctx, w.s, w.ic, k, IncrementalScan)
+	return runMPartition(ctx, w.s, k, BinarySearch)
 }
 
 // Probe runs one PARTITION probe at a fixed target against the current

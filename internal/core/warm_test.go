@@ -61,7 +61,7 @@ func assertWarmMatchesCold(t *testing.T, w *Warm, k int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSol, err := MPartition(context.Background(), snap, k, IncrementalScan, nil)
+	coldSol, err := MPartition(context.Background(), snap, k, BinarySearch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

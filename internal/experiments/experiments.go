@@ -488,7 +488,7 @@ func E12() *stats.Table {
 		Sizes: workload.SizeUniform, Seed: 12,
 	})
 	for _, k := range []int{0, 1, 2, 3, 5, 8, 10} {
-		sol, _ := core.MPartition(context.Background(), small, k, core.IncrementalScan, sink)
+		sol, _ := core.MPartition(context.Background(), small, k, core.BinarySearch, sink)
 		opt, err := exact.Solve(context.Background(), small, k, exact.Limits{})
 		optStr := "-"
 		if err == nil {
@@ -501,7 +501,7 @@ func E12() *stats.Table {
 		N: 2000, M: 16, Sizes: workload.SizeZipf, Placement: workload.PlaceSkewed, Seed: 12,
 	})
 	for _, k := range []int{0, 10, 50, 200, 1000, 2000} {
-		sol, _ := core.MPartition(context.Background(), large, k, core.IncrementalScan, sink)
+		sol, _ := core.MPartition(context.Background(), large, k, core.BinarySearch, sink)
 		t.Addf(large.N(), k, sol.Makespan,
 			float64(sol.Makespan)/float64(large.LowerBound()), sol.Moves, "-")
 	}
@@ -522,7 +522,7 @@ func E13() *stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		mp, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, sink)
+		mp, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, sink)
 		g := greedy.Rebalance(in, k, greedy.OrderLargestFirst, sink)
 		t.Addf(n, k, lb, mp.Makespan, float64(mp.Makespan)/float64(lb),
 			g.Makespan, float64(g.Makespan)/float64(lb))
@@ -540,7 +540,7 @@ func E14() *stats.Table {
 			Placement: workload.PlaceOneHot, Seed: 4,
 		})
 		sizes := scheduling.FromInstance(in)
-		mp, _ := core.MPartition(context.Background(), in, in.N(), core.IncrementalScan, sink)
+		mp, _ := core.MPartition(context.Background(), in, in.N(), core.BinarySearch, sink)
 		g := greedy.Rebalance(in, in.N(), greedy.OrderLargestFirst, sink)
 		_, lpt := scheduling.LPT(sizes, in.M)
 		_, mf := scheduling.Multifit(sizes, in.M, 0)

@@ -101,7 +101,7 @@ func TestMediumScaleBoundsMPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, nil)
+	sol, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, nil)
 	if sol.Makespan < lb {
 		t.Fatalf("M-PARTITION %d beat the LP lower bound %d", sol.Makespan, lb)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -70,6 +71,30 @@ func BenchmarkServerSolveMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req.K = int(benchKey.Add(1))
 		postBench(b, h, "/v1/solve", benchBody(b, req), http.StatusOK)
+	}
+}
+
+// BenchmarkServerSolveMissCold is BenchmarkServerSolveMiss on the
+// body BenchmarkDecodeSolve decodes (mpartition on n=2000, m=16, about
+// 63 KiB): a miss shaped like the serving benchmark's cold-solve
+// traffic, so the strict decode, the canonical key and the engine all
+// weigh in. The body is encoded once, before the timer starts, without
+// its k; each iteration appends a fresh ,"k":N (50, 51, …) in place,
+// so every request misses and nothing is re-encoded.
+func BenchmarkServerSolveMissCold(b *testing.B) {
+	_, h := benchServer(b, Config{Workers: 2})
+	in := workload.Generate(workload.Config{
+		N: 2000, M: 16, Sizes: workload.SizeZipf, Placement: workload.PlaceSkewed, Seed: 3,
+	})
+	base := benchBody(b, solveRequest("mpartition", in)) // k omitted: ends in }}
+	base = base[:len(base)-1]
+	body := make([]byte, len(base), len(base)+32)
+	copy(body, base)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = append(strconv.AppendInt(append(body[:len(base)], `,"k":`...), int64(50+i), 10), '}')
+		postBench(b, h, "/v1/solve", body, http.StatusOK)
 	}
 }
 

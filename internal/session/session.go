@@ -2,8 +2,9 @@
 // 2, DESIGN.md §15): a live job-to-processor assignment that absorbs
 // typed deltas — job arrives / departs / resizes, processor added /
 // drained — and re-solves after each one with warm solver state
-// (core.Warm: the threshold-ladder / IncrementalScan machinery kept
-// across deltas) instead of a cold full solve.
+// (core.Warm: the ordered rows, loads and solver buffers kept across
+// deltas) instead of a cold full solve. Warm and cold solves run the
+// same M-PARTITION search, the count-probe bisection.
 //
 // Churn between consecutive solutions is bounded by the same movemin
 // machinery the one-shot solvers use: budget mode runs M-PARTITION
@@ -286,7 +287,7 @@ func (s *Session) rebalance(ctx context.Context, k int, target int64) ([]Move, b
 			sol, _, feasible = movemin.Bicriteria(snap, target)
 		} else {
 			var err error
-			sol, err = core.MPartition(ctx, snap, k, core.IncrementalScan, s.cfg.Obs)
+			sol, err = core.MPartition(ctx, snap, k, core.BinarySearch, s.cfg.Obs)
 			if err != nil {
 				return nil, false, err
 			}

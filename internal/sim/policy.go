@@ -15,8 +15,8 @@ import (
 // cost, so a farm within tolerance is left alone — and the experiment
 // suite uses it to show how much of the migration budget the trigger
 // saves at a small balance penalty. When the trigger fires it runs
-// incremental-scan M-PARTITION, whose ladder amortizes well across the
-// repeated nearby targets a drifting farm produces.
+// M-PARTITION, the same count-probe bisection that serves every other
+// solve.
 type PolicyTriggered struct {
 	// Trigger is the imbalance factor above which a rebalance runs
 	// (default 1.3).
@@ -43,6 +43,6 @@ func (p PolicyTriggered) Rebalance(in *instance.Instance, k int, sink *obs.Sink)
 		return instance.NewSolution(in, in.Assign)
 	}
 	// The background context never fires, so the error is always nil.
-	sol, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, sink)
+	sol, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, sink)
 	return sol
 }

@@ -24,38 +24,18 @@ func TestStressLargeInstances(t *testing.T) {
 		in := Generate(WorkloadConfig{
 			N: tc.n, M: tc.m, Sizes: tc.sizes, Placement: tc.place, Seed: 99,
 		})
-		for _, mode := range []SearchMode{BinarySearch, IncrementalScan} {
-			sol := PartitionWithMode(in, tc.k, mode)
-			if err := CheckMoves(in, sol, tc.k); err != nil {
-				t.Fatalf("n=%d mode=%d: %v", tc.n, mode, err)
-			}
-			if sol.Makespan < in.LowerBound() || sol.Makespan > in.InitialMakespan() {
-				t.Fatalf("n=%d mode=%d: makespan %d outside [%d, %d]",
-					tc.n, mode, sol.Makespan, in.LowerBound(), in.InitialMakespan())
-			}
+		sol := Partition(in, tc.k)
+		if err := CheckMoves(in, sol, tc.k); err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		if sol.Makespan < in.LowerBound() || sol.Makespan > in.InitialMakespan() {
+			t.Fatalf("n=%d: makespan %d outside [%d, %d]",
+				tc.n, sol.Makespan, in.LowerBound(), in.InitialMakespan())
 		}
 		g := Greedy(in, tc.k)
 		if err := CheckMoves(in, g, tc.k); err != nil {
 			t.Fatalf("n=%d greedy: %v", tc.n, err)
 		}
-	}
-}
-
-// The two ladder modes must agree at scale, not just on the small
-// instances of the core package's tests.
-func TestStressLadderAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test skipped in -short mode")
-	}
-	in := Generate(WorkloadConfig{
-		N: 5_000, M: 32, Sizes: SizeZipf, Placement: PlaceSkewed, Seed: 31,
-	})
-	k := 400
-	naive := PartitionWithMode(in, k, ThresholdScan)
-	inc := PartitionWithMode(in, k, IncrementalScan)
-	if naive.Makespan != inc.Makespan || naive.Moves != inc.Moves {
-		t.Fatalf("ladders disagree at n=5000: naive (%d,%d) vs incremental (%d,%d)",
-			naive.Makespan, naive.Moves, inc.Makespan, inc.Moves)
 	}
 }
 
