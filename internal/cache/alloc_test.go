@@ -82,14 +82,14 @@ func TestApplyMovesMatchesReindex(t *testing.T) {
 		}
 		in := instance.MustNew(m, sizes, nil, assign)
 		twin, _ := shuffled(in, rng)
-		can := Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: 1})
+		rel := &Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: 1}).relabel(extOf(in)).Instance
 		canTwin := Canonicalize("greedy", spec.Caps, extOf(twin), engine.Params{K: 1})
-		sol := instance.NewSolution(in, randomAssign(in, rng))
-		moves := can.encodeMoves(in, sol)
+		sol := instance.NewSolution(rel, randomAssign(rel, rng))
+		moves := encodeMoves(rel, sol)
 		if len(moves) != 2*sol.Moves {
 			t.Fatalf("trial %d: encodeMoves gave %d ints for %d moves", trial, len(moves), sol.Moves)
 		}
-		want := reindex(can, canTwin, sol.Assign)
+		want := reindex(Canonical{}, canTwin, sol.Assign)
 		dst := make([]int, rng.Intn(2*n)) // any capacity must work
 		if got := canTwin.applyMoves(dst, twin, moves); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: replay %v, reference %v", trial, got, want)
@@ -101,7 +101,8 @@ func TestApplyMovesZeroAllocs(t *testing.T) {
 	spec, _ := engine.Lookup("greedy")
 	in := instance.MustNew(2, []int64{5, 4, 3}, nil, []int{1, 0, 0})
 	can := Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: 1})
-	moves := can.encodeMoves(in, instance.NewSolution(in, []int{0, 1, 0}))
+	rel := &can.relabel(extOf(in)).Instance
+	moves := encodeMoves(rel, instance.NewSolution(rel, []int{0, 1, 0}))
 	dst := make([]int, 3)
 	if n := testing.AllocsPerRun(100, func() {
 		can.applyMoves(dst, in, moves)

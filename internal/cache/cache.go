@@ -70,21 +70,25 @@ type Stats struct {
 // FillFunc asks a peer shard for an already-computed solution before a
 // miss runs the engine locally. peer is the routing layer's fill target
 // (a base URL); the request is identified exactly as the cache key is —
-// solver, instance, caps-masked params. Implementations must be
-// side-effect free on failure and honor ctx (the flight's context):
-// return ok=false on any error, timeout, or peer miss, in which case
-// the flight falls through to the local engine. The returned solution
-// must be on the request's own job order — a /v1/peek response already
-// is. The flight verifies it against its own copy of the instance and
-// stores it as a move list locally like an engine result; an answer
-// that fails the check is counted in cache.peer_fill_rejected and
-// treated as a miss.
+// solver, instance, caps-masked params. ext is the flight's canonical
+// relabeling of the request (see Solve), and the returned solution must
+// be on that job order — a /v1/peek of ext already is. Implementations
+// must be side-effect free on failure and honor ctx (the flight's
+// context): return ok=false on any error, timeout, or peer miss, in
+// which case the flight falls through to the local engine. The flight
+// verifies the answer against ext and stores it as a move list like an
+// engine result; an answer that fails the check is counted in
+// cache.peer_fill_rejected and treated as a miss.
 type FillFunc func(ctx context.Context, peer, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, bool)
 
 // Config tunes a Cache.
 type Config struct {
-	// MaxEntries bounds the LRU's entry count; ≤ 0 means
-	// DefaultMaxEntries.
+	// MaxEntries bounds the LRU's entry count; 0 means
+	// DefaultMaxEntries. A negative bound disables caching: the cache
+	// keeps no LRU and registers no flight, so nothing is stored, hit
+	// or coalesced and no hit, miss or coalesced counter moves, but
+	// every Solve still takes the one relabeled route and answers the
+	// bytes a cached miss would.
 	MaxEntries int
 	// MaxBytes bounds the LRU's memory; ≤ 0 means DefaultMaxBytes. Each
 	// entry is charged a fixed overhead plus 4 B per int32 of its move
@@ -110,11 +114,10 @@ type Config struct {
 // when its own context ends, and the last detach cancels the flight's
 // context so an abandoned solve stops promptly.
 type flight struct {
-	done chan struct{}     // closed when sol/res/err are final
-	sol  instance.Solution // the solver's own solution, for the initiator
-	// res is the outcome as an LRU entry, for coalesced waiters to
-	// replay on their own job order; nil when the outcome is an error
-	// that is not cached.
+	done chan struct{} // closed when res/err are final
+	// res is the outcome as an LRU entry, for every party to replay on
+	// its own job order; nil when the outcome is an error that is not
+	// cached.
 	res      *entry
 	err      error
 	engineNS int64  // measured spec.Solve time; final once done closes
@@ -178,24 +181,23 @@ type Cache struct {
 	solvers                            map[string]*solverCounters
 
 	mu      sync.Mutex
-	entries *lru
-	flights map[Key]*flight
-	running sync.WaitGroup // flight goroutines; joined under mu
+	entries *lru            // nil when caching is disabled
+	flights map[Key]*flight // nil when caching is disabled
+	running sync.WaitGroup  // flight goroutines; joined under mu
 }
 
 // New returns a cache with the given configuration.
 func New(cfg Config) *Cache {
-	if cfg.MaxEntries <= 0 {
+	if cfg.MaxEntries == 0 {
 		cfg.MaxEntries = DefaultMaxEntries
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	c := &Cache{
-		sink:    cfg.Obs,
-		fill:    cfg.Fill,
-		entries: newLRU(cfg.MaxEntries, cfg.MaxBytes),
-		flights: make(map[Key]*flight),
+	c := &Cache{sink: cfg.Obs, fill: cfg.Fill}
+	if cfg.MaxEntries > 0 {
+		c.entries = newLRU(cfg.MaxEntries, cfg.MaxBytes)
+		c.flights = make(map[Key]*flight)
 	}
 	if c.sink != nil {
 		reg := c.sink.Reg
@@ -255,28 +257,35 @@ func (c *Cache) TryGet(can Canonical, in *instance.Instance, solver string, dst 
 // Solve runs spec, a solution-kind solver, through the cache under
 // can, the request's canonical identity: the Canonicalize of exactly
 // these arguments, computed by the caller (a hit probe keys each
-// request once) and only read during the call. A canonical-form hit
-// replays the stored move list onto this request's job order with no
-// engine call; a request identical to one already in flight waits for
-// that flight and shares its outcome the same way; otherwise this call
-// becomes the flight, solves, populates the cache, and returns the
-// solver's own solution. Stats reports the outcome and the engine
-// compute time behind the result, for callers that split per-phase
-// latency on the wire.
+// request once) and only read during the call. Every answer is the one
+// stored move list replayed onto this request's job order: a
+// canonical-form hit replays the LRU entry with no engine call; a
+// request identical to one already in flight waits for that flight
+// and replays its outcome; otherwise this call becomes the flight. The
+// flight solves the request's canonical relabeling — its jobs permuted
+// into canonical order and renumbered to their slots — so the stored
+// moves, and every party's answer, depend only on the key, never on
+// which job order asked first. The initiator replays the outcome like
+// any waiter. Stats reports the outcome and the engine compute time
+// behind the result, for callers that split per-phase latency on the
+// wire. With caching disabled (Config.MaxEntries < 0) every call is
+// its own unregistered flight, reported with a zero Outcome.
 //
 // Peer fill: when this call initiates a flight (a local miss) and both
 // peer and the configured Fill hook are present, the flight first asks
-// the peer for the solution and runs the engine only if the peer
-// misses. The routing tier names the peer — the shard that owned this
-// key before the current owner joined the ring — so a shard acquiring
-// keys after a membership change warms its cache from the previous
-// owner instead of recomputing. Stats.PeerFill reports the attempt's
-// outcome; an empty peer skips it.
+// the peer for the solution of the relabeled instance and runs the
+// engine only if the peer misses. The routing tier names the peer —
+// the shard that owned this key before the current owner joined the
+// ring — so a shard acquiring keys after a membership change warms its
+// cache from the previous owner instead of recomputing. Stats.PeerFill
+// reports the attempt's outcome; an empty peer skips it.
 //
 // Ownership: a flight may outlive the call that started it, so it runs
-// on its own copies of the instance's job and assignment arrays and of
-// can's order. The extension slices (allowed sets, conflicts) and the
-// params' copies of them are shared and must not change afterwards.
+// on its own relabeled copy of the instance's job and assignment
+// arrays. The extension slices (allowed sets, conflicts) and the
+// params' copies of them are shared and must not change afterwards; an
+// extended request is keyed in its own job order, so its relabeling
+// keeps every job in place and the shared slices stay aligned.
 //
 // Cancellation semantics: a party — the initiator or a waiter — whose
 // ctx ends detaches and returns ctx.Err() without killing the in-flight
@@ -303,18 +312,7 @@ func (c *Cache) Solve(ctx context.Context, spec engine.Spec, ext *instance.Exten
 	if f, ok := c.flights[can.Key]; ok && f.attach() {
 		c.mu.Unlock()
 		c.count("cache.coalesced", spec.Name)
-		select {
-		case <-f.done:
-			f.detach() // balance the attach; the flight is already final
-			st := Stats{Outcome: Coalesced, EngineNS: f.engineNS, PeerFill: f.peerFill}
-			if f.err != nil {
-				return instance.Solution{}, st, f.err
-			}
-			return f.res.solution(nil, can, &ext.Instance), st, nil
-		case <-ctx.Done():
-			f.detach()
-			return instance.Solution{}, Stats{Outcome: Coalesced}, ctx.Err()
-		}
+		return f.wait(ctx, Coalesced, can, &ext.Instance)
 	}
 
 	// This call initiates the flight. It runs on its own goroutine,
@@ -328,51 +326,61 @@ func (c *Cache) Solve(ctx context.Context, spec engine.Spec, ext *instance.Exten
 	fctx, cancel := context.WithCancel(obs.AdoptSpan(context.Background(), ctx))
 	f := &flight{done: make(chan struct{}), cancel: cancel}
 	f.refs.Store(1)
-	c.flights[can.Key] = f
+	var out Outcome
+	if c.flights != nil {
+		out = Miss
+		c.flights[can.Key] = f
+	}
 	c.running.Add(1)
 	c.mu.Unlock()
-	c.count("cache.misses", spec.Name)
-
-	own := &instance.Extended{Instance: *ext.Instance.Clone(), Allowed: ext.Allowed, Conflicts: ext.Conflicts}
+	if out == Miss {
+		c.count("cache.misses", spec.Name)
+	}
 	deadline, _ := ctx.Deadline()
-	go c.runFlight(fctx, deadline, spec, own, p, can.Owned(), f, peer)
+	go c.runFlight(fctx, deadline, spec, can.relabel(ext), p, can.Key, f, peer)
+	return f.wait(ctx, out, can, &ext.Instance)
+}
 
+// wait is one party's wait on f, whose attach it holds: on completion
+// it replays the flight's outcome onto in, the request can keys, and on
+// ctx's end it returns ctx.Err(); either way it detaches.
+func (f *flight) wait(ctx context.Context, out Outcome, can Canonical, in *instance.Instance) (instance.Solution, Stats, error) {
 	select {
 	case <-f.done:
 		f.detach()
-		st := Stats{Outcome: Miss, EngineNS: f.engineNS, PeerFill: f.peerFill}
+		st := Stats{Outcome: out, EngineNS: f.engineNS, PeerFill: f.peerFill}
 		if f.err != nil {
 			return instance.Solution{}, st, f.err
 		}
-		return f.sol, st, nil
+		return f.res.solution(nil, can, in), st, nil
 	case <-ctx.Done():
 		f.detach()
-		return instance.Solution{}, Stats{Outcome: Miss}, ctx.Err()
+		return instance.Solution{}, Stats{Outcome: out}, ctx.Err()
 	}
 }
 
-// runFlight executes the flight's solve and finalizes the flight
-// exactly once: remove it from the flights map, populate the LRU when
-// the outcome is cacheable, publish sol/res/err, close done, and leave
-// the running group. The finalizer runs in a defer so a panic — the
-// solver's, or encodeMoves' on a malformed solution — cannot skip it:
-// an open flight whose done channel never closes would wedge every
-// future request for the key. The panic is converted into the error
-// each attached party receives (the server maps it to 500, same as its
-// own panic safety net).
-func (c *Cache) runFlight(fctx context.Context, deadline time.Time, spec engine.Spec, ext *instance.Extended, p engine.Params, can Canonical, f *flight, peer string) {
+// runFlight executes the flight's solve of rel, the canonical
+// relabeling, and finalizes the flight exactly once: remove it from
+// the flights map, populate the LRU when the outcome is cacheable,
+// publish res/err, close done, and leave the running group. The
+// finalizer runs in a defer so a panic — the solver's, or encodeMoves'
+// on a malformed solution — cannot skip it: an open flight whose done
+// channel never closes would wedge every future request for the key.
+// The panic is converted into the error each attached party receives
+// (the server maps it to 500, same as its own panic safety net).
+func (c *Cache) runFlight(fctx context.Context, deadline time.Time, spec engine.Spec, rel *instance.Extended, p engine.Params, key Key, f *flight, peer string) {
 	defer c.running.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			f.sol, f.res, f.err = instance.Solution{}, nil, fmt.Errorf("cache: solver %q panicked: %v", spec.Name, r)
+			f.res, f.err = nil, fmt.Errorf("cache: solver %q panicked: %v", spec.Name, r)
 		}
 		c.mu.Lock()
 		// Guarded delete: a successor flight may already own the key if
 		// this one was abandoned (refs 0) and replaced before finalizing.
-		if c.flights[can.Key] == f {
-			delete(c.flights, can.Key)
+		if c.flights[key] == f {
+			delete(c.flights, key)
 		}
-		if f.res != nil {
+		if f.res != nil && c.entries != nil {
 			for _, ev := range c.entries.add(f.res) {
 				c.count("cache.evictions", ev.solver)
 			}
@@ -382,15 +390,15 @@ func (c *Cache) runFlight(fctx context.Context, deadline time.Time, spec engine.
 		close(f.done)
 		f.cancel() // release the flight context's resources
 	}()
-	sol, err := c.solveFlight(fctx, deadline, spec, ext, p, f, peer)
+	sol, err := c.solveFlight(fctx, deadline, spec, rel, p, f, peer)
 	switch {
 	case err == nil:
-		f.res = &entry{key: can.Key, solver: spec.Name, moves: can.encodeMoves(&ext.Instance, sol),
+		f.res = &entry{key: key, solver: spec.Name, moves: encodeMoves(&rel.Instance, sol),
 			sol: instance.Solution{Makespan: sol.Makespan, Moves: sol.Moves, MoveCost: sol.MoveCost}}
 	case errors.Is(err, instance.ErrInfeasible):
-		f.res = &entry{key: can.Key, solver: spec.Name, err: err}
+		f.res = &entry{key: key, solver: spec.Name, err: err}
 	}
-	f.sol, f.err = sol, err
+	f.err = err
 }
 
 // solveFlight produces the flight's solution: from the peer when one
@@ -430,8 +438,8 @@ func (c *Cache) solveFlight(fctx context.Context, deadline time.Time, spec engin
 	return sol, err
 }
 
-// checkFill verifies a peer's answer against the flight's own copy of
-// the instance: a complete assignment onto existing processors, within
+// checkFill verifies a peer's answer against the flight's relabeled
+// instance: a complete assignment onto existing processors, within
 // the request's k or budget per the solver's caps (a negative one
 // counts as 0, as the solvers treat it), honouring the instance's
 // allowed sets and conflicts, whose claimed makespan, moves and move

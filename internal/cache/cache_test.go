@@ -3,6 +3,9 @@ package cache
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,9 +62,32 @@ func solverParams(spec engine.Spec, n int) engine.Params {
 	return p
 }
 
+// canonicalReference is what every served answer must equal: the
+// engine's solve of the request's canonical relabeling, re-indexed
+// slot by slot onto the request's own job order.
+func canonicalReference(t *testing.T, spec engine.Spec, ext *instance.Extended, p engine.Params) instance.Solution {
+	t.Helper()
+	can := Canonicalize(spec.Name, spec.Caps, ext, p)
+	rel := can.relabel(ext)
+	sol, err := engine.Solve(context.Background(), spec.Name, &rel.Instance, p)
+	if err != nil {
+		t.Fatalf("reference solve of the relabeling: %v", err)
+	}
+	assign := make([]int, len(sol.Assign))
+	for slot, proc := range sol.Assign {
+		assign[can.job(slot)] = proc
+	}
+	sol.Assign = assign
+	return sol
+}
+
 // TestCachedVsFreshAllSolvers runs every registered solution-kind
-// solver twice through the cache and once directly, asserting the hit
-// is byte-identical to both the miss and the fresh engine result.
+// solver twice through the cache and asserts that the miss and the hit
+// both equal, byte for byte, the engine's solve of the canonical
+// relabeling replayed onto the request's order. testExt is not in
+// canonical order, and the reference is not the engine's solve of the
+// request's own order: for budget that answers makespan 11 where the
+// relabeling answers 9.
 func TestCachedVsFreshAllSolvers(t *testing.T) {
 	for _, spec := range engine.Specs() {
 		if spec.Kind != engine.KindSolution || strings.HasPrefix(spec.Name, "cachetest-") {
@@ -74,10 +100,7 @@ func TestCachedVsFreshAllSolvers(t *testing.T) {
 				ext.Allowed = p.Allowed
 			}
 			c := New(Config{})
-			fresh, err := engine.Solve(context.Background(), spec.Name, &ext.Instance, p)
-			if err != nil {
-				t.Fatalf("fresh solve: %v", err)
-			}
+			want := canonicalReference(t, spec, ext, p)
 			miss, out, err := solveOutcome(c, context.Background(), spec.Name, ext, p)
 			if err != nil || out != Miss {
 				t.Fatalf("first cache solve: outcome %v, err %v", out, err)
@@ -87,18 +110,149 @@ func TestCachedVsFreshAllSolvers(t *testing.T) {
 				t.Fatalf("second cache solve: outcome %v, err %v", out, err)
 			}
 			for name, got := range map[string]instance.Solution{"miss": miss, "hit": hit} {
-				if got.Makespan != fresh.Makespan || got.Moves != fresh.Moves || got.MoveCost != fresh.MoveCost {
-					t.Errorf("%s metrics (%d,%d,%d) != fresh (%d,%d,%d)", name,
-						got.Makespan, got.Moves, got.MoveCost, fresh.Makespan, fresh.Moves, fresh.MoveCost)
-				}
-				for j := range fresh.Assign {
-					if got.Assign[j] != fresh.Assign[j] {
-						t.Errorf("%s assign %v != fresh %v", name, got.Assign, fresh.Assign)
-						break
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %+v != reference %+v", name, got, want)
 				}
 			}
 		})
+	}
+}
+
+// TestFlightOneAnswerPerKey pins that a served answer depends on the
+// key alone, not on the job order that asked or the route that
+// answered. For every solution-kind solver, on random instances, five
+// requests in five random job orders — a flight's initiator, a waiter
+// coalesced onto it, a later hit, a peer-fill hit on a second cache and
+// a solve on a cache with caching disabled — answer the same makespan,
+// moves and move cost and put the same jobs, by (size, cost, initial
+// processor), on the same processors; and the initiator's answer is
+// the engine's solve of the canonical relabeling. The solver runs
+// behind a gate so the waiter surely joins the flight. The instances
+// are testExt, whose budget answer depends on the job order it is
+// solved in, and random ones. An extended request is keyed in its own
+// order, so its five requests are copies.
+func TestFlightOneAnswerPerKey(t *testing.T) {
+	for _, spec := range replaySolvers() {
+		t.Run(spec.Name, func(t *testing.T) {
+			started := make(chan struct{}, 1)
+			var release chan struct{}
+			engine.RegisterTest(t, engine.Spec{
+				Name: "cachetest-one-" + spec.Name, Summary: spec.Name + " once released", Guarantee: "-",
+				Caps: spec.Caps,
+				Run: func(ctx context.Context, in *instance.Instance, p engine.Params) (instance.Solution, error) {
+					select {
+					case started <- struct{}{}:
+					default:
+					}
+					<-release
+					return engine.Solve(ctx, spec.Name, in, p)
+				},
+			})
+			gated, _ := engine.Lookup("cachetest-one-" + spec.Name)
+			rng := rand.New(rand.NewSource(31))
+			ext := testExt()
+			p := solverParams(gated, ext.N())
+			if gated.Caps.NeedsExtended {
+				ext.Allowed = p.Allowed
+			}
+			release = make(chan struct{})
+			checkOneAnswer(t, spec, gated, ext, p, rng, started, release)
+			for trial := 0; trial < 6; trial++ {
+				raw := make([]byte, 3*(2+rng.Intn(7)))
+				rng.Read(raw)
+				in, _, p := replayCase(gated, uint8(rng.Intn(256)), uint8(rng.Intn(256)), raw, 0)
+				release = make(chan struct{})
+				checkOneAnswer(t, spec, gated, in, p, rng, started, release)
+			}
+		})
+	}
+}
+
+// checkOneAnswer runs TestFlightOneAnswerPerKey's five requests for in
+// through gated, which parks on release after signalling started.
+func checkOneAnswer(t *testing.T, spec, gated engine.Spec, in *instance.Extended, p engine.Params, rng *rand.Rand, started, release chan struct{}) {
+	t.Helper()
+	ctx := context.Background()
+	var reqs [5]*instance.Extended
+	for i := range reqs {
+		if in.Allowed != nil {
+			reqs[i] = extOf(in.Instance.Clone())
+			reqs[i].Allowed = in.Allowed
+		} else {
+			reqs[i] = extOf(relabel(&in.Instance, rng.Perm(in.N())))
+		}
+	}
+	type answer struct {
+		sol instance.Solution
+		st  Stats
+		err error
+	}
+	var got [5]answer
+	ask := func(c *Cache, i int, peer string) answer {
+		sol, st, err := solve(c, ctx, gated.Name, reqs[i], p, peer)
+		return answer{sol, st, err}
+	}
+
+	select {
+	case <-started: // a signal left by the previous case's cache-off solve
+	default:
+	}
+	sink := obs.New()
+	a := New(Config{Obs: sink})
+	first, second := make(chan answer, 1), make(chan answer, 1)
+	go func() { first <- ask(a, 0, "") }()
+	<-started
+	go func() { second <- ask(a, 1, "") }()
+	for deadline := time.Now().Add(2 * time.Second); sink.Reg.Counter("cache.coalesced").Value() < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter did not coalesce onto the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	got[0], got[1] = <-first, <-second
+	got[2] = ask(a, 2, "")
+	b := New(Config{Fill: func(_ context.Context, _, solver string, ext *instance.Extended, p engine.Params) (instance.Solution, bool) {
+		sol, ok, err := a.TryGet(Canonicalize(solver, gated.Caps, ext, p), &ext.Instance, solver, nil)
+		return sol, ok && err == nil
+	}})
+	got[3] = ask(b, 3, "http://a.example")
+	got[4] = ask(New(Config{MaxEntries: -1}), 4, "")
+
+	routes := [5]string{"initiator", "waiter", "hit", "peer fill", "cache off"}
+	defer func() {
+		for i, want := range []Outcome{Miss, Coalesced, Hit, Miss, 0} {
+			if got[i].st.Outcome != want {
+				t.Fatalf("%s: outcome %v, want %v", routes[i], got[i].st.Outcome, want)
+			}
+		}
+	}()
+	if got[0].err != nil {
+		for i, g := range got {
+			if !errors.Is(g.err, instance.ErrInfeasible) {
+				t.Fatalf("%s: error %v (initiator: %v)", routes[i], g.err, got[0].err)
+			}
+		}
+		return
+	}
+	if got[3].st.PeerFill != "hit" {
+		t.Fatalf("peer fill: %q, want a peer hit", got[3].st.PeerFill)
+	}
+	if ref := canonicalReference(t, spec, reqs[0], p); !reflect.DeepEqual(got[0].sol, ref) {
+		t.Fatalf("initiator %+v != canonical reference %+v", got[0].sol, ref)
+	}
+	want := placements(&reqs[0].Instance, got[0].sol.Assign)
+	for i, g := range got {
+		if g.err != nil {
+			t.Fatalf("%s: %v", routes[i], g.err)
+		}
+		if g.sol.Makespan != got[0].sol.Makespan || g.sol.Moves != got[0].sol.Moves || g.sol.MoveCost != got[0].sol.MoveCost {
+			t.Fatalf("%s answers (%d, %d, %d), initiator (%d, %d, %d)", routes[i],
+				g.sol.Makespan, g.sol.Moves, g.sol.MoveCost, got[0].sol.Makespan, got[0].sol.Moves, got[0].sol.MoveCost)
+		}
+		if pl := placements(&reqs[i].Instance, g.sol.Assign); !slices.Equal(pl, want) {
+			t.Fatalf("%s places %v, initiator %v", routes[i], pl, want)
+		}
 	}
 }
 

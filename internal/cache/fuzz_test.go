@@ -79,13 +79,15 @@ func FuzzCanonicalHash(f *testing.F) {
 		spec, _ := engine.Lookup("greedy")
 		p := engine.Params{K: int(kRaw % 16)}
 		base := Canonicalize("greedy", spec.Caps, extOf(in), p)
-		// The solution whose move list the twins replay: greedy with at
-		// least one move, so a mis-indexed move has something to break.
-		sol, err := engine.Solve(context.Background(), "greedy", in, engine.Params{K: 1 + p.K})
+		// The solution whose move list the twins replay: greedy on the
+		// canonical relabeling, as a flight solves it, with at least one
+		// move, so a mis-indexed move has something to break.
+		rel := &base.relabel(extOf(in)).Instance
+		sol, err := engine.Solve(context.Background(), "greedy", rel, engine.Params{K: 1 + p.K})
 		if err != nil {
 			t.Fatalf("greedy: %v", err)
 		}
-		moves := base.encodeMoves(in, sol)
+		moves := encodeMoves(rel, sol)
 
 		// Permutation invariance: rotation and reversal of the job list.
 		rot := make([]int, n)
@@ -95,7 +97,7 @@ func FuzzCanonicalHash(f *testing.F) {
 			rot[i] = (i + shift) % n
 			rev[i] = n - 1 - i
 		}
-		want := placements(in, sol.Assign)
+		want := placements(rel, sol.Assign)
 		for _, perm := range [][]int{rot, rev} {
 			twin := relabel(in, perm)
 			got := Canonicalize("greedy", spec.Caps, extOf(twin), p)

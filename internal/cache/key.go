@@ -12,6 +12,15 @@
 // and it records that order so a cached solution — stored as a list of
 // moves in canonical coordinates — can be replayed onto any
 // requester's ordering.
+//
+// One answer per key: a flight solves the request's canonical
+// relabeling (its jobs in canonical order, renumbered to their slots),
+// not the job order of whoever asked first, and every party — the
+// flight's initiator, its coalesced waiters, later hits — replays the
+// one stored move list. A peer-fill hook is handed that relabeling and
+// answers on its order, and a cache with caching disabled runs the
+// same route, storing nothing. So the answer depends on the key alone.
+//
 // Instances carrying §5 extension fields (allowed sets, conflicts) are
 // hashed in their own job order: the extension data is per-job, so
 // equal-triple jobs are no longer interchangeable.
@@ -185,15 +194,40 @@ func (c Canonical) job(slot int) int {
 	return c.order[slot]
 }
 
-// encodeMoves returns sol as a move list in canonical coordinates: one
-// (canonical slot, processor) pair per job sol places off its initial
-// processor in in, the request sol was computed for, in slot order. The
-// slice is sized exactly. Every slot and processor fits an int32:
-// Validate bounds both n and m to int32. An assignment shorter than in
-// panics.
-func (c Canonical) encodeMoves(in *instance.Instance, sol instance.Solution) []int32 {
+// relabel returns the canonical relabeling of ext, the request c keys:
+// a copy whose job in slot slot is the request job c places there,
+// renumbered to ID slot (Validate demands ID = position) with its
+// initial processor. Two requests with one key relabel to the same
+// instance, which is what a flight solves. An extended request keeps
+// its own order (the identity), so the shared allowed sets and
+// conflicts stay aligned with its jobs.
+func (c Canonical) relabel(ext *instance.Extended) *instance.Extended {
+	in := &ext.Instance
+	jobs := make([]instance.Job, in.N())
+	assign := make([]int, in.N())
+	if c.order == nil {
+		copy(jobs, in.Jobs)
+		copy(assign, in.Assign)
+	} else {
+		for slot, j := range c.order {
+			jobs[slot] = in.Jobs[j]
+			assign[slot] = in.Assign[j]
+		}
+	}
+	for slot := range jobs {
+		jobs[slot].ID = slot
+	}
+	return &instance.Extended{Instance: instance.Instance{M: in.M, Jobs: jobs, Assign: assign}, Allowed: ext.Allowed, Conflicts: ext.Conflicts}
+}
+
+// encodeMoves returns sol, a solution of rel, a canonical relabeling,
+// as a move list: one (slot, processor) pair per job sol places off
+// its initial processor, in slot order. The slice is sized exactly.
+// Every slot and processor fits an int32: Validate bounds both n and m
+// to int32. An assignment shorter than rel panics.
+func encodeMoves(rel *instance.Instance, sol instance.Solution) []int32 {
 	moved := 0
-	for j, p := range in.Assign {
+	for j, p := range rel.Assign {
 		if sol.Assign[j] != p {
 			moved++
 		}
@@ -202,10 +236,9 @@ func (c Canonical) encodeMoves(in *instance.Instance, sol instance.Solution) []i
 		return nil
 	}
 	moves := make([]int32, 0, 2*moved)
-	for slot := range in.Assign {
-		j := c.job(slot)
-		if p := sol.Assign[j]; p != in.Assign[j] {
-			moves = append(moves, int32(slot), int32(p))
+	for slot, p := range rel.Assign {
+		if q := sol.Assign[slot]; q != p {
+			moves = append(moves, int32(slot), int32(q))
 		}
 	}
 	return moves

@@ -162,9 +162,10 @@ func TestExtendedInstanceHashing(t *testing.T) {
 func (c Canonical) identity() bool { return c.order == nil }
 
 // TestSolutionRoundTrip checks that encodeMoves/applyMoves invert each
-// other for the request that produced the order, and that a
-// differently-permuted request of the same instance recovers a solution
-// with identical metrics.
+// other: a solution of the request's canonical relabeling, encoded and
+// replayed onto the request, puts each job where the relabeling's
+// solution put its slot, and a differently-permuted request of the same
+// instance recovers a solution with identical metrics.
 func TestSolutionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	spec, _ := engine.Lookup("greedy")
@@ -179,13 +180,17 @@ func TestSolutionRoundTrip(t *testing.T) {
 		}
 		in := instance.MustNew(m, sizes, nil, assign)
 		can := Canonicalize("greedy", spec.Caps, extOf(in), engine.Params{K: n})
+		rel := &can.relabel(extOf(in)).Instance
+		if err := rel.Validate(); err != nil {
+			t.Fatalf("trial %d: relabeling does not validate: %v", trial, err)
+		}
 
-		sol := instance.NewSolution(in, randomAssign(in, rng))
-		moves := can.encodeMoves(in, sol)
+		sol := instance.NewSolution(rel, randomAssign(rel, rng))
+		moves := encodeMoves(rel, sol)
 		got := can.applyMoves(nil, in, moves)
-		for j := range sol.Assign {
-			if got[j] != sol.Assign[j] {
-				t.Fatalf("trial %d: round trip changed job %d: %v -> %v", trial, j, sol.Assign, got)
+		for slot, p := range sol.Assign {
+			if j := can.job(slot); got[j] != p {
+				t.Fatalf("trial %d: round trip put job %d (slot %d) on %d, want %d", trial, j, slot, got[j], p)
 			}
 		}
 

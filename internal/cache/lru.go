@@ -13,7 +13,7 @@ import (
 const entryOverhead = 256
 
 // entry is one cached solver outcome: the scalar metrics plus the move
-// list in canonical coordinates (see Canonical.encodeMoves).
+// list in canonical coordinates (see encodeMoves).
 type entry struct {
 	key    Key
 	solver string            // for per-solver eviction counters
@@ -35,7 +35,8 @@ func (e *entry) charge() int64 { return entryOverhead + 4*int64(len(e.moves)) }
 
 // lru is a least-recently-used map of cache entries bounded both in
 // entry count and in charged bytes. It is not safe for concurrent use;
-// Cache serializes access under its mutex.
+// Cache serializes access under its mutex. A nil *lru, a disabled
+// cache's, holds nothing: get misses and len is 0.
 type lru struct {
 	max      int
 	maxBytes int64
@@ -50,6 +51,9 @@ func newLRU(max int, maxBytes int64) *lru {
 
 // get returns the entry under key and marks it most recently used.
 func (l *lru) get(key Key) (*entry, bool) {
+	if l == nil {
+		return nil, false
+	}
 	el, ok := l.byKey[key]
 	if !ok {
 		return nil, false
@@ -86,4 +90,9 @@ func (l *lru) add(e *entry) []*entry {
 }
 
 // len returns the number of cached entries.
-func (l *lru) len() int { return l.order.Len() }
+func (l *lru) len() int {
+	if l == nil {
+		return 0
+	}
+	return l.order.Len()
+}

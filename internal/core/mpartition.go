@@ -93,7 +93,7 @@ func runMPartition(ctx context.Context, s *solver, k int, mode SearchMode) (inst
 	found := false
 	switch mode {
 	case ThresholdScan:
-		for _, v := range s.ladder(lo, hi, nil) {
+		for _, v := range s.ladder(lo, hi) {
 			// Cancellation point: one probe per ladder rung.
 			if err := ctx.Err(); err != nil {
 				return instance.Solution{}, err
@@ -165,13 +165,12 @@ func (m SearchMode) String() string {
 // per-regime doubled remaining-small sums governing a_i; lo itself is
 // included since behaviour is constant between consecutive thresholds.
 func thresholdLadder(in *instance.Instance, lo, hi int64) []int64 {
-	return newSolver(in, nil).ladder(lo, hi, nil)
+	return newSolver(in, nil).ladder(lo, hi)
 }
 
 // ladder is the threshold-ladder kernel: it enumerates the candidate
-// set over the solver's size-sorted CSR rows and prefix sums, appending
-// into dst (grown once, then reused — a warmed buffer makes the call
-// allocation-free).
+// set over the solver's size-sorted CSR rows and prefix sums into a
+// fresh slice.
 //
 // Complexity: the a_i family enumerates every (cutoff t, strip count r)
 // pair, so a processor holding n_i jobs contributes Θ(n_i²) candidates
@@ -184,8 +183,8 @@ func thresholdLadder(in *instance.Instance, lo, hi int64) []int64 {
 // can still land in [lo, hi] and each generator breaks out as soon as
 // its values fall below lo — out-of-range candidates are never stored,
 // hashed, or iterated.
-func (s *solver) ladder(lo, hi int64, dst []int64) []int64 {
-	out := append(dst[:0], lo, hi)
+func (s *solver) ladder(lo, hi int64) []int64 {
+	out := []int64{lo, hi}
 	add := func(v int64) {
 		if v >= lo && v <= hi {
 			out = append(out, v)

@@ -85,7 +85,9 @@ type Config struct {
 	// package default.
 	MaxTimeout time.Duration
 	// CacheEntries bounds the solution cache's LRU. 0 means
-	// DefaultCacheEntries; negative disables caching entirely.
+	// DefaultCacheEntries; negative disables caching: nothing is stored,
+	// hit or coalesced, and results carry no Cache outcome, but a solve
+	// still answers the bytes a cached miss would (cache.Config).
 	CacheEntries int
 	// CacheBytes bounds the solution cache's memory, as charged by
 	// cache.Config.MaxBytes; the LRU evicts on whichever of the two
@@ -118,7 +120,7 @@ type Config struct {
 // format onto Do and never touch the cache or engine directly.
 type Core struct {
 	cfg        Config
-	cache      *cache.Cache    // nil when caching is disabled
+	cache      *cache.Cache    // with CacheEntries < 0, a cache that keeps nothing
 	slots      chan struct{}   // one token per running solve; capacity is the resolved Workers
 	waiting    atomic.Int64    // solves blocked on a slot: the admission queue
 	rootCtx    context.Context // cancelled to kill stragglers and stop the session janitor
@@ -181,15 +183,14 @@ func New(cfg Config) *Core {
 		sessions:   &sessionTable{entries: make(map[string]*sessionEntry)},
 	}
 	go c.sessionJanitor()
-	if cfg.CacheEntries >= 0 {
-		// A drain timeout reaches flights through their parties: each
-		// party's requestCtx dies with rootCtx, and the last to leave a
-		// flight cancels it.
-		c.cache = cache.New(cache.Config{
-			MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes,
-			Obs: cfg.Obs, Fill: cfg.Fill,
-		})
-	}
+	// A drain timeout reaches flights through their parties: each
+	// party's requestCtx dies with rootCtx, and the last to leave a
+	// flight cancels it. A negative CacheEntries is cache.Config's
+	// disabled mode.
+	c.cache = cache.New(cache.Config{
+		MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes,
+		Obs: cfg.Obs, Fill: cfg.Fill,
+	})
 	c.solvers = make(map[string]*solverEntry)
 	for _, spec := range engine.Specs() {
 		c.solvers[spec.Name] = &solverEntry{name: spec.Name, spec: spec}
@@ -263,8 +264,9 @@ func (c *Core) observe(ent *solverEntry, solver string, res *Result, latencyNS i
 
 // solve runs the named solver (or sweep) under ctx. A solver panic is
 // converted into an error so one bad request cannot take the caller
-// down. Solution-kind solves route through the solution cache when one
-// is configured.
+// down. Solution-kind solves always route through the solution cache,
+// which with caching disabled still solves the canonical relabeling
+// and answers the bytes a cached miss would.
 func (c *Core) solve(ctx context.Context, req *Request) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -311,28 +313,22 @@ func (c *Core) solve(ctx context.Context, req *Request) (res Result) {
 		Obs:     c.cfg.Obs,
 		Allowed: req.Instance.Allowed, Conflicts: req.Instance.Conflicts,
 	}
-	if c.cache != nil {
-		// The cache span covers lookup, canonicalization (unless a probe
-		// already keyed the request), coalesce wait and any peer fill;
-		// the engine solve becomes its child via the span linkage
-		// grafted onto the flight context (internal/cache).
-		cctx, csp := obs.StartSpan(ctx, "cache")
-		can := req.probe.can
-		if !req.probe.keyed {
-			can = cache.Canonicalize(spec.Name, spec.Caps, &req.Instance, p)
-		}
-		var st cache.Stats
-		res.Sol, st, res.Err = c.cache.Solve(cctx, spec, &req.Instance, p, req.PeerFill, can)
-		res.Cache, res.SolveNS, res.PeerFill = st.Outcome.String(), st.EngineNS, st.PeerFill
-		if csp != nil {
-			csp.SetAttr(obs.String("outcome", st.Outcome.String()))
-		}
-		csp.End()
-		return res
+	// The cache span covers lookup, canonicalization (unless a probe
+	// already keyed the request), coalesce wait and any peer fill; the
+	// engine solve becomes its child via the span linkage grafted onto
+	// the flight context (internal/cache).
+	cctx, csp := obs.StartSpan(ctx, "cache")
+	can := req.probe.can
+	if !req.probe.keyed {
+		can = cache.Canonicalize(spec.Name, spec.Caps, &req.Instance, p)
 	}
-	t0 := time.Now()
-	res.Sol, res.Err = spec.Solve(ctx, in, p)
-	res.SolveNS = time.Since(t0).Nanoseconds()
+	var st cache.Stats
+	res.Sol, st, res.Err = c.cache.Solve(cctx, spec, &req.Instance, p, req.PeerFill, can)
+	res.Cache, res.SolveNS, res.PeerFill = st.Outcome.String(), st.EngineNS, st.PeerFill
+	if csp != nil {
+		csp.SetAttr(obs.String("outcome", st.Outcome.String()))
+	}
+	csp.End()
 	return res
 }
 
@@ -481,9 +477,7 @@ func (c *Core) Shutdown(ctx context.Context) error {
 	<-drained
 	// Every party has left its flight, and the last to leave cancelled
 	// it; a flight returns once its solver notices.
-	if c.cache != nil {
-		c.cache.Wait()
-	}
+	c.cache.Wait()
 	return err
 }
 

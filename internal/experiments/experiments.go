@@ -450,29 +450,44 @@ func E10() *stats.Table {
 	return t
 }
 
+// e11Repeats is how many timed solves each E11 cell takes the median
+// of.
+const e11Repeats = 5
+
 // E11 compares the three M-PARTITION search strategies: integer binary
 // search, the naive materialized ladder, and the paper's incremental
-// ladder.
+// ladder. An untimed round of all three on the first instance warms
+// the process, and each time cell is the median of e11Repeats solves,
+// so neither a cold first call nor one preempted run decides a
+// ranking.
 func E11() *stats.Table {
 	t := stats.NewTable("n", "binary ms", "naive-ladder ms", "incremental ms",
 		"binary makespan", "ladder makespan", "incremental makespan")
-	for _, n := range []int{100, 400, 1600} {
+	modes := [...]core.SearchMode{core.BinarySearch, core.ThresholdScan, core.IncrementalScan}
+	for i, n := range []int{100, 400, 1600} {
 		in := workload.Generate(workload.Config{
 			N: n, M: 8, MaxSize: 500, Sizes: workload.SizeUniform,
 			Placement: workload.PlaceSkewed, Seed: 3,
 		})
 		k := n / 8
-		t0 := time.Now()
-		b, _ := core.MPartition(context.Background(), in, k, core.BinarySearch, sink)
-		bt := time.Since(t0)
-		t0 = time.Now()
-		l, _ := core.MPartition(context.Background(), in, k, core.ThresholdScan, sink)
-		lt := time.Since(t0)
-		t0 = time.Now()
-		ic, _ := core.MPartition(context.Background(), in, k, core.IncrementalScan, sink)
-		it := time.Since(t0)
-		t.Addf(n, float64(bt.Microseconds())/1000, float64(lt.Microseconds())/1000,
-			float64(it.Microseconds())/1000, b.Makespan, l.Makespan, ic.Makespan)
+		if i == 0 {
+			for _, mode := range modes {
+				core.MPartition(context.Background(), in, k, mode, sink)
+			}
+		}
+		var ms [len(modes)]float64
+		var makespan [len(modes)]int64
+		for m, mode := range modes {
+			times := make([]float64, e11Repeats)
+			for r := range times {
+				t0 := time.Now()
+				sol, _ := core.MPartition(context.Background(), in, k, mode, sink)
+				times[r] = float64(time.Since(t0).Microseconds()) / 1000
+				makespan[m] = sol.Makespan
+			}
+			ms[m] = stats.Summarize(times).P50
+		}
+		t.Addf(n, ms[0], ms[1], ms[2], makespan[0], makespan[1], makespan[2])
 	}
 	return t
 }

@@ -112,7 +112,8 @@ type Config struct {
 	// default.
 	MaxBodyBytes int64
 	// CacheEntries bounds the solution cache's LRU. 0 means
-	// DefaultCacheEntries; negative disables caching entirely.
+	// DefaultCacheEntries; negative disables caching, with the same
+	// answers (see dispatch.Config.CacheEntries).
 	CacheEntries int
 	// CacheBytes bounds the solution cache's memory, as charged by
 	// cache.Config.MaxBytes; the LRU evicts on whichever of the two

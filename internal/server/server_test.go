@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -102,23 +104,60 @@ func solveRequest(solver string, in *instance.Instance) SolveRequest {
 	return req
 }
 
+// canonicalSolve is the answer the server owes a request for in: a
+// direct engine.Solve of in's canonical relabeling — its jobs sorted
+// stably by (size, cost, initial processor) and renumbered to their
+// positions — re-indexed onto in's own job order.
+func canonicalSolve(solver string, in *instance.Instance, p engine.Params) (instance.Solution, error) {
+	order := make([]int, in.N())
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		x, y := order[a], order[b]
+		kx := [3]int64{in.Jobs[x].Size, in.Jobs[x].Cost, int64(in.Assign[x])}
+		ky := [3]int64{in.Jobs[y].Size, in.Jobs[y].Cost, int64(in.Assign[y])}
+		return slices.Compare(kx[:], ky[:]) < 0
+	})
+	rel := &instance.Instance{M: in.M, Jobs: make([]instance.Job, in.N()), Assign: make([]int, in.N())}
+	for slot, j := range order {
+		rel.Jobs[slot] = instance.Job{ID: slot, Size: in.Jobs[j].Size, Cost: in.Jobs[j].Cost}
+		rel.Assign[slot] = in.Assign[j]
+	}
+	sol, err := engine.Solve(context.Background(), solver, rel, p)
+	if err != nil {
+		return sol, err
+	}
+	assign := make([]int, in.N())
+	for slot, j := range order {
+		assign[j] = sol.Assign[slot]
+	}
+	sol.Assign = assign
+	return sol, nil
+}
+
 // TestSolveMatchesEngine pins the end-to-end contract: a solve served
-// over HTTP returns exactly what a direct engine.Solve of the same
-// request computes, for a greedy, an M-PARTITION, and a PTAS run.
+// over HTTP returns exactly what a direct engine.Solve of the request's
+// canonical relabeling computes, replayed onto the request's job order
+// (canonicalSolve), for a greedy, an M-PARTITION, a PTAS and a budget
+// run. The budget instance's own order answers makespan 11 when solved
+// as given; its relabeling, and so the server, answers 9.
 func TestSolveMatchesEngine(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	in := testInstance()
 	cases := []struct {
 		name   string
+		in     *instance.Instance
 		k      int
 		budget int64
 		eps    float64
 	}{
-		{name: "greedy", k: 2},
-		{name: "mpartition", k: 2},
-		{name: "ptas", budget: 2, eps: 0.5},
+		{name: "greedy", in: testInstance(), k: 2},
+		{name: "mpartition", in: testInstance(), k: 2},
+		{name: "ptas", in: testInstance(), budget: 2, eps: 0.5},
+		{name: "budget", in: instance.MustNew(3, []int64{7, 5, 4, 3, 3, 2}, nil, []int{0, 0, 0, 1, 1, 2}), budget: 3},
 	}
 	for _, c := range cases {
+		in := c.in
 		req := solveRequest(c.name, in)
 		req.K, req.Budget, req.Eps = c.k, c.budget, c.eps
 		resp, body := postSolve(t, ts.URL, req)
@@ -129,7 +168,7 @@ func TestSolveMatchesEngine(t *testing.T) {
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatalf("%s: decode: %v", c.name, err)
 		}
-		want, err := engine.Solve(context.Background(), c.name, in, engine.Params{
+		want, err := canonicalSolve(c.name, in, engine.Params{
 			K: c.k, Budget: c.budget, Eps: c.eps, Workers: 1,
 		})
 		if err != nil {

@@ -23,7 +23,7 @@ type SweepPoint = dispatch.SweepPoint
 // Timing splits one request's server-side latency into phases, all in
 // nanoseconds: admission-queue wait, solution-cache time (lookup,
 // canonicalization, coalesce wait and peer fill, excluding engine
-// compute; zero when the request bypassed the cache), and engine
+// compute; zero for sweeps and with caching disabled), and engine
 // compute (the flight's measured solve for cache misses and coalesced
 // waits, zero for hits).
 type Timing struct {
