@@ -258,8 +258,8 @@ func BenchmarkE10Reductions(b *testing.B) {
 	})
 }
 
-// E11 — ablation: M-PARTITION binary search vs the paper's threshold
-// ladder.
+// E11 — ablation: M-PARTITION binary search vs the paper's incremental
+// threshold scan.
 func BenchmarkE11Ablation(b *testing.B) {
 	in := workload.Generate(workload.Config{
 		N: 400, M: 8, MaxSize: 500, Sizes: workload.SizeUniform,
@@ -269,11 +269,6 @@ func BenchmarkE11Ablation(b *testing.B) {
 	b.Run("binary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.MPartition(context.Background(), in, k, core.BinarySearch, nil)
-		}
-	})
-	b.Run("ladder", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.MPartition(context.Background(), in, k, core.ThresholdScan, nil)
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {

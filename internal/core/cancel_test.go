@@ -22,7 +22,7 @@ func TestMPartitionCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := cancelTestInstance()
-	for _, mode := range []SearchMode{BinarySearch, ThresholdScan, IncrementalScan} {
+	for _, mode := range []SearchMode{BinarySearch, IncrementalScan} {
 		if _, err := MPartition(ctx, in, 10, mode, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("mode %v with canceled ctx: err = %v, want Canceled", mode, err)
 		}
@@ -36,7 +36,7 @@ func TestMPartitionCtxMatchesWrapper(t *testing.T) {
 	in := cancelTestInstance()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, mode := range []SearchMode{BinarySearch, ThresholdScan, IncrementalScan} {
+	for _, mode := range []SearchMode{BinarySearch, IncrementalScan} {
 		want, _ := MPartition(context.Background(), in, 10, mode, nil)
 		got, err := MPartition(ctx, in, 10, mode, nil)
 		if err != nil {

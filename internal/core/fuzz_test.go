@@ -33,8 +33,8 @@ func fuzzInstance(mRaw uint8, raw []byte) *instance.Instance {
 // FuzzMPartitionInvariants checks on arbitrary inputs that M-PARTITION
 // returns a verified assignment within the move budget, never worse
 // than the initial makespan, and at least the packing lower bound; that
-// all three search modes return the same assignment, makespan and move
-// count; and that a traced binary search, which also runs the full
+// both search modes return the ladder oracle's assignment, makespan and
+// move count; and that a traced binary search, which also runs the full
 // probe at every rung, returns the untraced solution.
 func FuzzMPartitionInvariants(f *testing.F) {
 	f.Add(uint8(3), uint8(2), []byte{5, 9, 2, 200, 17})

@@ -50,7 +50,7 @@ type Result struct {
 // radix build, DESIGN.md §12), keeps that cost from repeating per probe.
 //
 // A solver also owns all per-probe scratch, so repeated probes (the
-// bisection and the ladder scans) run with zero steady-state heap
+// bisection and the incremental scan) run with zero steady-state heap
 // allocations: probeFlat and probeCount touch only the flat arrays
 // below, and the parts of Result that escape to the caller (Selected,
 // the Solution's copied assignment) are materialized once, by run() or
@@ -62,7 +62,7 @@ type solver struct {
 	flat instance.Flat
 	csr  instance.CSR // rows sorted by (size desc, id asc)
 	// rowPrefix[csr.Start[p]+i] is the summed size of the first i+1 jobs
-	// of row p — the prefix sums rowCounts and the ladder read.
+	// of row p — the prefix sums rowCounts and the incremental scan read.
 	rowPrefix []int64
 
 	// sink is the observability handle; nil disables instrumentation
@@ -74,7 +74,9 @@ type solver struct {
 	removalsTotal *obs.Counter
 	probeRemovals *obs.Histogram
 
-	// Per-probe scratch, reused across probes of the same solver.
+	// Per-probe scratch, reused across probes of the same solver. The
+	// four per-processor count arrays are also the incremental scan's
+	// state between thresholds; probeFlat overwrites them.
 	largeCnt     []int32 // per-processor large-job count (Step 1)
 	aArr         []int32 // Step 2 a_i
 	bArr         []int32 // Step 2 b_i
@@ -149,12 +151,13 @@ func (s *solver) rowTotal(p int) int64 {
 	return s.rowPrefixSum(p, int(s.csr.Start[p+1]-s.csr.Start[p]))
 }
 
-// rowCounts returns processor p's PARTITION counts at target v in
-// O(log n_p), by binary searches over the size-ordered row and its
-// prefix sums: t, its number of large jobs, and the Step 2 removal
-// counts a_p and b_p. The count probe and the incremental scan both
-// read PARTITION's per-processor state from here.
-func (s *solver) rowCounts(p int, v int64) (t, a, b int) {
+// rowCounts writes processor p's PARTITION counts at target v into
+// largeCnt, aArr, bArr and cArr in O(log n_p), by binary searches over
+// the size-ordered row and its prefix sums: t, its number of large
+// jobs, the Step 2 removal counts a_p and b_p, and c_p = a_p − b_p.
+// The count probe and the incremental scan both fill PARTITION's
+// per-processor state from here.
+func (s *solver) rowCounts(p int, v int64) {
 	row := s.csr.Row(p)
 	sizes := s.flat.Sizes
 	n := len(row)
@@ -170,7 +173,7 @@ func (s *solver) rowCounts(p int, v int64) (t, a, b int) {
 			lo = mid + 1
 		}
 	}
-	t = lo
+	t := lo
 
 	// b_p: smallest q with total − prefix[q] ≤ v (strip largest first;
 	// the retained large job is the largest, matching prefix order).
@@ -199,7 +202,7 @@ func (s *solver) rowCounts(p int, v int64) (t, a, b int) {
 			lo = mid + 1
 		}
 	}
-	b = lo
+	b := lo
 
 	// a_p: smallest r with 2·(smallTotal − topSmallSum_r) ≤ v, i.e.
 	// smallest q ≥ t with 2·(total − prefix[q]) ≤ v, minus t.
@@ -212,7 +215,7 @@ func (s *solver) rowCounts(p int, v int64) (t, a, b int) {
 			lo = mid + 1
 		}
 	}
-	return t, lo, b
+	s.largeCnt[p], s.aArr[p], s.bArr[p], s.cArr[p] = int32(t), int32(lo), int32(b), int32(lo-b)
 }
 
 // Partition runs the §3 PARTITION algorithm against target value target
@@ -530,29 +533,36 @@ func (s *solver) probeFlat(target int64) bool {
 
 // probeCount decides PARTITION at target without running it: the
 // feasibility and the removal count probeFlat would report, from
-// rowCounts for every processor and one sort of the m values of c_i —
-// O(m log n) against probeFlat's O(n). The counts go to the last*
-// fields; s.assign and s.probeMakespan are left alone.
+// rowCounts for every processor and countRemovals — O(m log n) against
+// probeFlat's O(n). The counts go to the last* fields; s.assign and
+// s.probeMakespan are left alone.
 func (s *solver) probeCount(target int64) bool {
 	f := &s.flat
-	m := f.M
-	if target < f.Max || target*int64(m) < f.Total {
+	if target < f.Max || target*int64(f.M) < f.Total {
 		return false
 	}
+	for p := 0; p < f.M; p++ {
+		s.rowCounts(p, target)
+	}
+	return s.countRemovals()
+}
+
+// countRemovals ends a count probe over the per-processor counts in
+// largeCnt, aArr, bArr and cArr: it totals L_T and L_E, rejects
+// L_T > m, and sums the move count k̂ — L_E, plus a_i over the L_T
+// processors first in c order (Step 3), plus b_i over the rest
+// (Step 4) — into the last* fields. O(m log m), for the one sort.
+func (s *solver) countRemovals() bool {
 	totalLarge, extra := 0, 0
-	for p := 0; p < m; p++ {
-		t, a, b := s.rowCounts(p, target)
-		s.largeCnt[p], s.aArr[p], s.bArr[p], s.cArr[p] = int32(t), int32(a), int32(b), int32(a-b)
-		totalLarge += t
+	for _, t := range s.largeCnt {
+		totalLarge += int(t)
 		if t > 1 {
-			extra += t - 1 // Step 1 keeps one large job per processor
+			extra += int(t) - 1 // Step 1 keeps one large job per processor
 		}
 	}
-	if totalLarge > m {
+	if totalLarge > s.flat.M {
 		return false
 	}
-	// Step 3 strips a_i from the L_T processors first in c order, Step 4
-	// b_i from the rest.
 	removals := extra
 	for i, p := range s.sortByC() {
 		if i < totalLarge {

@@ -70,26 +70,29 @@ func TestPartitionHalfOptimalBound(t *testing.T) {
 // The heart of the reproduction: M-PARTITION is a true 1.5-approximation
 // using at most k moves, verified against the exact optimum.
 func TestMPartitionApproximationGuarantee(t *testing.T) {
-	for _, mode := range []SearchMode{BinarySearch, ThresholdScan} {
-		for seed := uint64(0); seed < 40; seed++ {
-			in := workload.Generate(workload.Config{
-				N: 10, M: 3, MaxSize: 25,
-				Sizes:     workload.SizeDist(seed % 3),
-				Placement: workload.Placement(seed % 4),
-				Seed:      seed,
-			})
-			for _, k := range []int{0, 1, 2, 3, 5, 10} {
-				sol, _ := MPartition(context.Background(), in, k, mode, nil)
-				if _, err := verify.WithinMoves(in, sol.Assign, k); err != nil {
-					t.Fatalf("mode %d seed %d k %d: %v", mode, seed, k, err)
+	for seed := uint64(0); seed < 40; seed++ {
+		in := workload.Generate(workload.Config{
+			N: 10, M: 3, MaxSize: 25,
+			Sizes:     workload.SizeDist(seed % 3),
+			Placement: workload.Placement(seed % 4),
+			Seed:      seed,
+		})
+		for _, k := range []int{0, 1, 2, 3, 5, 10} {
+			opt, err := exact.Solve(context.Background(), in, k, exact.Limits{})
+			if err != nil {
+				t.Fatalf("seed %d k %d: %v", seed, k, err)
+			}
+			bin, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
+			for _, c := range []struct {
+				search string
+				sol    instance.Solution
+			}{{"binary", bin}, {"ladder oracle", ladderScan(in, k)}} {
+				if _, err := verify.WithinMoves(in, c.sol.Assign, k); err != nil {
+					t.Fatalf("%s seed %d k %d: %v", c.search, seed, k, err)
 				}
-				opt, err := exact.Solve(context.Background(), in, k, exact.Limits{})
-				if err != nil {
-					t.Fatalf("mode %d seed %d k %d: %v", mode, seed, k, err)
-				}
-				if 2*sol.Makespan > 3*opt.Makespan {
-					t.Fatalf("mode %d seed %d k %d: makespan %d > 1.5·OPT (%d)",
-						mode, seed, k, sol.Makespan, opt.Makespan)
+				if 2*c.sol.Makespan > 3*opt.Makespan {
+					t.Fatalf("%s seed %d k %d: makespan %d > 1.5·OPT (%d)",
+						c.search, seed, k, c.sol.Makespan, opt.Makespan)
 				}
 			}
 		}
@@ -150,8 +153,8 @@ func TestMPartitionNeverWorseThanInitial(t *testing.T) {
 }
 
 func TestThresholdLadderCoversBinarySearchTarget(t *testing.T) {
-	// Both search modes must deliver the 1.5 guarantee; they may pick
-	// different targets but neither may relocate more than k jobs.
+	// Neither the bisection nor the ladder oracle may relocate more
+	// than k jobs.
 	for seed := uint64(0); seed < 15; seed++ {
 		in := workload.Generate(workload.Config{
 			N: 24, M: 4, MaxSize: 50, Sizes: workload.SizeUniform,
@@ -159,7 +162,7 @@ func TestThresholdLadderCoversBinarySearchTarget(t *testing.T) {
 		})
 		k := 6
 		a, _ := MPartition(context.Background(), in, k, BinarySearch, nil)
-		b, _ := MPartition(context.Background(), in, k, ThresholdScan, nil)
+		b := ladderScan(in, k)
 		if _, err := verify.WithinMoves(in, a.Assign, k); err != nil {
 			t.Fatalf("seed %d binary: %v", seed, err)
 		}

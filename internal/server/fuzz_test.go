@@ -62,6 +62,28 @@ var fuzzStatuses = map[int]bool{
 	http.StatusInternalServerError: true, // unclassified solver error
 }
 
+// fuzzSolverSeeds are FuzzServerSolve's hand-written seeds that must
+// reach a solver and answer 200 (TestFuzzSolverSeedsAnswer200): one per
+// kind of request the seeds cover beside mpartition — a k-bounded
+// solver, a budgeted one, an extended instance and a sweep.
+var fuzzSolverSeeds = []string{
+	`{"solver":"greedy","k":2,"instance":{"m":2,"jobs":[{"id":0,"size":5},{"id":1,"size":4},{"id":2,"size":3}],"assign":[0,0,0]}}`,
+	`{"solver":"exact-budget","budget":3,"instance":{"m":2,"jobs":[{"id":0,"size":5,"cost":1},{"id":1,"size":4,"cost":2}],"assign":[0,0]}}`,
+	`{"solver":"conflict","instance":{"m":2,"jobs":[{"id":0,"size":5},{"id":1,"size":4}],"assign":[0,0],"allowed":[[0],[0,1]],"conflicts":[[0,1]]}}`,
+	`{"solver":"frontier","ks":[0,1,2],"instance":{"m":2,"jobs":[{"id":0,"size":5},{"id":1,"size":4}],"assign":[0,0]}}`,
+}
+
+// TestFuzzSolverSeedsAnswer200 keeps fuzzSolverSeeds live: a seed the
+// validator rejects never runs the cached-repeat or reversed-twin
+// checks, so the fuzz target would only ever see its 400.
+func TestFuzzSolverSeedsAnswer200(t *testing.T) {
+	for _, body := range fuzzSolverSeeds {
+		if _, code := fuzzPost(t, fuzzServer(), []byte(body), ""); code != http.StatusOK {
+			t.Errorf("seed answered %d, want 200: %s", code, body)
+		}
+	}
+}
+
 // FuzzServerSolve throws arbitrary bytes at POST /v1/solve, under an
 // arbitrary X-Request-ID: the handler must never panic, must always
 // answer with a status from the typed set, and must always produce a
@@ -81,10 +103,9 @@ var fuzzStatuses = map[int]bool{
 // put the same jobs — by (size, cost, initial processor) — on the same
 // processors.
 func FuzzServerSolve(f *testing.F) {
-	f.Add([]byte(`{"solver":"greedy","k":2,"instance":{"m":2,"jobs":[{"size":5},{"size":4},{"size":3}],"assign":[0,0,0]}}`), "")
-	f.Add([]byte(`{"solver":"exact-budget","budget":3,"instance":{"m":2,"jobs":[{"size":5,"cost":1},{"size":4,"cost":2}],"assign":[0,0]}}`), "")
-	f.Add([]byte(`{"solver":"conflict","instance":{"m":2,"jobs":[{"size":5},{"size":4}],"assign":[0,0],"allowed":[[0],[0,1]],"conflicts":[[0,1]]}}`), "")
-	f.Add([]byte(`{"solver":"frontier","ks":[0,1,2],"instance":{"m":2,"jobs":[{"size":5},{"size":4}],"assign":[0,0]}}`), "")
+	for _, body := range fuzzSolverSeeds {
+		f.Add([]byte(body), "")
+	}
 	f.Add([]byte(`{"solver":"nope","instance":{"m":1,"jobs":[{"size":1}],"assign":[0]}}`), "")
 	f.Add([]byte(`{"solver":"greedy","k":-7,"instance":{"m":0,"jobs":[],"assign":[]}}`), "")
 	f.Add([]byte(`{"solver":"greedy","instance":{"m":2,"jobs":[{"size":5}`), "") // truncated
