@@ -165,6 +165,7 @@ FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzMPartitionInvariants -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPartitionBudgetInvariants -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPartitionMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instance -run '^$$' -fuzz FuzzCSRReset -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzMoveReplay -fuzztime $(FUZZTIME)

@@ -30,12 +30,17 @@ func fuzzInstance(mRaw uint8, raw []byte) *instance.Instance {
 	return instance.MustNew(m, sizes, nil, assign)
 }
 
+// FuzzInstance lends fuzzInstance to the reference tests of package
+// core_test.
+var FuzzInstance = fuzzInstance
+
 // FuzzMPartitionInvariants checks on arbitrary inputs that M-PARTITION
 // returns a verified assignment within the move budget, never worse
 // than the initial makespan, and at least the packing lower bound; that
 // both search modes return the ladder oracle's assignment, makespan and
-// move count; and that a traced binary search, which also runs the full
-// probe at every rung, returns the untraced solution.
+// move count; and that a traced binary search, whose rungs run the full
+// probe where an untraced one runs the count probe, returns the
+// untraced solution.
 func FuzzMPartitionInvariants(f *testing.F) {
 	f.Add(uint8(3), uint8(2), []byte{5, 9, 2, 200, 17})
 	f.Add(uint8(1), uint8(0), []byte{255})

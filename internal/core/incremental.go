@@ -56,20 +56,9 @@ func (s *solver) incrementalScan(ctx context.Context, k int) (int64, bool, error
 				s.sink.Emit("threshold", obs.Fields{"target": v, "khat": khat, "feasible": ok && khat <= k})
 			}
 		}
-		if !ok || khat > k {
-			return false
-		}
-		if s.runLight(v) && s.lastRemovals <= k {
-			return true
-		}
-		// k̂ and the full run agree by construction; treat a divergence
-		// as infeasible rather than returning an over-budget solution.
-		// The run overwrote the count arrays, so recount them at v
-		// before the walk goes on.
-		for p := 0; p < m; p++ {
-			s.rowCounts(p, v)
-		}
-		return false
+		// The full run recounts every processor at v, to the counts the
+		// walk holds, so its removals are k̂.
+		return ok && khat <= k && s.runLight(v)
 	})
 }
 

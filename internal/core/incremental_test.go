@@ -63,40 +63,6 @@ func TestStressLadderAgreement(t *testing.T) {
 	assertModesAgree(t, in, 400)
 }
 
-// k̂ read from incrementally refreshed counts must equal the removals
-// of a full PARTITION run at the same threshold. k̂ is read before the
-// run, because the run overwrites the count arrays.
-func TestIncrementalMoveCountAgreesWithRun(t *testing.T) {
-	for seed := uint64(0); seed < 25; seed++ {
-		in := workload.Generate(workload.Config{
-			N: 20, M: 4, MaxSize: 40, Sizes: workload.SizeBimodal,
-			Placement: workload.PlaceRandom, Seed: seed,
-		})
-		s := newSolver(in, nil)
-		for v := in.LowerBound(); v <= in.InitialMakespan(); v++ {
-			for p := 0; p < in.M; p++ {
-				s.rowCounts(p, v)
-			}
-			ok := s.countRemovals()
-			khat := s.lastRemovals
-			r := s.run(v)
-			if !r.Feasible {
-				// run may also reject on the packing bounds that
-				// countRemovals does not check; only compare when both
-				// are live.
-				if ok && v >= in.MaxSize() && v*int64(in.M) >= in.TotalSize() {
-					t.Fatalf("seed %d v %d: run infeasible but k̂ = %d", seed, v, khat)
-				}
-				continue
-			}
-			if !ok || khat != r.Removals {
-				t.Fatalf("seed %d v %d: k̂ = %d (ok=%v), run removals = %d",
-					seed, v, khat, ok, r.Removals)
-			}
-		}
-	}
-}
-
 // TestScanCountsMatchRecount is the differential twin of the count the
 // incremental scan shares with the count probe: at every threshold the
 // walk visits, the solver's count arrays, refreshed only for the

@@ -76,7 +76,8 @@ type solver struct {
 
 	// Per-probe scratch, reused across probes of the same solver. The
 	// four per-processor count arrays are also the incremental scan's
-	// state between thresholds; probeFlat overwrites them.
+	// state between thresholds; a full probe at a threshold recounts
+	// them to the same values.
 	largeCnt     []int32 // per-processor large-job count (Step 1)
 	aArr         []int32 // Step 2 a_i
 	bArr         []int32 // Step 2 b_i
@@ -93,7 +94,8 @@ type solver struct {
 	heapItems    []int32 // Step 6 min-load heap backing array
 	orderSorter  procCSorter
 
-	// Light-probe outputs (valid after probeFlat returns true).
+	// Probe outputs: countRemovals sets the last* counts, probeFlat
+	// the makespan (each valid after it returns true).
 	lastRemovals   int
 	lastLargeTotal int
 	lastLargeExtra int
@@ -111,13 +113,24 @@ func newSolver(in *instance.Instance, sink *obs.Sink) *solver {
 		s.removalsTotal = sink.Reg.Counter("core.removals")
 		s.probeRemovals = sink.Reg.Histogram("core.probe_removals")
 	}
-	n, m := in.N(), in.M
 	s.flat.Reset(in)
 	// The working assignment is overwritten by every probe, so it lends
 	// the row build its scratch.
-	s.assign = make([]int32, n)
-	s.csr.Reset(m, s.flat.Assign, s.flat.Sizes, s.assign)
-	s.rowPrefix = make([]int64, n)
+	s.assign = make([]int32, in.N())
+	s.csr.Reset(in.M, s.flat.Assign, s.flat.Sizes, s.assign)
+	s.prepare()
+	return s
+}
+
+// prepare builds the row prefix sums over s.flat and s.csr and sizes
+// the per-probe scratch to their n and m, reusing capacity: newSolver
+// and Warm.refresh both finish here, so the cold and warm solvers are
+// sized by one list. The boolean scratch keeps its all-false
+// steady-state invariant: probeFlat resets every entry it sets, and
+// fresh allocations come zeroed.
+func (s *solver) prepare() {
+	n, m := len(s.flat.Sizes), s.flat.M
+	s.rowPrefix = instance.GrowSlice(s.rowPrefix, n)
 	for p := 0; p < m; p++ {
 		var sum int64
 		for i, j := range s.csr.Row(p) {
@@ -125,16 +138,16 @@ func newSolver(in *instance.Instance, sink *obs.Sink) *solver {
 			s.rowPrefix[int(s.csr.Start[p])+i] = sum
 		}
 	}
-	s.largeCnt = make([]int32, m)
-	s.aArr = make([]int32, m)
-	s.bArr = make([]int32, m)
-	s.cArr = make([]int32, m)
-	s.order = make([]int32, m)
-	s.selected = make([]bool, m)
-	s.loads = make([]int64, m)
-	s.removed = make([]bool, n)
-	s.heapItems = make([]int32, m)
-	return s
+	s.largeCnt = instance.GrowSlice(s.largeCnt, m)
+	s.aArr = instance.GrowSlice(s.aArr, m)
+	s.bArr = instance.GrowSlice(s.bArr, m)
+	s.cArr = instance.GrowSlice(s.cArr, m)
+	s.assign = instance.GrowSlice(s.assign, n)
+	s.order = instance.GrowSlice(s.order, m)
+	s.selected = instance.GrowSlice(s.selected, m)
+	s.loads = instance.GrowSlice(s.loads, m)
+	s.removed = instance.GrowSlice(s.removed, n)
+	s.heapItems = instance.GrowSlice(s.heapItems, m)
 }
 
 // rowPrefixSum returns the summed size of the q largest jobs on
@@ -268,19 +281,17 @@ func (s *solver) runLight(target int64) bool {
 }
 
 // runCount is one BinarySearch rung: probeCount decides it and feeds
-// the counters. A tracing sink still gets the rung's full event
-// stream: probeFlat runs first, only to emit its removal events and
-// the makespan that probe_result reports.
+// the counters. A tracing sink gets the rung's full event stream from
+// runLight instead: the full probe is the count probe plus placement,
+// so the traced rung still runs the kernel once.
 func (s *solver) runCount(target int64) bool {
-	if s.sink == nil {
-		return s.probeCount(target)
-	}
 	if s.sink.Tracing() {
-		s.sink.Emit("probe_start", obs.Fields{"target": target})
-		s.probeFlat(target)
+		return s.runLight(target)
 	}
 	ok := s.probeCount(target)
-	s.record(target, ok)
+	if s.sink != nil {
+		s.record(target, ok)
+	}
 	return ok
 }
 
@@ -316,43 +327,21 @@ func (s *solver) materialize(assign []int32) instance.Solution {
 }
 
 // probeFlat is the PARTITION kernel: Steps 1–6 of §3 over the flat
-// arrays, zero heap allocations at steady state. On success the
-// resulting assignment is in s.assign, its makespan in s.probeMakespan,
-// and the removal counts in the last* fields.
+// arrays, zero heap allocations at steady state. probeCount decides the
+// target and leaves Steps 1–2's per-processor counts, the L_T, L_E and
+// removal totals and Step 3's c order in the solver; probeFlat then
+// removes and places the jobs those counts name. On success the
+// resulting assignment is in s.assign and its makespan in
+// s.probeMakespan.
 func (s *solver) probeFlat(target int64) bool {
+	if !s.probeCount(target) {
+		return false
+	}
 	f := &s.flat
 	m := f.M
 	sizes := f.Sizes
-	// Unconditional lower bounds: any makespan is at least the largest
-	// job and the ceiling average. Below either, no solution of value
-	// ≤ target exists.
-	if target < f.Max || target*int64(m) < f.Total {
-		return false
-	}
-
-	totalLarge := 0
-	for p := 0; p < m; p++ {
-		// Large jobs are a prefix of the size-sorted row.
-		lc := int32(0)
-		for _, j := range s.csr.Row(p) {
-			if 2*sizes[j] > target {
-				lc++
-			} else {
-				break
-			}
-		}
-		s.largeCnt[p] = lc
-		totalLarge += int(lc)
-	}
-	// More large jobs than processors means two of them must share a
-	// processor in every assignment, forcing makespan > target.
-	if totalLarge > m {
-		return false
-	}
-
 	assign := s.assign
 	copy(assign, f.Assign)
-	removals := 0
 	removedLarge, removedSmall := s.removedLarge[:0], s.removedSmall[:0]
 
 	// Step 1: from each processor keep only its smallest large job (the
@@ -361,63 +350,18 @@ func (s *solver) probeFlat(target int64) bool {
 		row := s.csr.Row(p)
 		for i := int32(0); i < s.largeCnt[p]-1; i++ {
 			removedLarge = append(removedLarge, row[i])
-			removals++
 			if s.sink.Tracing() {
 				s.sink.Emit("removal", obs.Fields{"target": target, "job": int(row[i]), "proc": p, "kind": "large", "step": 1})
 			}
 		}
 	}
-	s.lastLargeExtra = removals
-	s.lastLargeTotal = totalLarge
 
-	// Step 2: per-processor removal counts over the post-Step-1 config.
-	for p := 0; p < m; p++ {
-		row := s.csr.Row(p)
-		lc := int(s.largeCnt[p])
-		smalls := row[lc:] // sorted desc
-		var smallTotal int64
-		for _, j := range smalls {
-			smallTotal += sizes[j]
-		}
-		// a_i: strip largest smalls until 2·remaining ≤ target.
-		rem := smallTotal
-		a := 0
-		for ; 2*rem > target; a++ {
-			rem -= sizes[smalls[a]]
-		}
-		// b_i: strip largest jobs (retained large first — it strictly
-		// exceeds every small) until remaining ≤ target.
-		total := smallTotal
-		var keep int64 // size of the retained large job, 0 if none
-		if lc > 0 {
-			keep = sizes[row[lc-1]]
-			total += keep
-		}
-		rem = total
-		cnt := 0
-		if keep > 0 && rem > target {
-			rem -= keep
-			cnt++
-		}
-		for i := 0; rem > target; i++ {
-			rem -= sizes[smalls[i]]
-			cnt++
-		}
-		s.aArr[p] = int32(a)
-		s.bArr[p] = int32(cnt)
-		s.cArr[p] = int32(a - cnt)
-	}
-
-	// Step 3: pick the L_T processors with the smallest c_i, preferring
-	// large-holding processors on ties, and strip their a_i largest
-	// small jobs.
-	order := s.sortByC()
+	// Step 3: select the L_T processors first in c order and strip their
+	// a_i largest small jobs.
 	selected := s.selected
-	for p := range selected {
-		selected[p] = false
-	}
-	for i := 0; i < totalLarge; i++ {
-		selected[order[i]] = true
+	clear(selected)
+	for _, p := range s.order[:s.lastLargeTotal] {
+		selected[p] = true
 	}
 	// Selected large-free processors, in index order, will receive the
 	// relocated large jobs.
@@ -439,7 +383,6 @@ func (s *solver) probeFlat(target int64) bool {
 		smalls := s.csr.Row(p)[s.largeCnt[p]:]
 		for i := int32(0); i < s.aArr[p]; i++ {
 			removedSmall = append(removedSmall, smalls[i])
-			removals++
 			if s.sink.Tracing() {
 				s.sink.Emit("removal", obs.Fields{"target": target, "job": int(smalls[i]), "proc": p, "kind": "small", "step": 3})
 			}
@@ -458,7 +401,6 @@ func (s *solver) probeFlat(target int64) bool {
 		cnt := s.bArr[p]
 		if lc > 0 && cnt > 0 {
 			removedLarge = append(removedLarge, row[lc-1])
-			removals++
 			cnt--
 			if s.sink.Tracing() {
 				s.sink.Emit("removal", obs.Fields{"target": target, "job": int(row[lc-1]), "proc": p, "kind": "large", "step": 4})
@@ -466,7 +408,6 @@ func (s *solver) probeFlat(target int64) bool {
 		}
 		for i := int32(0); i < cnt; i++ {
 			removedSmall = append(removedSmall, smalls[i])
-			removals++
 			if s.sink.Tracing() {
 				s.sink.Emit("removal", obs.Fields{"target": target, "job": int(smalls[i]), "proc": p, "kind": "small", "step": 4})
 			}
@@ -527,15 +468,14 @@ func (s *solver) probeFlat(target int64) bool {
 		}
 	}
 	s.probeMakespan = max
-	s.lastRemovals = removals
 	return true
 }
 
-// probeCount decides PARTITION at target without running it: the
-// feasibility and the removal count probeFlat would report, from
-// rowCounts for every processor and countRemovals — O(m log n) against
-// probeFlat's O(n). The counts go to the last* fields; s.assign and
-// s.probeMakespan are left alone.
+// probeCount decides PARTITION at target without placing a job: the
+// feasibility and the removal count, from rowCounts for every processor
+// and countRemovals — O(m log n) against the full probe's O(n). The
+// counts go to the last* fields; s.assign and s.probeMakespan are left
+// alone. probeFlat starts here and places what it counted.
 func (s *solver) probeCount(target int64) bool {
 	f := &s.flat
 	if target < f.Max || target*int64(f.M) < f.Total {

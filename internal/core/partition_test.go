@@ -219,14 +219,18 @@ func TestMPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestProbeCountMatchesProbeFlat is the count probe's differential
-// test: at every target in [lo−2, hi+2], probeCount must report the
-// feasibility, removal count and large-job counts that the full
-// PARTITION run reports, and the full run must never displace more
-// large jobs than it has large-free selected processors to take them. The shapes are the cold-solve and hot-fleet
-// serving instances and small uniform ones whose many equal sizes put
-// ties on every rung.
-func TestProbeCountMatchesProbeFlat(t *testing.T) {
+// TestProbeFlatRemovesCountedJobs ties the counted k̂ to what PARTITION
+// actually removes (the paper's Lemma 4): at every target in
+// [lo−2, hi+2], the full probe's removal lists must hold exactly the
+// lastRemovals jobs its count reports, lastLargeExtra of them Step 1
+// removals — all but one of each processor's large jobs — and every
+// listed job must be large or small as its list says.
+// It also holds DESIGN §8's counting argument: the full run never
+// displaces more large jobs than it has large-free selected processors
+// to take them. The shapes are the cold-solve and hot-fleet serving
+// instances and small uniform ones whose many equal sizes put ties on
+// every rung.
+func TestProbeFlatRemovesCountedJobs(t *testing.T) {
 	var cases []*instance.Instance
 	for seed := uint64(0); seed < 2; seed++ {
 		cases = append(cases,
@@ -246,25 +250,53 @@ func TestProbeCountMatchesProbeFlat(t *testing.T) {
 		}))
 	}
 	for i, in := range cases {
-		full, count := newSolver(in, nil), newSolver(in, nil)
+		s := newSolver(in, nil)
+		removed := make([]bool, in.N())
 		for v := in.LowerBound() - 2; v <= in.InitialMakespan()+2; v++ {
-			ok := full.probeFlat(v)
-			if got := count.probeCount(v); got != ok {
-				t.Fatalf("case %d (n=%d m=%d) target %d: probeCount feasible=%v, probeFlat %v", i, in.N(), in.M, v, got, ok)
-			}
-			if !ok {
+			if !s.probeFlat(v) {
 				continue
+			}
+			if got := len(s.removedLarge) + len(s.removedSmall); got != s.lastRemovals {
+				t.Fatalf("case %d (n=%d m=%d) target %d: %d jobs removed, %d counted", i, in.N(), in.M, v, got, s.lastRemovals)
+			}
+			large := func(j int32) bool { return 2*in.Jobs[j].Size > v }
+			clear(removed)
+			for _, j := range s.removedLarge {
+				if !large(j) {
+					t.Fatalf("case %d target %d: small job %d on the large removal list", i, v, j)
+				}
+				removed[j] = true
+			}
+			for _, j := range s.removedSmall {
+				if large(j) {
+					t.Fatalf("case %d target %d: large job %d on the small removal list", i, v, j)
+				}
+			}
+			// Step 1 takes all but one of a processor's large jobs, and
+			// Step 4 at most that one more.
+			onProc, removedOn := make([]int, in.M), make([]int, in.M)
+			for j := range in.Jobs {
+				if large(int32(j)) {
+					onProc[in.Assign[j]]++
+					if removed[j] {
+						removedOn[in.Assign[j]]++
+					}
+				}
+			}
+			step1 := 0
+			for p, t := range onProc {
+				if t > 0 {
+					step1 += min(removedOn[p], t-1)
+				}
+			}
+			if step1 != s.lastLargeExtra {
+				t.Fatalf("case %d target %d: %d Step 1 removals, L_E counted %d", i, v, step1, s.lastLargeExtra)
 			}
 			// DESIGN §8's counting argument: once L_T ≤ m, the displaced
 			// large jobs never outnumber the selected large-free processors.
-			if len(full.removedLarge) > len(full.freeSlots) {
+			if len(s.removedLarge) > len(s.freeSlots) {
 				t.Fatalf("case %d target %d: %d displaced large jobs, %d large-free selected processors",
-					i, v, len(full.removedLarge), len(full.freeSlots))
-			}
-			if full.lastRemovals != count.lastRemovals || full.lastLargeTotal != count.lastLargeTotal || full.lastLargeExtra != count.lastLargeExtra {
-				t.Fatalf("case %d target %d: count (removals %d, L_T %d, L_E %d), full (%d, %d, %d)", i, v,
-					count.lastRemovals, count.lastLargeTotal, count.lastLargeExtra,
-					full.lastRemovals, full.lastLargeTotal, full.lastLargeExtra)
+					i, v, len(s.removedLarge), len(s.freeSlots))
 			}
 		}
 	}

@@ -2,9 +2,12 @@ package core_test
 
 // The reference implementation below is the pre-flat slice-of-structs
 // PARTITION, kept verbatim (minus observability) as the oracle the
-// rewritten probe kernel is checked against at every target on the
-// threshold ladder: same removals, same selection, same tie-breaks,
-// identical Result field by field.
+// probe kernel is checked against at every integer target from two
+// below the packing lower bound to two above the initial makespan, and
+// at 1.5× the initial makespan: same removals, same selection, same
+// tie-breaks, identical Result field by field. It counts each
+// processor's large jobs, a_i and b_i by its own linear loops, so it is
+// the one check of the kernel's counts that does not run rowCounts.
 
 import (
 	"container/heap"
@@ -287,30 +290,16 @@ func (h *refMinLoadHeap) Pop() any {
 }
 
 // refTargets is the set of target values equivalence is checked at:
-// around both unconditional lower bounds, the initial makespan, and
-// every distinct per-processor prefix threshold in between.
+// every integer in [lo − 2, hi + 2], lo the packing lower bound and hi
+// the initial makespan, so every large/small flip and every a_i and b_i
+// step between them is visited, plus 1.5 × hi.
 func refTargets(in *instance.Instance) []int64 {
+	lo, hi := in.LowerBound(), in.InitialMakespan()
 	var targets []int64
-	add := func(v int64) {
-		if v > 0 {
-			targets = append(targets, v-1, v, v+1)
-		}
+	for v := lo - 2; v <= hi+2; v++ {
+		targets = append(targets, v)
 	}
-	add(in.MaxSize())
-	total := in.TotalSize()
-	if in.M > 0 {
-		add((total + int64(in.M) - 1) / int64(in.M))
-	}
-	loads := in.Loads(in.Assign)
-	var initial int64
-	for _, l := range loads {
-		if l > initial {
-			initial = l
-		}
-	}
-	add(initial)
-	add(initial + initial/2)
-	return targets
+	return append(targets, hi+hi/2)
 }
 
 func comparePartition(t *testing.T, in *instance.Instance, target int64) {
@@ -369,4 +358,20 @@ func TestPartitionMatchesReferenceRandom(t *testing.T) {
 			comparePartition(t, in, rng.Int63n(2*in.TotalSize()+2))
 		}
 	}
+}
+
+// FuzzPartitionMatchesReference compares the kernel with the reference
+// field by field on an arbitrary small instance, built from the fuzz
+// bytes as FuzzMPartitionInvariants builds its own, and an arbitrary
+// target in [0, total + 2], which covers every feasible value up to two
+// above the initial makespan.
+func FuzzPartitionMatchesReference(f *testing.F) {
+	f.Add(uint8(3), uint16(40), []byte{5, 9, 2, 200, 17})
+	f.Add(uint8(1), uint16(7), []byte{255})
+	f.Add(uint8(5), uint16(3), []byte{1, 1, 1, 1, 1, 1, 1, 64, 128, 192})
+	f.Add(uint8(2), uint16(60), []byte{90, 90, 90})
+	f.Fuzz(func(t *testing.T, mRaw uint8, vRaw uint16, raw []byte) {
+		in := core.FuzzInstance(mRaw, raw)
+		comparePartition(t, in, int64(vRaw)%(in.TotalSize()+3))
+	})
 }

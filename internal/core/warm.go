@@ -24,9 +24,10 @@ import (
 // Warm is the incremental-session counterpart of MPartition. Mutators
 // (Add, Remove, Resize, Move, AddProc, RemoveProc) maintain the
 // per-processor rows in the canonical (size desc, index asc) order the
-// cold solver builds, so Solve and Probe only rebuild the CSR view
-// and prefix sums in O(n + m) before driving the shared runMPartition
-// kernel.
+// cold solver builds, so Solve and Probe only rebuild the CSR view in
+// O(n + m), then size the solver through the same solver.prepare that
+// newSolver ends with, before driving the cold path's own kernels
+// (runMPartition and run).
 //
 // Equivalence contract: Solve and Probe produce results identical to
 // the cold path — MPartition(Snapshot(), k, BinarySearch, ·) and
@@ -248,10 +249,12 @@ func (w *Warm) Probe(target int64) Result {
 }
 
 // refresh rebuilds the solver's probe state from the maintained rows
-// in O(n + m) — flat copy, CSR concatenation, prefix sums — with no
-// sorting and no steady-state allocation. After it returns, the solver
-// is byte-identical to newSolver(Snapshot(), sink): the rows already
-// carry the (size desc, index asc) order the cold build produces.
+// in O(n + m) — flat copy, CSR concatenation, then the prefix sums and
+// scratch sizing of solver.prepare, which newSolver ends with too —
+// with no sorting and no steady-state allocation. After it returns,
+// the solver is byte-identical to newSolver(Snapshot(), sink): the
+// rows already carry the (size desc, index asc) order the cold build
+// produces.
 func (w *Warm) refresh() {
 	s := w.s
 	in := &w.in
@@ -266,28 +269,7 @@ func (w *Warm) refresh() {
 		pos += int32(copy(s.csr.Jobs[pos:], w.rows[p]))
 	}
 	s.csr.Start[m] = pos
-	s.rowPrefix = instance.GrowSlice(s.rowPrefix, n)
-	for p := 0; p < m; p++ {
-		var sum int64
-		for i, j := range s.csr.Row(p) {
-			sum += s.flat.Sizes[j]
-			s.rowPrefix[int(s.csr.Start[p])+i] = sum
-		}
-	}
-	// Per-probe scratch tracks the (possibly grown) dimensions. The
-	// boolean scratch keeps its all-false steady-state invariant:
-	// probeFlat resets every entry it sets, and fresh allocations from
-	// GrowSlice come zeroed.
-	s.largeCnt = instance.GrowSlice(s.largeCnt, m)
-	s.aArr = instance.GrowSlice(s.aArr, m)
-	s.bArr = instance.GrowSlice(s.bArr, m)
-	s.cArr = instance.GrowSlice(s.cArr, m)
-	s.assign = instance.GrowSlice(s.assign, n)
-	s.order = instance.GrowSlice(s.order, m)
-	s.selected = instance.GrowSlice(s.selected, m)
-	s.loads = instance.GrowSlice(s.loads, m)
-	s.removed = instance.GrowSlice(s.removed, n)
-	s.heapItems = instance.GrowSlice(s.heapItems, m)
+	s.prepare()
 }
 
 // rowLess is the canonical row order: size descending, index ascending

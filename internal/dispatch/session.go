@@ -63,7 +63,8 @@ type SessionDeltaRequest struct {
 	Size int64  `json:"size,omitempty"`
 	Cost int64  `json:"cost,omitempty"`
 	// Proc is the arrive placement or drain target. Omitted on an
-	// arrival it means "least-loaded processor".
+	// arrival it means "least-loaded processor"; a proc_drain without
+	// it is rejected.
 	Proc *int `json:"proc,omitempty"`
 	// K is the move budget of an explicit "rebalance" op.
 	K int `json:"k,omitempty"`
@@ -248,10 +249,10 @@ func (c *Core) SessionDelta(ctx context.Context, id string, req *SessionDeltaReq
 		res.Moves = wireMoves(moves)
 		res.Rebalanced = true
 	} else {
-		d, ok := parseDelta(req)
-		if !ok {
+		d, perr := parseDelta(req)
+		if perr != nil {
 			c.cfg.Obs.Count("session.delta_errors", 1)
-			return SessionDeltaResult{}, &BadRequestError{Msg: fmt.Sprintf("unknown delta op %q", req.Op)}
+			return SessionDeltaResult{}, perr
 		}
 		if d.Op == session.OpProcAdd {
 			if err := processorLimit(ent.sess.M() + 1); err != nil {
@@ -397,8 +398,10 @@ func sessionNotFound(id string) error {
 	return fmt.Errorf("%w: %q", ErrSessionNotFound, id)
 }
 
-// parseDelta maps the wire delta onto the session's typed form.
-func parseDelta(req *SessionDeltaRequest) (session.Delta, bool) {
+// parseDelta maps the wire delta onto the session's typed form. An
+// unknown op, or a proc_drain without the processor to drain, is a
+// *BadRequestError.
+func parseDelta(req *SessionDeltaRequest) (session.Delta, error) {
 	d := session.Delta{Job: req.Job, Size: req.Size, Cost: req.Cost}
 	switch req.Op {
 	case session.OpArrive.String():
@@ -414,14 +417,15 @@ func parseDelta(req *SessionDeltaRequest) (session.Delta, bool) {
 	case session.OpProcAdd.String():
 		d.Op = session.OpProcAdd
 	case session.OpProcDrain.String():
-		d.Op = session.OpProcDrain
-		if req.Proc != nil {
-			d.Proc = *req.Proc
+		if req.Proc == nil {
+			return session.Delta{}, &BadRequestError{Msg: `proc_drain needs "proc", the processor to drain`}
 		}
+		d.Op = session.OpProcDrain
+		d.Proc = *req.Proc
 	default:
-		return session.Delta{}, false
+		return session.Delta{}, &BadRequestError{Msg: fmt.Sprintf("unknown delta op %q", req.Op)}
 	}
-	return d, true
+	return d, nil
 }
 
 // mapSessionErr converts session rejections into the transport error

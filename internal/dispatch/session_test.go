@@ -113,6 +113,29 @@ func TestSessionErrorMapping(t *testing.T) {
 	}
 }
 
+// A proc_drain must name its processor: one without proc is a bad
+// request that leaves the session as it was, not a drain of
+// processor 0.
+func TestSessionDrainNeedsProc(t *testing.T) {
+	c := sessionCore(t, Config{Workers: 1})
+	ext := instance.Extended{Instance: *instance.MustNew(3, []int64{5, 4, 3}, nil, []int{0, 0, 1})}
+	st, err := c.SessionCreate(context.Background(), &SessionRequest{Instance: &ext, Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad *BadRequestError
+	if _, err := c.SessionDelta(context.Background(), st.ID, &SessionDeltaRequest{Op: "proc_drain"}); !errors.As(err, &bad) {
+		t.Fatalf("drain without proc: %v, want a bad request", err)
+	}
+	got, err := c.SessionGet(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.M != 3 || got.Rev != st.Rev || got.Loads[0] != 9 {
+		t.Fatalf("rejected drain changed the session: %+v", got)
+	}
+}
+
 func TestSessionTableFull(t *testing.T) {
 	c := sessionCore(t, Config{Workers: 1, MaxSessions: 2})
 	for i := 0; i < 2; i++ {
